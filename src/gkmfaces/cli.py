@@ -311,9 +311,7 @@ def cmd_gkm_reconstruct(args, out: list[str]) -> int:
     )
     galois = None
     if args.verify_galois and not report.diagnostics:
-        galois = reconstruct.verify_galois(
-            g, mode, connection=theta if mode == "tg" else None, cap=args.cap, workers=args.workers
-        )
+        galois = reconstruct.verify_galois(g, report)
     if args.json:
         payload = {
             "kind": "face-report",
@@ -371,9 +369,20 @@ def _output_flags(sub):
     sub.add_argument("--dot", action="store_true", help="DOT export of the resulting poset")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _enum_flags(sub):
-    sub.add_argument("--cap", type=int, default=gkm.DEFAULT_CAP, help="candidate subgraph cap")
-    sub.add_argument("--workers", type=int, default=1, help="worker threads for face checks")
+    sub.add_argument(
+        "--cap", type=_positive_int, default=gkm.DEFAULT_CAP, help="face search state cap"
+    )
+    sub.add_argument(
+        "--workers", type=_positive_int, default=1, help="accepted for compatibility; no effect"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -50,11 +50,19 @@ class ConnectionNotCanonical(GkmFacesError, ValueError):
 
 
 class EnumerationCapExceeded(GkmFacesError, RuntimeError):
-    """Face enumeration visited more candidate subgraphs than the cap allows."""
+    """Face enumeration reached more search states than the cap allows.
 
-    def __init__(self, cap: int):
-        super().__init__(f"enumeration cap of {cap} candidate subgraphs exceeded")
+    `reached` is the number of states counted when the search stopped and
+    `context` says what it was enumerating at that moment.
+    """
+
+    def __init__(self, cap: int, reached: int, context: str):
+        super().__init__(
+            f"enumeration cap of {cap} candidate subgraphs exceeded: "
+            f"{reached} seed and branch states reached while {context}"
+        )
         self.cap = cap
+        self.reached = reached
 
 
 class ReconstructionAmbiguous(GkmFacesError, ValueError):

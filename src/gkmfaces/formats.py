@@ -59,7 +59,10 @@ def _ambient_rank(line: str, lineno: int) -> int:
     match = re.fullmatch(r"ambient_rank\s*:\s*(\d+)", line.strip())
     if not match:
         raise ParseError("expected 'ambient_rank: <k>'", lineno, 1)
-    return int(match.group(1))
+    rank = int(match.group(1))
+    if rank < 1:
+        raise ParseError("ambient_rank must be at least 1", lineno, 1)
+    return rank
 
 
 # ----------------------------------------------------------------------

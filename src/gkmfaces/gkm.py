@@ -7,16 +7,18 @@ the value for the edge oriented from its first declared endpoint, and the
 reverse orientation is its exact negation.
 
 Faces are connected subgraphs that are GKM-graphs in their own right:
-regular of some degree and closed under two-dimensional spans.  They are
-enumerated exhaustively over connected edge subsets behind a hard cap, so
-pathological inputs fail loudly instead of hanging.
+regular of some degree and closed under two-dimensional spans.  A face is
+fixed by its star at each vertex, so faces are grown from a first vertex
+and a subset of its star, one reached vertex at a time, through the stars
+there that agree with the vertices already placed and close every
+two-plane across to them.  Search states are counted against a hard cap,
+so pathological inputs fail loudly instead of hanging.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .matroid import WeightSystem, flats_lattice
 from .poset import GradedPoset
-from .ratlinalg import IntVector, Subspace, as_vector, rank_of
+from .ratlinalg import EchelonBasis, IntVector, Subspace, as_vector, rank_of
 
 DEFAULT_CAP = 10**6
 
@@ -145,6 +147,8 @@ class GraphReport:
     dimension: int | None
     rank: int | None
     violations: tuple[str, ...]
+    # the _plane_table the closure check ran on, for the searches that follow
+    planes: Mapping[tuple[str, str, object], tuple[str, ...]] = field(repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -154,26 +158,45 @@ def _collinear(a: Sequence[int], b: Sequence[int]) -> bool:
     return rank_of([tuple(a), tuple(b)]) <= 1
 
 
-def _two_plane_closure_violations(g: GkmGraph, edges: frozenset[str], star) -> list[str]:
-    """Closure failures among the given edges, with star restricted to them."""
-    out = []
+def _plane_table(g: GkmGraph) -> dict[tuple[str, str, object], tuple[str, ...]]:
+    """Edges at z other than e2 that lie in the span of alpha_e1 and alpha_e2.
+
+    Keyed (e1, e2, z) for every edge e2 from y to z and every other edge e1
+    at y.  Each plane is spanned once per pair of edges.
+    """
+    planes: dict[frozenset[str], EchelonBasis] = {}
+    table = {}
+    for e2 in g.edges:
+        for y, z in ((e2.u, e2.v), (e2.v, e2.u)):
+            for e1 in g.star(y):
+                if e1 == e2.name:
+                    continue
+                pair = frozenset((e1, e2.name))
+                if pair not in planes:
+                    planes[pair] = EchelonBasis(g.ambient_rank)
+                    planes[pair].add(g.alpha(e1))
+                    planes[pair].add(g.alpha(e2.name))
+                table[(e1, e2.name, z)] = tuple(
+                    e3 for e3 in g.star(z) if e3 != e2.name and planes[pair].contains(g.alpha(e3))
+                )
+    return table
+
+
+def _two_plane_closure_violations(g: GkmGraph, planes, edges, star):
+    """Closure failures across the given edges, where star(y) is the kept edges at y.
+
+    Across every edge e2 from y to z, each other kept edge e1 at y needs a
+    kept edge at z other than e2 in the span of alpha_e1 and alpha_e2.
+    """
     for e2_name in sorted(edges, key=g.edge_key):
         e2 = g.edge(e2_name)
         for y, z in ((e2.u, e2.v), (e2.v, e2.u)):
+            at_z = star(z)
             for e1_name in star(y):
-                if e1_name == e2_name:
-                    continue
-                plane = Subspace.span([g.alpha(e1_name), g.alpha(e2_name)], g.ambient_rank)
-                found = any(
-                    e3_name != e2_name and plane.contains(g.alpha(e3_name))
-                    for e3_name in star(z)
-                )
-                if not found:
-                    out.append(
-                        f"no edge at {z!r} continues the span of "
-                        f"{e1_name!r} and {e2_name!r}"
-                    )
-    return out
+                if e1_name != e2_name and not any(
+                    e3 in at_z for e3 in planes[(e1_name, e2_name, z)]
+                ):
+                    yield f"no edge at {z!r} continues the span of {e1_name!r} and {e2_name!r}"
 
 
 def validate_graph(g: GkmGraph) -> GraphReport:
@@ -213,8 +236,9 @@ def validate_graph(g: GkmGraph) -> GraphReport:
                         "have dependent axial vectors"
                     )
 
-    all_edges = frozenset(e.name for e in g.edges)
-    violations.extend(_two_plane_closure_violations(g, all_edges, g.star))
+    planes = _plane_table(g)
+    all_edges = [e.name for e in g.edges]
+    violations.extend(_two_plane_closure_violations(g, planes, all_edges, g.star))
 
     spans = [Subspace.span([g.alpha(name) for name in g.star(x)], g.ambient_rank) for x in g.vertices]
     rank = spans[0].dim
@@ -226,7 +250,7 @@ def validate_graph(g: GkmGraph) -> GraphReport:
             rank = None
             break
 
-    return GraphReport(not violations, dimension, rank, tuple(violations))
+    return GraphReport(not violations, dimension, rank, tuple(violations), planes)
 
 
 def require_valid(g: GkmGraph) -> GraphReport:
@@ -350,7 +374,7 @@ def canonical_connection(g: GkmGraph) -> Connection:
     one edge at the head inside their common two-dimensional span; three
     dependent axial values at a vertex break uniqueness and raise.
     """
-    require_valid(g)
+    planes = require_valid(g).planes
     maps: dict[tuple[str, object], dict[str, str]] = {}
     for e in g.edges:
         for tail in (e.u, e.v):
@@ -359,10 +383,7 @@ def canonical_connection(g: GkmGraph) -> Connection:
             for f in g.star(tail):
                 if f == e.name:
                     continue
-                plane = Subspace.span([g.alpha(e.name), g.alpha(f)], g.ambient_rank)
-                candidates = [
-                    h for h in g.star(head) if h != e.name and plane.contains(g.alpha(h))
-                ]
+                candidates = planes[(f, e.name, head)]
                 if len(candidates) != 1:
                     raise ConnectionNotCanonical(
                         f"connection not canonical: edge {f!r} at {tail!r} has "
@@ -412,73 +433,66 @@ def subgraph_degree(g: GkmGraph, h: GkmSubgraph) -> int:
     return sum(1 for name in g.star(x) if name in h.edges)
 
 
-def _edge_subset_face(g: GkmGraph, edges: frozenset[str]) -> GkmSubgraph | None:
-    """The subgraph on an edge subset if it satisfies the face axioms."""
-    vertices = set()
-    for name in edges:
-        e = g.edge(name)
-        vertices.add(e.u)
-        vertices.add(e.v)
-    degree = {x: 0 for x in vertices}
-    for name in edges:
-        e = g.edge(name)
-        degree[e.u] += 1
-        degree[e.v] += 1
-    if len(set(degree.values())) != 1:
-        return None
+def _grown_stars(g: GkmGraph, planes, d: int, x, stars: dict, z):
+    """`stars` extended by each d-edge star at z that a face grown from x allows.
 
-    def star(x):
-        return tuple(name for name in g.star(x) if name in edges)
-
-    if _two_plane_closure_violations(g, edges, star):
-        return None
-    return GkmSubgraph(frozenset(vertices), edges)
-
-
-def _connected_edge_subsets(g: GkmGraph, cap: int) -> list[frozenset[str]]:
-    """Every connected edge subset, grown one adjacent edge at a time."""
-    incident: dict[object, list[str]] = {x: list(g.star(x)) for x in g.vertices}
-    singles = [frozenset([e.name]) for e in g.edges]
-    visited: set[frozenset[str]] = set(singles)
-    queue = deque(singles)
-    out = list(singles)
-    if len(out) > cap:
-        raise EnumerationCapExceeded(cap)
-    while queue:
-        current = queue.popleft()
-        touched = set()
-        for name in current:
-            e = g.edge(name)
-            touched.add(e.u)
-            touched.add(e.v)
-        reachable = sorted(
-            {name for x in touched for name in incident[x] if name not in current},
-            key=g.edge_key,
-        )
-        for name in reachable:
-            grown = current | {name}
-            if grown not in visited:
-                visited.add(grown)
-                if len(visited) > cap:
-                    raise EnumerationCapExceeded(cap)
-                queue.append(grown)
-                out.append(grown)
-    return out
+    An edge to a placed vertex is kept exactly when that vertex's star keeps
+    it, edges to vertices before x are left out, and the two-planes across
+    every kept edge to a placed vertex must close in both directions.
+    """
+    first = g.vertex_key(x)
+    across, free = [], []
+    for e in g.star(z):
+        w = g.edge(e).other(z)
+        if w in stars:
+            if e in stars[w]:
+                across.append(e)
+        elif g.vertex_key(w) > first:
+            free.append(e)
+    if len(across) > d:
+        return
+    for extra in combinations(free, d - len(across)):
+        grown = {**stars, z: frozenset(across).union(extra)}
+        if next(_two_plane_closure_violations(g, planes, across, grown.__getitem__), None) is None:
+            yield grown
 
 
 def enumerate_face_subgraphs(
     g: GkmGraph, cap: int = DEFAULT_CAP, workers: int = 1
 ) -> list[GkmSubgraph]:
-    """All faces as subgraphs, canonically sorted."""
-    require_valid(g)
+    """All faces as subgraphs, canonically sorted.
+
+    Each face of degree d is grown exactly once: from its first vertex x (by
+    vertex_key) with a d-edge star there, then at each reached vertex, in
+    the order reached, through every star `_grown_stars` allows.  Each seed
+    and branch counts as one search state; more than `cap` of them raise
+    EnumerationCapExceeded.  `workers` is accepted for compatibility and
+    has no effect.
+    """
+    if cap < 1 or workers < 1:
+        raise ValueError("cap and workers must be at least 1")
+    report = require_valid(g)
     faces = [GkmSubgraph(frozenset([x]), frozenset()) for x in g.vertices]
-    candidates = _connected_edge_subsets(g, cap)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            checked = list(pool.map(lambda e: _edge_subset_face(g, e), candidates))
-    else:
-        checked = [_edge_subset_face(g, edges) for edges in candidates]
-    faces.extend(face for face in checked if face is not None)
+    # (degree, first vertex, stars of the placed vertices, vertices reached)
+    stack = [(d, x, {}, (x,)) for d in range(report.dimension, 0, -1) for x in reversed(g.vertices)]
+    states = 0
+    while stack:
+        d, x, stars, order = stack.pop()
+        if len(stars) == len(order):
+            faces.append(GkmSubgraph(frozenset(stars), frozenset().union(*stars.values())))
+            continue
+        z = order[len(stars)]
+        for grown in _grown_stars(g, report.planes, d, x, stars, z):
+            states += 1
+            if states > cap:
+                raise EnumerationCapExceeded(
+                    cap,
+                    states,
+                    f"growing faces of degree {d} from vertex {x!r}, "
+                    f"with {len(faces) - len(g.vertices)} faces of positive degree found",
+                )
+            ends = dict.fromkeys(g.edge(e).other(z) for e in g.star(z) if e in grown[z])
+            stack.append((d, x, grown, order + tuple(w for w in ends if w not in order)))
     faces.sort(key=lambda h: subgraph_sort_key(g, h))
     return faces
 

@@ -162,24 +162,18 @@ class GaloisReport:
         return self.ok
 
 
-def verify_galois(
-    g: GkmGraph,
-    mode: str = "faces",
-    connection: Connection | None = None,
-    cap: int = DEFAULT_CAP,
-    workers: int = 1,
-) -> GaloisReport:
+def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
     """Check the insertion laws between all faces and surviving faces.
 
-    For every enumerated face h: the projection of h contains h.  For
-    every surviving face: projecting its own subgraph returns it.  Both
-    the projection and the inclusion must be monotone.
+    `report` is the reconstruction of `g` to check.  For every enumerated
+    face h: the projection of h contains h.  For every surviving face:
+    projecting its own subgraph returns it.  Both the projection and the
+    inclusion must be monotone.
     """
-    report = reconstruct_face_poset(g, mode=mode, connection=connection, cap=cap, workers=workers)
     if report.diagnostics:
         return GaloisReport(
             False,
-            mode,
+            report.mode,
             len(report.candidates),
             tuple(d.describe() for d in report.diagnostics),
         )
@@ -188,7 +182,8 @@ def verify_galois(
     for h in report.candidates:
         if not report.subgraph(projection[h]).contains(h):
             failures.append(
-                f"projection of a face on vertices {sorted(map(str, h.vertices))} "
+                f"projection of a face on vertices "
+                f"{[str(x) for x in sorted(h.vertices, key=g.vertex_key)]} "
                 "does not contain it"
             )
     for e in report.faces.elements:
@@ -204,4 +199,4 @@ def verify_galois(
     for e in report.faces.elements:
         if report.subgraph(e) not in survivors:
             failures.append(f"surviving face {e} is missing from the full face list")
-    return GaloisReport(not failures, mode, len(report.candidates), tuple(failures))
+    return GaloisReport(not failures, report.mode, len(report.candidates), tuple(failures))

@@ -72,3 +72,49 @@ def cp2_graph(signed: bool = False) -> GkmGraph:
         {"ab": (1, 0), "ac": (0, 1), "bc": (-1, 1)},
         signed=signed,
     )
+
+
+def sphere_graph() -> GkmGraph:
+    return GkmGraph(1, ["N", "S"], [("a", "N", "S")], {"a": (1,)})
+
+
+def graph_product(g: GkmGraph, h: GkmGraph) -> GkmGraph:
+    """Cartesian product; axial vectors live in the direct sum."""
+    vertices = [f"{x}.{y}" for x in g.vertices for y in h.vertices]
+    edges, axial = [], {}
+    for e in g.edges:
+        for y in h.vertices:
+            edges.append((f"{e.name}.{y}", f"{e.u}.{y}", f"{e.v}.{y}"))
+            axial[f"{e.name}.{y}"] = g.alpha(e.name) + (0,) * h.ambient_rank
+    for e in h.edges:
+        for x in g.vertices:
+            edges.append((f"{x}.{e.name}", f"{x}.{e.u}", f"{x}.{e.v}"))
+            axial[f"{x}.{e.name}"] = (0,) * g.ambient_rank + h.alpha(e.name)
+    return GkmGraph(g.ambient_rank + h.ambient_rank, vertices, edges, axial)
+
+
+def hypercube_graph(d: int) -> GkmGraph:
+    """Q_d, the graph of (S^2)^d."""
+    g = sphere_graph()
+    for _ in range(d - 1):
+        g = graph_product(g, sphere_graph())
+    return g
+
+
+def scrambled(rng: random.Random, g: GkmGraph) -> GkmGraph:
+    """Same names and faces; new declaration order, edge ends, coordinates and signs."""
+    k = g.ambient_rank
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    rng.shuffle(rows)
+    for _ in range(k if k > 1 else 0):  # unimodular shears keep every span's rank
+        i, j = rng.sample(range(k), 2)
+        rows[i] = [a + rng.choice((1, -1)) * b for a, b in zip(rows[i], rows[j])]
+    vertices = list(g.vertices)
+    rng.shuffle(vertices)
+    edges = [(e.name, *rng.sample((e.u, e.v), 2)) for e in g.edges]
+    rng.shuffle(edges)
+    axial = {}
+    for name, w in g.axial.items():
+        sign = rng.choice((1, -1))
+        axial[name] = tuple(sign * sum(a * x for a, x in zip(row, w)) for row in rows)
+    return GkmGraph(k, vertices, edges, axial)

@@ -146,14 +146,33 @@ def test_gkm_reconstruct_tg_mode():
     assert out.startswith("faces: 16\n")
 
 
-def test_gkm_reconstruct_cap_error():
+def test_gkm_reconstruct_cap_error(capsys):
     code, out = run_cli("gkm", "reconstruct", path("g6.gkm"), "--cap", "5")
     assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: enumeration cap of 5 candidate subgraphs exceeded: "
+        "6 seed and branch states reached while growing faces of degree 1 from vertex '123'"
+    )
+
+
+@pytest.mark.parametrize("flag", [("--workers", "0"), ("--workers", "-3"), ("--cap", "-1")])
+def test_enumeration_flags_below_one_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("gkm", "faces", path("g6.gkm"), *flag)
+    assert exit_info.value.code == 2
+    assert f"argument {flag[0]}: must be at least 1" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.wt"
     bad.write_text("ambient_rank: 2\nw1 = (0,0)\n")
+    code, out = run_cli("matroid", "flats", str(bad))
+    assert code == 2
+
+
+def test_rank_zero_weight_file_is_a_parse_error(tmp_path):
+    bad = tmp_path / "rank0.wt"
+    bad.write_text("ambient_rank: 0\n")
     code, out = run_cli("matroid", "flats", str(bad))
     assert code == 2
 

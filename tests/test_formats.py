@@ -48,6 +48,17 @@ def test_parse_matroid_bad_arity():
         parse_matroid("ambient_rank: 2\nw1 = (1,0,0)\n")
 
 
+def test_parse_rank_zero():
+    for parse, text in (
+        (parse_matroid, "ambient_rank: 0\n"),
+        (parse_graph, "ambient_rank: 0\nvertex a\n"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert "ambient_rank must be at least 1" in str(err.value)
+        assert err.value.line == 1
+
+
 def test_parse_matroid_missing_rank():
     with pytest.raises(ParseError):
         parse_matroid("w1 = (1,0)\n")

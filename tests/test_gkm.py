@@ -1,4 +1,9 @@
+import random
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmfaces.errors import (
     ConnectionNotCanonical,
@@ -18,6 +23,7 @@ from gkmfaces.gkm import (
     local_face_poset,
     representation_face_poset,
     subgraph_flat,
+    subgraph_sort_key,
     validate_connection,
     validate_graph,
 )
@@ -25,7 +31,17 @@ from gkmfaces.matroid import flats_lattice
 from gkmfaces.poset import are_isomorphic, is_graded
 from gkmfaces.ratlinalg import span_equal
 
-from helpers import UNIFORM23, corpus_graph, cp2_graph, square_graph
+from helpers import (
+    GKM_CORPUS,
+    UNIFORM23,
+    corpus_graph,
+    cp2_graph,
+    graph_product,
+    hypercube_graph,
+    scrambled,
+    sphere_graph,
+    square_graph,
+)
 from oracles import gkm_faces_oracle
 
 
@@ -240,7 +256,7 @@ def test_enumerate_faces_g6_matches_oracle():
 
 
 def test_enumerate_faces_matches_oracle_on_small_graphs():
-    for g in (cp2_graph(), square_graph()):
+    for g in (cp2_graph(), square_graph(), *(corpus_graph(name)[0] for name in GKM_CORPUS)):
         faces = enumerate_face_subgraphs(g)
         oracle = gkm_faces_oracle(g)
         got = sorted(
@@ -248,6 +264,23 @@ def test_enumerate_faces_matches_oracle_on_small_graphs():
             key=lambda f: (len(f[0]), sorted(map(str, f[0])), sorted(map(str, f[1]))),
         )
         assert got == oracle
+
+
+ORACLE_GRAPHS = {
+    "q2": hypercube_graph(2),
+    "q3": hypercube_graph(3),
+    "cp2xs2": graph_product(cp2_graph(), sphere_graph()),
+    "fl3": corpus_graph("g6.gkm")[0],  # stars not 3-independent: the search branches
+}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_GRAPHS)), seed=st.integers(0, 2**32 - 1))
+def test_face_search_matches_oracle_on_scrambled_graphs(name, seed):
+    g = scrambled(random.Random(seed), ORACLE_GRAPHS[name])
+    faces = enumerate_face_subgraphs(g)
+    assert Counter((h.vertices, h.edges) for h in faces) == Counter(gkm_faces_oracle(g))
+    assert faces == sorted(faces, key=lambda h: subgraph_sort_key(g, h))
 
 
 def test_face_flats_vertex_independent():
@@ -309,13 +342,27 @@ def test_tg_faces_subset_of_faces_and_include_skeleton():
 
 def test_enumeration_cap_is_enforced():
     g, _ = corpus_graph("g6.gkm")
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(EnumerationCapExceeded) as err:
         enumerate_face_subgraphs(g, cap=10)
+    assert (err.value.cap, err.value.reached) == (10, 11)
+    assert str(err.value).startswith(
+        "enumeration cap of 10 candidate subgraphs exceeded: 11 seed and branch states reached"
+    )
+
+
+def test_cap_counts_seed_and_branch_states():
+    g, _ = corpus_graph("g6.gkm")
+    assert len(enumerate_face_subgraphs(g, cap=82)) == 31
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_face_subgraphs(g, cap=81)
 
 
 def test_worker_counts_do_not_change_results():
     g, _ = corpus_graph("g6.gkm")
     assert enumerate_face_subgraphs(g, workers=1) == enumerate_face_subgraphs(g, workers=4)
+    for bad in ({"workers": 0}, {"cap": 0}):
+        with pytest.raises(ValueError):
+            enumerate_face_subgraphs(g, **bad)
 
 
 def test_every_vertex_face_sits_under_an_edge_face():

@@ -14,24 +14,8 @@ from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import are_isomorphic, compactify, is_locally_geometric
 from gkmfaces.reconstruct import reconstruct_face_poset, verify_galois
 
+from helpers import hypercube_graph
 from oracles import gkm_faces_oracle
-
-
-def cube_graph():
-    """Product of three spheres: 3-regular cube, one weight axis per direction."""
-    vertices = [f"v{a}{b}{c}" for a in "01" for b in "01" for c in "01"]
-    edges = []
-    axial = {}
-    axis_weight = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
-    for v in vertices:
-        bits = v[1:]
-        for axis in range(3):
-            if bits[axis] == "0":
-                other = bits[:axis] + "1" + bits[axis + 1 :]
-                name = f"e{bits}a{axis}"
-                edges.append((name, v, f"v{other}"))
-                axial[name] = axis_weight[axis]
-    return GkmGraph(3, vertices, edges, axial)
 
 
 def double_edge_graph():
@@ -45,12 +29,12 @@ def double_edge_graph():
 
 
 def test_cube_is_valid():
-    report = validate_graph(cube_graph())
+    report = validate_graph(hypercube_graph(3))
     assert report.ok and report.dimension == 3 and report.rank == 3
 
 
 def test_cube_faces_match_oracle_and_product_count():
-    g = cube_graph()
+    g = hypercube_graph(3)
     faces = enumerate_face_subgraphs(g)
     oracle = gkm_faces_oracle(g)
     got = sorted(
@@ -67,8 +51,17 @@ def test_cube_faces_match_oracle_and_product_count():
     assert by_rank == {0: 8, 1: 12, 2: 6, 3: 1}
 
 
+def test_q4_faces_match_closed_form():
+    # a rank-r face of Q_4 frees r of the 4 coordinates and fixes the others
+    poset = enumerate_faces(hypercube_graph(4))
+    by_rank = {}
+    for e in poset.elements:
+        by_rank[poset.rank[e]] = by_rank.get(poset.rank[e], 0) + 1
+    assert by_rank == {0: 16, 1: 32, 2: 24, 3: 8, 4: 1}
+
+
 def test_cube_reconstruction_is_boolean_locally():
-    g = cube_graph()
+    g = hypercube_graph(3)
     report = reconstruct_face_poset(g, "faces")
     assert not report.diagnostics
     assert len(report.faces.elements) == 27  # every face survives
@@ -81,11 +74,11 @@ def test_cube_reconstruction_is_boolean_locally():
 
 
 def test_cube_tg_and_galois():
-    g = cube_graph()
+    g = hypercube_graph(3)
     theta = canonical_connection(g)
     assert len(enumerate_tg_faces(g, theta).elements) == 27
-    assert verify_galois(g, "faces").ok
-    assert verify_galois(g, "tg").ok
+    assert verify_galois(g, reconstruct_face_poset(g, "faces")).ok
+    assert verify_galois(g, reconstruct_face_poset(g, "tg")).ok
 
 
 def test_double_edge_is_valid_multigraph():
@@ -111,4 +104,4 @@ def test_double_edge_reconstruction_is_compactified_plane():
     assert not report.diagnostics
     b2 = flats_lattice(WeightSystem(2, [(1, 0), (0, 1)]))
     assert are_isomorphic(report.faces, compactify(b2))
-    assert verify_galois(g, "faces").ok
+    assert verify_galois(g, report).ok

@@ -146,14 +146,15 @@ def test_verify_galois_corpus_both_modes():
     for name in GKM_CORPUS:
         g, theta = corpus_graph(name)
         for mode in ("faces", "tg"):
-            result = verify_galois(g, mode, connection=theta)
+            result = verify_galois(g, reconstruct_face_poset(g, mode, connection=theta))
             assert result.ok, (name, mode, result.failures)
 
 
 def test_verify_galois_face_counts():
     g, theta = corpus_graph("g6.gkm")
-    assert verify_galois(g, "faces").checked_faces == 31
-    assert verify_galois(g, "tg", connection=theta).checked_faces == 19
+    assert verify_galois(g, reconstruct_face_poset(g, "faces")).checked_faces == 31
+    tg = reconstruct_face_poset(g, "tg", connection=theta)
+    assert verify_galois(g, tg).checked_faces == 19
 
 
 def test_pi_map_requires_clean_reconstruction():
