@@ -471,9 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first `main` call and reused: building the tree costs far
+# more than parsing one command line with it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     out: list[str] = []
     try:
         code = args.handler(args, out)

@@ -516,17 +516,20 @@ def _face_poset(g: GkmGraph, faces: list[GkmSubgraph], prefix: str = "H") -> Gra
     by_id = dict(zip(ids, faces))
     rank = {i: subgraph_flat(g, h, min(h.vertices, key=g.vertex_key)).dim for i, h in by_id.items()}
     drk = {i: subgraph_degree(g, h) for i, h in by_id.items()}
-    leq = {
-        (a, b)
-        for a in ids
-        for b in ids
-        if a != b and by_id[b].contains(by_id[a])
-    }
-    covers = [
-        (a, b)
-        for a, b in sorted(leq)
-        if not any((a, c) in leq and (c, b) in leq for c in ids)
-    ]
+    # above[i] / below[i]: bitmasks of the faces strictly containing / inside face i
+    above = [0] * len(faces)
+    below = [0] * len(faces)
+    for i, low in enumerate(faces):
+        for j, high in enumerate(faces):
+            if i != j and high.contains(low):
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    covers = sorted(
+        (ids[i], ids[j])
+        for i in range(len(faces))
+        for j in range(len(faces))
+        if above[i] >> j & 1 and not above[i] & below[j]
+    )
     labels = {
         i: "{" + ",".join(str(x) for x in sorted(h.vertices, key=g.vertex_key)) + "}"
         for i, h in by_id.items()

@@ -3,8 +3,13 @@
 A weight system is an ordered multiset of nonzero integer vectors; the
 1-based position of a weight is its identity, so duplicate vectors are
 distinct matroid elements.  Flats are index sets closed under rational
-span, enumerated bottom-up by repeated single-element closure rather than
-by scanning all 2^n subsets (the subset scan is kept as a test oracle).
+span.  They are grown bottom-up together with their covers: the weights
+are first grouped into parallel classes (the same line through the
+origin), and the flats covering a flat F are found by reducing one
+weight of each class outside F against a basis of F and grouping the
+classes whose residues are parallel.  The cost is governed by the number
+of flats and classes, not by 2^n subsets (the subset scan and the
+pairwise cover scan are kept as test oracles).
 """
 
 from __future__ import annotations
@@ -107,25 +112,47 @@ def closure(ws: WeightSystem, subset: Iterable[int]) -> Flat:
     return Flat(members, span.dim)
 
 
-def all_flats(ws: WeightSystem) -> list[Flat]:
-    """Every flat exactly once, sorted by (rank, members).
+def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[Flat, Flat]]]:
+    """Every flat sorted by (rank, members), and every cover pair in that order.
 
-    Grown upward from the bottom flat by closing one extra index at a
-    time; in a matroid this reaches every flat through covers, so the
-    cost is governed by the number of flats, not 2^n.
+    The flats covering F are the closures of F plus one parallel class
+    outside F, and two such classes give the same cover exactly when
+    their residues modulo span(F) are parallel.  So each flat costs one
+    reduction per class outside it and finds all of its covers at once.
     """
-    bottom = closure(ws, ())
+    origin = EchelonBasis(ws.ambient_rank)
+    parallel: dict[IntVector, list[int]] = {}
+    for i in ws.indices:
+        parallel.setdefault(origin.residue(ws.weight(i)), []).append(i)
+    classes = [(ws.weight(members[0]), frozenset(members)) for members in parallel.values()]
+    bottom = Flat(frozenset(), 0)
     found = {bottom.members: bottom}
-    frontier = [bottom]
+    covers: list[tuple[Flat, Flat]] = []
+    frontier = [(bottom, origin, range(len(classes)))]
     while frontier:
-        flat = frontier.pop()
-        for i in ws.indices:
-            if i not in flat.members:
-                bigger = closure(ws, flat.members | {i})
-                if bigger.members not in found:
-                    found[bigger.members] = bigger
-                    frontier.append(bigger)
-    return sorted(found.values(), key=Flat.sort_key)
+        flat, basis, outside = frontier.pop()
+        by_residue: dict[IntVector, list[int]] = {}
+        for c in outside:
+            by_residue.setdefault(basis.residue(classes[c][0]), []).append(c)
+        for group in by_residue.values():
+            members = flat.members.union(*(classes[c][1] for c in group))
+            bigger = found.get(members)
+            if bigger is None:
+                bigger = found[members] = Flat(members, flat.rank + 1)
+                grown = basis.copy()
+                grown.add(classes[group[0]][0])
+                absorbed = set(group)
+                frontier.append((bigger, grown, [c for c in outside if c not in absorbed]))
+            covers.append((flat, bigger))
+    flats = sorted(found.values(), key=Flat.sort_key)
+    position = {flat: i for i, flat in enumerate(flats)}
+    covers.sort(key=lambda pair: (position[pair[0]], position[pair[1]]))
+    return flats, covers
+
+
+def all_flats(ws: WeightSystem) -> list[Flat]:
+    """Every flat exactly once, sorted by (rank, members)."""
+    return _flats_with_covers(ws)[0]
 
 
 def flat_id(flat: Flat) -> tuple[int, ...]:
@@ -136,22 +163,18 @@ def flats_lattice(ws: WeightSystem) -> GradedPoset:
     """Lattice of flats ordered by inclusion.
 
     Element ids are sorted member tuples; rank labels are flat ranks and
-    drk labels count the weights in the flat with multiplicity.
+    drk labels count the weights in the flat with multiplicity.  Covers
+    are listed by the position of the lower flat, then of the upper one.
     """
-    flats = all_flats(ws)
-    ids = [flat_id(f) for f in flats]
-    covers = []
-    for low in flats:
-        for high in flats:
-            if high.rank == low.rank + 1 and low.members < high.members:
-                covers.append((flat_id(low), flat_id(high)))
+    flats, covers = _flats_with_covers(ws)
+    ids = {f: flat_id(f) for f in flats}
     return GradedPoset(
-        ids,
-        covers,
-        rank={flat_id(f): f.rank for f in flats},
-        drk={flat_id(f): f.multiplicity for f in flats},
-        payload={flat_id(f): f for f in flats},
-        labels={flat_id(f): "{" + ",".join(map(str, flat_id(f))) + "}" for f in flats},
+        ids.values(),
+        [(ids[low], ids[high]) for low, high in covers],
+        rank={ids[f]: f.rank for f in flats},
+        drk={ids[f]: f.multiplicity for f in flats},
+        payload={ids[f]: f for f in flats},
+        labels={ids[f]: "{" + ",".join(map(str, ids[f])) + "}" for f in flats},
     )
 
 
@@ -165,9 +188,7 @@ def independence_complex(ws: WeightSystem) -> SimplicialComplex:
             bases.append(frozenset(chosen))
             return
         for i in range(start, ws.size + 1):
-            grown = EchelonBasis(ws.ambient_rank)
-            for j in chosen:
-                grown.add(ws.weight(j))
+            grown = basis.copy()
             if grown.add(ws.weight(i)):
                 extend(chosen + [i], grown, i + 1)
 

@@ -2,9 +2,18 @@
 
 Elements are opaque hashable identifiers; the full order is the
 reflexive-transitive closure of the declared covers, precomputed at
-construction as bitmasks so every predicate afterwards is pure reads.
-Rank and drk labellings are optional data: predicates recompute rank
-from the covers and compare against stored labels where present.
+construction as up- and down-set bitmasks so every predicate afterwards
+is pure reads.  Rank and drk labellings are optional data: predicates
+compute rank from the covers once, compare it against stored labels
+where present, and pass it down.  The geometric-lattice axioms are
+checked on the bitmasks of one up-set at a time, without building
+subposets: once for a lattice, and once per minimal element for the
+locally geometric check, since every upper ideal is an interval of the
+up-set of a minimal element and intervals of geometric lattices are
+geometric.  A geometric up-set is recognised from its covers; only one
+that fails is scanned over all pairs, to name the first witness in
+element order.  The subposet-building all-pairs versions are kept as
+test oracles.
 """
 
 from __future__ import annotations
@@ -293,116 +302,195 @@ def computed_ranks(p: GradedPoset) -> tuple[dict | None, str]:
     return ranks, ""
 
 
+def _graded_ranks(p: GradedPoset) -> tuple[dict | None, str]:
+    """Computed ranks if the poset is graded, else None and the reason."""
+    ranks, reason = computed_ranks(p)
+    if ranks is None:
+        return None, reason
+    # re-walk covers: the propagation above assigns each element one rank,
+    # but a cover seen before its lower end was ranked needs a second look
+    for low, high in p.covers:
+        if ranks[high] != ranks[low] + 1:
+            return None, f"cover ({low!r}, {high!r}) jumps rank {ranks[low]} -> {ranks[high]}"
+    if p.rank is not None:
+        for e in p.elements:
+            if p.rank[e] != ranks[e]:
+                return None, f"stored rank {p.rank[e]} of {e!r} disagrees with computed {ranks[e]}"
+    return ranks, ""
+
+
 def is_graded(p: GradedPoset) -> Verdict:
     """Minimal elements at rank 0 and every cover raising rank by one.
 
     Stored rank labels, when present, must agree with the computed ones.
     """
-    ranks, reason = computed_ranks(p)
+    ranks, reason = _graded_ranks(p)
     if ranks is None:
         return Verdict(False, reason)
-    # re-walk covers: the propagation above assigns each element one rank,
-    # but a cover seen before its lower end was ranked needs a second look
-    for low, high in p.covers:
-        if ranks[high] != ranks[low] + 1:
-            return Verdict(
-                False,
-                f"cover ({low!r}, {high!r}) jumps rank {ranks[low]} -> {ranks[high]}",
-            )
-    if p.rank is not None:
-        for e in p.elements:
-            if p.rank[e] != ranks[e]:
-                return Verdict(
-                    False,
-                    f"stored rank {p.rank[e]} of {e!r} disagrees with computed {ranks[e]}",
-                )
     return Verdict(True, rank=max(ranks.values()))
 
 
 def grading_of(p: GradedPoset) -> dict:
     """Computed ranks of a poset known to be graded."""
-    verdict = is_graded(p)
-    if not verdict:
-        raise PreconditionFailed(f"poset is not graded: {verdict.reason}")
-    ranks, _ = computed_ranks(p)
-    assert ranks is not None
+    ranks, reason = _graded_ranks(p)
+    if ranks is None:
+        raise PreconditionFailed(f"poset is not graded: {reason}")
     return ranks
+
+
+def _not_atomistic(p: GradedPoset, s: int, level: list[int]) -> int | None:
+    """First element of the up-set of s that is not the join of the atoms below it.
+
+    e is that join exactly when the common upper bounds of those atoms
+    (and of s, for e = s) are the up-set of e.  `level[i]` is the rank
+    of element i in a graded p.
+    """
+    up, down = p._up, p._down
+    region = up[s]
+    members = p._bits(region)
+    atoms = 0
+    for i in members:
+        if level[i] == level[s] + 1:
+            atoms |= 1 << i
+    for e in members:
+        common = region
+        for a in p._bits(down[e] & atoms):
+            common &= up[a]
+        if common != up[e]:
+            return e
+    return None
+
+
+def _up_set_is_geometric(p: GradedPoset, s: int, level: list[int]) -> bool:
+    """Whether the up-set of element index s is a geometric lattice, from covers.
+
+    Three conditions on the elements e of the up-set decide it:
+    - every e is the join of the atoms below it;
+    - every e has a join with every atom;
+    - any two elements covering e have a join of rank level[e] + 2.
+    The first two make the up-set a lattice: a join b is a joined with
+    the atoms below b one at a time, and meets exist in a finite poset
+    with a bottom once joins do.  The third is the cover criterion for
+    semimodularity of a finite lattice (Stanley, Enumerative
+    Combinatorics I, Prop. 3.3.2).  The pairs checked are those of an
+    element with an atom or of two covers of one element, not all pairs.
+    """
+    if _not_atomistic(p, s, level) is not None:
+        return False
+    up = p._up
+    members = p._bits(up[s])
+    join_of = {up[i]: i for i in members}
+    at_level: dict[int, int] = {}
+    for i in members:
+        at_level[level[i]] = at_level.get(level[i], 0) | 1 << i
+    atom_ups = [up[a] for a in p._bits(at_level.get(level[s] + 1, 0))]
+    for e in members:
+        up_e = up[e]
+        if any(up_e & up_a not in join_of for up_a in atom_ups):
+            return False
+        covers = [up[c] for c in p._bits(up_e & at_level.get(level[e] + 1, 0))]
+        for x, up_a in enumerate(covers):
+            for up_b in covers[x + 1 :]:
+                join = join_of.get(up_a & up_b)
+                if join is None or level[join] != level[e] + 2:
+                    return False
+    return True
+
+
+def _up_set_failure(p: GradedPoset, s: int, level: list[int]) -> str:
+    """Why the up-set of element index s is not a geometric lattice, or "".
+
+    The caller has checked that p is graded; `level[i]` is the rank of
+    element i.  A geometric up-set is recognised from its covers; for
+    any other the first failure is named as a scan over all pairs in
+    element order finds it: a missing join or meet first, then an
+    element that is not the join of the atoms below it, then a pair that
+    breaks rank submodularity.  The common upper bounds of a and b are
+    the up-set of their join when it exists, and their common lower
+    bounds above s are the down-set of their meet within the up-set, so
+    each is one dict lookup of a bitmask.  Every pair check is
+    symmetric, so only pairs with a before b are visited.
+    """
+    if _up_set_is_geometric(p, s, level):
+        return ""
+    up, down, name = p._up, p._down, p.elements
+    region = up[s]
+    members = p._bits(region)
+    join_of = {up[i]: i for i in members}
+    meet_of = {down[i] & region: i for i in members}
+    submodular = ""
+    for x, a in enumerate(members):
+        up_a, down_a, level_a = up[a], down[a] & region, level[a]
+        for b in members[x + 1 :]:
+            join = join_of.get(up_a & up[b])
+            if join is None:
+                return f"join of {name[a]!r} and {name[b]!r} does not exist"
+            meet = meet_of.get(down_a & down[b])
+            if meet is None:
+                return f"meet of {name[a]!r} and {name[b]!r} does not exist"
+            if level[join] + level[meet] > level_a + level[b] and not submodular:
+                submodular = f"rank submodularity fails for {name[a]!r}, {name[b]!r}"
+    e = _not_atomistic(p, s, level)
+    if e is not None:
+        return f"element {name[e]!r} is not the join of the atoms below it"
+    return submodular
 
 
 def is_geometric_lattice(p: GradedPoset) -> Verdict:
     """Graded lattice, atomistic and rank-submodular."""
-    graded = is_graded(p)
-    if not graded:
-        return Verdict(False, f"not graded: {graded.reason}")
-    ranks, _ = computed_ranks(p)
-    assert ranks is not None
-    if p.bottom() is None:
+    ranks, reason = _graded_ranks(p)
+    if ranks is None:
+        return Verdict(False, f"not graded: {reason}")
+    bottom, top = p.bottom(), p.top()
+    if bottom is None:
         return Verdict(False, "no unique bottom element")
-    if p.top() is None:
+    if top is None:
         return Verdict(False, "no unique top element")
-    for a in p.elements:
-        for b in p.elements:
-            if p.join(a, b) is None:
-                return Verdict(False, f"join of {a!r} and {b!r} does not exist")
-            if p.meet(a, b) is None:
-                return Verdict(False, f"meet of {a!r} and {b!r} does not exist")
-    atoms = [e for e in p.elements if ranks[e] == 1]
-    for s in p.elements:
-        below = [a for a in atoms if p.leq(a, s)]
-        current = p.bottom()
-        for a in below:
-            current = p.join(current, a)
-        if current != s:
-            return Verdict(False, f"element {s!r} is not the join of the atoms below it")
-    for a in p.elements:
-        for b in p.elements:
-            join, meet = p.join(a, b), p.meet(a, b)
-            if ranks[join] + ranks[meet] > ranks[a] + ranks[b]:
-                return Verdict(
-                    False,
-                    f"rank submodularity fails for {a!r}, {b!r}",
-                )
-    return Verdict(True, rank=ranks[p.top()])
+    failure = _up_set_failure(p, p._index[bottom], [ranks[e] for e in p.elements])
+    return Verdict(False, failure) if failure else Verdict(True, rank=ranks[top])
 
 
 def is_locally_geometric(p: GradedPoset) -> Verdict:
-    """Graded with a greatest element, every upper ideal a geometric lattice."""
-    graded = is_graded(p)
-    if not graded:
-        return Verdict(False, f"not graded: {graded.reason}")
+    """Graded with a greatest element, every upper ideal a geometric lattice.
+
+    Every upper ideal is an interval of the up-set of a minimal element
+    below it, and intervals of a geometric lattice are geometric, so the
+    minimal elements decide the verdict.  Only when one of them fails are
+    all elements scanned, to name the first failing ideal in element order.
+    """
+    ranks, reason = _graded_ranks(p)
+    if ranks is None:
+        return Verdict(False, f"not graded: {reason}")
     top = p.top()
     if top is None:
         return Verdict(False, "no greatest element")
-    ranks, _ = computed_ranks(p)
-    assert ranks is not None
-    k = ranks[top]
-    for s in p.elements:
-        ideal = p.upper_ideal(s, ranks=ranks)
-        verdict = is_geometric_lattice(ideal)
-        if not verdict:
-            return Verdict(
-                False, f"upper ideal at {s!r} is not a geometric lattice: {verdict.reason}"
-            )
-        if verdict.rank != k - ranks[s]:
-            return Verdict(
-                False,
-                f"upper ideal at {s!r} has rank {verdict.rank}, expected {k - ranks[s]}",
-            )
-    return Verdict(True, rank=k)
+    level = [ranks[e] for e in p.elements]
+    minima = [p._index[e] for e in p.minimal_elements()]
+    if not all(_up_set_is_geometric(p, x, level) for x in minima):
+        for s, element in enumerate(p.elements):
+            failure = _up_set_failure(p, s, level)
+            if failure:
+                return Verdict(
+                    False, f"upper ideal at {element!r} is not a geometric lattice: {failure}"
+                )
+    return Verdict(True, rank=ranks[top])
 
 
 def mobius(p: GradedPoset, s: Element, t: Element) -> int:
-    """Mobius function via the defining recursion, memoised over [s, t]."""
+    """Mobius function by the defining recursion over the interval [s, t].
+
+    The interval's elements are visited by the size of their down-sets
+    within it, which lists every element after all those below it.
+    """
     if not p.leq(s, t):
         raise Incomparable(f"{s!r} is not below {t!r}")
-    interval = [u for u in p.elements if p.leq(s, u) and p.leq(u, t)]
-    values: dict[Element, int] = {}
-    for u in sorted(interval, key=lambda u: len(p.down_set(u))):
-        if u == s:
-            values[u] = 1
-        else:
-            values[u] = -sum(values[v] for v in interval if p.leq(v, u) and v != u)
-    return values[t]
+    first = p._index[s]
+    interval = p._up[first] & p._down[p._index[t]]
+    below = {u: p._down[u] & interval & ~(1 << u) for u in p._bits(interval)}
+    values: dict[int, int] = {}
+    for u in sorted(below, key=lambda u: below[u].bit_count()):
+        values[u] = 1 if u == first else -sum(values[v] for v in p._bits(below[u]))
+    return values[p._index[t]]
 
 
 def atoms_of(p: GradedPoset, ranks: Mapping[Element, int]) -> list[Element]:

@@ -82,9 +82,23 @@ class EchelonBasis:
         return True
 
     def contains(self, v: Sequence[int]) -> bool:
+        return self.residue(v) is None
+
+    def residue(self, v: Sequence[int]) -> IntVector | None:
+        """v reduced against the basis, primitive with positive lead; None in the span.
+
+        Up to a nonzero factor the reduction is a linear map whose kernel
+        is the span, so two vectors outside the span have the same residue
+        exactly when each lies in the span of the basis and the other.
+        """
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient rank {self.ambient}")
-        return _eliminate(v, self._rows) is None
+        return _eliminate(v, self._rows)
+
+    def copy(self) -> "EchelonBasis":
+        twin = EchelonBasis(self.ambient)
+        twin._rows = list(self._rows)
+        return twin
 
     def canonical_rows(self) -> tuple[IntVector, ...]:
         """Fully reduced form: pivots cleared above, rows primitive.

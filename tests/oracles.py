@@ -3,7 +3,11 @@
 These deliberately avoid the library's code paths: rank comes from plain
 Gaussian elimination over fractions.Fraction, closures from a subset scan,
 flat lists from the full 2^n sweep, and GKM faces from checking every edge
-subset.  Slow and obvious on purpose.
+subset.  Slow and obvious on purpose.  The lattice predicates scan all
+pairs of elements through `GradedPoset.join`, `meet` and `leq`, and
+check every upper ideal as a poset of its own; they import gkmfaces
+when called, so importing this module does not (bench/workloads.py
+imports it before the package).
 """
 
 from fractions import Fraction
@@ -54,6 +58,81 @@ def flats_oracle(weights):
             members, rank = closure_oracle(weights, subset)
             seen[members] = rank
     return sorted(seen.items(), key=lambda mr: (mr[1], sorted(mr[0])))
+
+
+def flats_lattice_oracle(weights):
+    """(ids, covers, rank) of the flats lattice from the subset scan.
+
+    Covers pair every flat with every flat one rank higher that contains
+    it, in the order of the sorted flat list.
+    """
+    flats = flats_oracle(weights)
+    ids = [tuple(sorted(members)) for members, _ in flats]
+    covers = [
+        (tuple(sorted(low)), tuple(sorted(high)))
+        for low, low_rank in flats
+        for high, high_rank in flats
+        if high_rank == low_rank + 1 and low < high
+    ]
+    return ids, covers, {tuple(sorted(m)): r for m, r in flats}
+
+
+def is_geometric_lattice_oracle(p):
+    """Graded lattice, atomistic and rank-submodular, by all-pairs scans."""
+    from gkmfaces.poset import Verdict, computed_ranks, is_graded
+
+    graded = is_graded(p)
+    if not graded:
+        return Verdict(False, f"not graded: {graded.reason}")
+    ranks, _ = computed_ranks(p)
+    if p.bottom() is None:
+        return Verdict(False, "no unique bottom element")
+    if p.top() is None:
+        return Verdict(False, "no unique top element")
+    for a in p.elements:
+        for b in p.elements:
+            if p.join(a, b) is None:
+                return Verdict(False, f"join of {a!r} and {b!r} does not exist")
+            if p.meet(a, b) is None:
+                return Verdict(False, f"meet of {a!r} and {b!r} does not exist")
+    atoms = [e for e in p.elements if ranks[e] == 1]
+    for s in p.elements:
+        current = p.bottom()
+        for a in atoms:
+            if p.leq(a, s):
+                current = p.join(current, a)
+        if current != s:
+            return Verdict(False, f"element {s!r} is not the join of the atoms below it")
+    for a in p.elements:
+        for b in p.elements:
+            if ranks[p.join(a, b)] + ranks[p.meet(a, b)] > ranks[a] + ranks[b]:
+                return Verdict(False, f"rank submodularity fails for {a!r}, {b!r}")
+    return Verdict(True, rank=ranks[p.top()])
+
+
+def is_locally_geometric_oracle(p):
+    """Every upper ideal, built as a poset of its own, checked by the oracle above."""
+    from gkmfaces.poset import Verdict, computed_ranks, is_graded
+
+    graded = is_graded(p)
+    if not graded:
+        return Verdict(False, f"not graded: {graded.reason}")
+    top = p.top()
+    if top is None:
+        return Verdict(False, "no greatest element")
+    ranks, _ = computed_ranks(p)
+    k = ranks[top]
+    for s in p.elements:
+        verdict = is_geometric_lattice_oracle(p.upper_ideal(s, ranks=ranks))
+        if not verdict:
+            return Verdict(
+                False, f"upper ideal at {s!r} is not a geometric lattice: {verdict.reason}"
+            )
+        if verdict.rank != k - ranks[s]:
+            return Verdict(
+                False, f"upper ideal at {s!r} has rank {verdict.rank}, expected {k - ranks[s]}"
+            )
+    return Verdict(True, rank=k)
 
 
 def mobius_oracle(leq, elements, s, t):

@@ -266,6 +266,21 @@ def test_enumerate_faces_matches_oracle_on_small_graphs():
         assert got == oracle
 
 
+def test_face_poset_covers_are_the_sorted_inclusion_covers():
+    # the cover order is part of the --json and --dot output
+    for g in (hypercube_graph(3), *(corpus_graph(name)[0] for name in GKM_CORPUS)):
+        p = enumerate_faces(g)
+        inside = {
+            (a, b) for a in p.elements for b in p.elements
+            if a != b and p.payload[b].contains(p.payload[a])
+        }
+        expected = sorted(
+            (a, b) for a, b in inside
+            if not any((a, c) in inside and (c, b) in inside for c in p.elements)
+        )
+        assert list(p.covers) == expected
+
+
 ORACLE_GRAPHS = {
     "q2": hypercube_graph(2),
     "q3": hypercube_graph(3),

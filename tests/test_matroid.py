@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -17,7 +19,7 @@ from gkmfaces.matroid import (
 from gkmfaces.poset import grading_of
 
 from helpers import BASIS2, COLLINEAR, UNIFORM23, weight_corpus
-from oracles import closure_oracle, flats_oracle
+from oracles import closure_oracle, flats_lattice_oracle, flats_oracle, rank_oracle
 
 
 def test_weight_system_rejects_zero():
@@ -78,6 +80,57 @@ def test_all_flats_matches_subset_oracle():
     for ws in weight_corpus(seed=101, count=60, max_n=6):
         got = [(f.members, f.rank) for f in all_flats(ws)]
         assert got == flats_oracle(ws.weights)
+
+
+def with_parallel_copies(rng, ws):
+    """ws plus repeated, negated and scaled copies of some of its weights."""
+    extra = [
+        tuple(rng.choice((1, -1, 2, -3)) * x for x in rng.choice(ws.weights))
+        for _ in range(rng.randint(1, 3))
+    ]
+    weights = list(ws.weights) + extra
+    rng.shuffle(weights)
+    return WeightSystem(ws.ambient_rank, weights)
+
+
+def test_flats_lattice_matches_pairwise_oracle_with_parallel_weights():
+    rng = random.Random(139)
+    for ws in weight_corpus(seed=149, count=25, max_n=5):
+        ws = with_parallel_copies(rng, ws)
+        p = flats_lattice(ws)
+        ids, covers, rank = flats_lattice_oracle(ws.weights)
+        assert list(p.elements) == ids
+        assert list(p.covers) == covers
+        assert p.rank == rank
+        assert p.drk == {e: len(e) for e in ids}
+        r = max(rank.values())
+        bases = [
+            frozenset(c) for c in combinations(ws.indices, r)
+            if rank_oracle([ws.weight(i) for i in c]) == r
+        ]
+        assert independence_complex(ws).facets == (tuple(sorted(bases, key=sorted)) if r else ())
+
+
+def stirling2(n, k):
+    """Set partitions of n items into k blocks."""
+    if n == k:
+        return 1
+    if k == 0:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def test_a6_flats_lattice_closed_form():
+    # flats of A6 (roots e_i - e_j of Z^7) are the set partitions of 7 items;
+    # rank r means 7 - r blocks, and a partition with b blocks has C(b, 2) covers
+    roots = [tuple(int(t == i) - int(t == j) for t in range(7)) for i, j in combinations(range(7), 2)]
+    p = flats_lattice(WeightSystem(7, roots))
+    assert len(p.elements) == 877
+    counts = [0] * 7
+    for e in p.elements:
+        counts[p.rank[e]] += 1
+    assert counts == [stirling2(7, 7 - r) for r in range(7)]
+    assert len(p.covers) == sum(stirling2(7, b) * comb(b, 2) for b in range(1, 8))
 
 
 def test_closure_operator_laws():

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmfaces.errors import EmptyPoset, Incomparable, NotLocallyGeometric
-from gkmfaces.matroid import flats_lattice
+from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import (
     GradedPoset,
+    _up_set_is_geometric,
     are_isomorphic,
     check_coherent,
     check_gkm_coherent,
@@ -19,8 +22,8 @@ from gkmfaces.poset import (
     projectivize,
 )
 
-from helpers import BASIS2, COLLINEAR, UNIFORM23, weight_corpus
-from oracles import mobius_oracle
+from helpers import BASIS2, COLLINEAR, UNIFORM23, corpus_poset, random_weight_system, weight_corpus
+from oracles import is_geometric_lattice_oracle, is_locally_geometric_oracle, mobius_oracle
 
 
 def chain(n):
@@ -314,3 +317,154 @@ def test_random_flats_lattice_meets_are_intersections():
             a, b = rng.choice(elems), rng.choice(elems)
             meet = p.meet(a, b)
             assert set(meet) == set(a) & set(b)
+
+
+# ----------------------------------------------------------------------
+# lattice predicates against the all-pairs oracles
+
+
+def poset_of(elements, relations):
+    return GradedPoset(elements, [tuple(pair.split("<")) for pair in relations.split()])
+
+
+BOWTIE = poset_of(["0", "a", "b", "c", "d", "1"], "0<a 0<b a<c a<d b<c b<d c<1 d<1")
+BASIS3 = WeightSystem(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+NOT_ATOMISTIC = poset_of(["0", "a", "b", "c", "d", "1"], "0<a 0<b a<c b<c a<d c<1 d<1")
+NAMED_POSETS = {
+    # the pentagon: chains of lengths 2 and 3 between 0 and 1
+    "pentagon": (poset_of(["0", "a", "b", "c", "1"], "0<a a<b b<1 0<c c<1"), "not graded"),
+    "bowtie": (BOWTIE, "join of 'a' and 'b' does not exist"),
+    "bowtie, tops first": (
+        GradedPoset(["c", "d", "0", "a", "b", "1"], BOWTIE.covers),
+        "meet of 'c' and 'd' does not exist",
+    ),
+    "not atomistic": (NOT_ATOMISTIC, "element 'd' is not the join of the atoms below it"),
+    "not submodular": (
+        poset_of(["0", "a", "b", "c", "d", "x", "y", "1"], "0<a 0<b 0<c 0<d a<x b<x c<y d<y x<1 y<1"),
+        "rank submodularity fails for 'a', 'c'",
+    ),
+    # two minimal elements below s; the ideal at s is listed first and fails
+    "two minima": (
+        poset_of(["s", "x1", "x2", "a", "b", "c", "d", "1"], "x1<s x2<s s<a s<b a<c a<d b<c b<d c<1 d<1"),
+        "upper ideal at 's' is not a geometric lattice: join of 'a' and 'b' does not exist",
+    ),
+    # the first minimal element passes, the second one fails
+    "glued, right side fails": (
+        glue_top(flats_lattice(BASIS3), NOT_ATOMISTIC),
+        "upper ideal at ('R', '0') is not a geometric lattice: "
+        "element ('R', 'd') is not the join of the atoms below it",
+    ),
+    "glued": (corpus_poset("glued.poset"), ""),
+    "compactified u23": (compactify(flats_lattice(UNIFORM23)), ""),
+    "compactified coll": (compactify(flats_lattice(COLLINEAR)), ""),
+}
+
+
+def same_verdict(fast, oracle):
+    return (fast.ok, fast.reason, fast.rank) == (oracle.ok, oracle.reason, oracle.rank)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_POSETS))
+def test_named_posets_match_the_oracles(name):
+    p, expected = NAMED_POSETS[name]
+    geometric, locally = is_geometric_lattice(p), is_locally_geometric(p)
+    assert same_verdict(geometric, is_geometric_lattice_oracle(p))
+    assert same_verdict(locally, is_locally_geometric_oracle(p))
+    assert expected in locally.reason
+    if name.startswith("compactified") or name == "glued":
+        assert locally and len(p.minimal_elements()) == 2
+
+
+@st.composite
+def small_posets(draw):
+    """Posets on up to 9 elements built by levels, some not graded.
+
+    Covers join consecutive levels, plus at times one pair that skips a
+    level; a bottom and a top may be added.  The element order is drawn
+    too, since the predicates report the first witness in that order.
+    """
+    n = draw(st.integers(1, 7))
+    level = [draw(st.integers(0, 3)) for _ in range(n)]
+    covers = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if level[j] == level[i] + 1 and draw(st.booleans())
+    ]
+    skips = [(i, j) for i in range(n) for j in range(n) if level[j] > level[i] + 1]
+    if skips and draw(st.booleans()):
+        covers.append(draw(st.sampled_from(skips)))
+    names = [f"e{i}" for i in range(n)]
+    if draw(st.booleans()):
+        maxima = set(range(n)) - {low for low, _ in covers}
+        names.append("top")
+        covers += [(i, n) for i in sorted(maxima)]
+    if draw(st.booleans()):
+        minima = set(range(len(names))) - {high for _, high in covers}
+        names.append("bot")
+        covers += [(len(names) - 1, i) for i in sorted(minima)]
+    order = draw(st.permutations(names))
+    return GradedPoset(order, [(names[a], names[b]) for a, b in covers])
+
+
+@st.composite
+def layered_posets(draw):
+    """Graded posets with a top and one or two minimal elements.
+
+    Up to three levels of one to three elements; every element covers
+    one on the level below and is covered by one on the level above, and
+    the minimal elements lie below the whole first level.
+    """
+    layers, n = [], 0
+    for size in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        layers.append(range(n, n + size))
+        n += size
+    covers = set()
+    for low, high in zip(layers, layers[1:]):
+        covers |= {(i, j) for i in low for j in high if draw(st.booleans())}
+        covers |= {(draw(st.sampled_from(low)), j) for j in high if not any((i, j) in covers for i in low)}
+        covers |= {(i, draw(st.sampled_from(high))) for i in low if not any((i, j) in covers for j in high)}
+    names = [f"e{i}" for i in range(n)]
+    for b in range(draw(st.integers(1, 2))):
+        names.append(f"bot{b}")
+        covers |= {(len(names) - 1, i) for i in layers[0]}
+    names.append("top")
+    covers |= {(i, len(names) - 1) for i in layers[-1]}
+    order = draw(st.permutations(names))
+    return GradedPoset(order, [(names[a], names[b]) for a, b in sorted(covers)])
+
+
+@st.composite
+def flats_based_posets(draw):
+    """Flats lattices, compactified, glued or with one element removed."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    p = flats_lattice(random_weight_system(rng, max_n=5, max_k=3))
+    change = draw(st.sampled_from(["none", "compactify", "glue", "drop"]))
+    if change == "compactify":
+        p = compactify(p)
+    elif change == "glue":
+        q = flats_lattice(random_weight_system(rng, max_n=5, max_k=3))
+        if grading_of(p)[p.top()] == grading_of(q)[q.top()]:
+            p = glue_top(p, q)
+    elif change == "drop" and len(p.elements) > 2:
+        dropped = draw(st.sampled_from(p.elements))
+        p = p.induced(e for e in p.elements if e != dropped)
+    order = draw(st.permutations(p.elements))
+    return GradedPoset(order, p.covers)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(small_posets(), layered_posets(), flats_based_posets()))
+def test_lattice_predicates_match_the_oracles(p):
+    assert same_verdict(is_geometric_lattice(p), is_geometric_lattice_oracle(p))
+    assert same_verdict(is_locally_geometric(p), is_locally_geometric_oracle(p))
+    if is_graded(p):
+        # the cover-based test alone decides every up-set, pass or fail
+        ranks = grading_of(p)
+        level = [ranks[e] for e in p.elements]
+        for i, s in enumerate(p.elements):
+            expected = is_geometric_lattice_oracle(p.upper_ideal(s, ranks=ranks)).ok
+            assert _up_set_is_geometric(p, i, level) == expected
+    for s in p.elements:
+        for t in p.up_set(s):
+            assert mobius(p, s, t) == mobius_oracle(p.leq, list(p.elements), s, t)
