@@ -481,9 +481,12 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    # dispatch by name, so a handler rebound after the parser was built
+    # (for instance wrapped by a profiler) is the one that runs
+    handler = globals()[args.handler.__name__]
     out: list[str] = []
     try:
-        code = args.handler(args, out)
+        code = handler(args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

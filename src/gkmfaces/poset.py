@@ -10,10 +10,9 @@ checked on the bitmasks of one up-set at a time, without building
 subposets: once for a lattice, and once per minimal element for the
 locally geometric check, since every upper ideal is an interval of the
 up-set of a minimal element and intervals of geometric lattices are
-geometric.  A geometric up-set is recognised from its covers; only one
-that fails is scanned over all pairs, to name the first witness in
-element order.  The subposet-building all-pairs versions are kept as
-test oracles.
+geometric.  Each check scans the pairs of one up-set, with joins and
+meets found by dict lookup of bitmasks.  The subposet-building versions
+are kept as test oracles.
 """
 
 from __future__ import annotations
@@ -361,58 +360,19 @@ def _not_atomistic(p: GradedPoset, s: int, level: list[int]) -> int | None:
     return None
 
 
-def _up_set_is_geometric(p: GradedPoset, s: int, level: list[int]) -> bool:
-    """Whether the up-set of element index s is a geometric lattice, from covers.
-
-    Three conditions on the elements e of the up-set decide it:
-    - every e is the join of the atoms below it;
-    - every e has a join with every atom;
-    - any two elements covering e have a join of rank level[e] + 2.
-    The first two make the up-set a lattice: a join b is a joined with
-    the atoms below b one at a time, and meets exist in a finite poset
-    with a bottom once joins do.  The third is the cover criterion for
-    semimodularity of a finite lattice (Stanley, Enumerative
-    Combinatorics I, Prop. 3.3.2).  The pairs checked are those of an
-    element with an atom or of two covers of one element, not all pairs.
-    """
-    if _not_atomistic(p, s, level) is not None:
-        return False
-    up = p._up
-    members = p._bits(up[s])
-    join_of = {up[i]: i for i in members}
-    at_level: dict[int, int] = {}
-    for i in members:
-        at_level[level[i]] = at_level.get(level[i], 0) | 1 << i
-    atom_ups = [up[a] for a in p._bits(at_level.get(level[s] + 1, 0))]
-    for e in members:
-        up_e = up[e]
-        if any(up_e & up_a not in join_of for up_a in atom_ups):
-            return False
-        covers = [up[c] for c in p._bits(up_e & at_level.get(level[e] + 1, 0))]
-        for x, up_a in enumerate(covers):
-            for up_b in covers[x + 1 :]:
-                join = join_of.get(up_a & up_b)
-                if join is None or level[join] != level[e] + 2:
-                    return False
-    return True
-
-
 def _up_set_failure(p: GradedPoset, s: int, level: list[int]) -> str:
     """Why the up-set of element index s is not a geometric lattice, or "".
 
     The caller has checked that p is graded; `level[i]` is the rank of
-    element i.  A geometric up-set is recognised from its covers; for
-    any other the first failure is named as a scan over all pairs in
-    element order finds it: a missing join or meet first, then an
-    element that is not the join of the atoms below it, then a pair that
-    breaks rank submodularity.  The common upper bounds of a and b are
-    the up-set of their join when it exists, and their common lower
-    bounds above s are the down-set of their meet within the up-set, so
-    each is one dict lookup of a bitmask.  Every pair check is
-    symmetric, so only pairs with a before b are visited.
+    element i.  All pairs are scanned in element order and the first
+    failure is named: a missing join or meet first, then an element that
+    is not the join of the atoms below it, then a pair that breaks rank
+    submodularity.  The common upper bounds of a and b are the up-set of
+    their join when it exists, and their common lower bounds above s are
+    the down-set of their meet within the up-set, so each is one dict
+    lookup of a bitmask.  Every pair check is symmetric, so only pairs
+    with a before b are visited.
     """
-    if _up_set_is_geometric(p, s, level):
-        return ""
     up, down, name = p._up, p._down, p.elements
     region = up[s]
     members = p._bits(region)
@@ -466,7 +426,7 @@ def is_locally_geometric(p: GradedPoset) -> Verdict:
         return Verdict(False, "no greatest element")
     level = [ranks[e] for e in p.elements]
     minima = [p._index[e] for e in p.minimal_elements()]
-    if not all(_up_set_is_geometric(p, x, level) for x in minima):
+    if any(_up_set_failure(p, x, level) for x in minima):
         for s, element in enumerate(p.elements):
             failure = _up_set_failure(p, s, level)
             if failure:

@@ -221,6 +221,23 @@ def test_worker_flag_does_not_change_bytes():
         assert base == four
 
 
+def test_main_dispatches_to_the_handler_bound_now(monkeypatch):
+    from gkmfaces import cli
+
+    run_cli("corpus")  # the parser is built and kept from here on
+    seen = []
+
+    def wrapped(args, out):
+        seen.append(args.name)
+        return original(args, out)
+
+    original = cli.cmd_corpus
+    monkeypatch.setattr(cli, "cmd_corpus", wrapped)
+    code, out = run_cli("corpus", "u23.wt")
+    assert code == 0 and out
+    assert seen == ["u23.wt"]
+
+
 def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "gkmfaces.cli", "gkm", "validate", path("s2.gkm")],
