@@ -25,22 +25,28 @@ def _read(path: str) -> str:
         raise GkmFacesError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _face_table(p, out: list[str]) -> None:
-    out.append(f"faces: {len(p.elements)}")
+def _face_table(p) -> str:
+    rows = [f"faces: {len(p.elements)}"]
     for e in p.elements:
         com = p.drk[e] - p.rank[e]
-        out.append(
-            f"{e} rank {p.rank[e]} drk {p.drk[e]} com {com} vertices {p.labels[e]}"
-        )
+        rows.append(f"{e} rank {p.rank[e]} drk {p.drk[e]} com {com} vertices {p.labels[e]}")
+    return "\n".join(rows)
 
 
-def _emit_poset(p, args, out: list[str]) -> None:
+def _flats_table(p) -> str:
+    rows = [f"flats: {len(p.elements)}"]
+    rows += [f"{p.labels[e]} rank {p.rank[e]} drk {p.drk[e]}" for e in p.elements]
+    return "\n".join(rows)
+
+
+def _emit_poset(p, args, out: list[str], text=None) -> None:
+    """Append p as JSON or DOT when asked, else as `text(p)` (default the .poset form)."""
     if args.json:
         out.append(formats.dump_json(formats.poset_to_json(p)).rstrip("\n"))
     elif args.dot:
         out.append(formats.poset_to_dot(p).rstrip("\n"))
     else:
-        out.append(formats.format_poset(p).rstrip("\n"))
+        out.append((text or formats.format_poset)(p).rstrip("\n"))
 
 
 # ----------------------------------------------------------------------
@@ -49,15 +55,7 @@ def _emit_poset(p, args, out: list[str]) -> None:
 
 def cmd_matroid_flats(args, out: list[str]) -> int:
     ws = formats.parse_matroid(_read(args.file))
-    lattice = gkm.representation_face_poset(ws)
-    if args.json:
-        out.append(formats.dump_json(formats.poset_to_json(lattice)).rstrip("\n"))
-    elif args.dot:
-        out.append(formats.poset_to_dot(lattice).rstrip("\n"))
-    else:
-        out.append(f"flats: {len(lattice.elements)}")
-        for e in lattice.elements:
-            out.append(f"{lattice.labels[e]} rank {lattice.rank[e]} drk {lattice.drk[e]}")
+    _emit_poset(flats_lattice(ws), args, out, text=_flats_table)
     return 0
 
 
@@ -92,21 +90,19 @@ def cmd_matroid_wedge(args, out: list[str]) -> int:
             "kind": "wedge-report",
             "rank": report.rank,
             "mobius_magnitude": report.mobius_magnitude,
-            "flats_interval_betti": report.proper_betti,
+            "flats_interval_betti": (
+                None
+                if report.proper_betti is None
+                else {str(d): b for d, b in report.proper_betti.items()}
+            ),
             "flats_interval": (
                 "skipped" if report.proper_skipped else "pass" if report.proper_ok else "fail"
             ),
             "top_h": report.top_h,
-            "independence_betti": report.complex_betti,
+            "independence_betti": {str(d): b for d, b in report.complex_betti.items()},
             "independence": "pass" if report.complex_ok else "fail",
             "ok": report.ok,
         }
-        payload["flats_interval_betti"] = (
-            None
-            if report.proper_betti is None
-            else {str(d): b for d, b in report.proper_betti.items()}
-        )
-        payload["independence_betti"] = {str(d): b for d, b in report.complex_betti.items()}
         out.append(formats.dump_json(payload).rstrip("\n"))
     else:
         out.append(f"matroid rank: {report.rank}")
@@ -225,46 +221,24 @@ def cmd_gkm_validate(args, out: list[str]) -> int:
     return 0 if report.ok else 1
 
 
-def _resolve_theta(g, theta):
-    if theta is not None:
-        report = gkm.check_connection(g, theta)
-        if not report.ok:
-            raise GkmFacesError(
-                "connection in file is invalid: " + "; ".join(report.violations)
-            )
-        return theta
-    return gkm.canonical_connection(g)
-
-
 def cmd_gkm_faces(args, out: list[str]) -> int:
     g, _ = _load_graph(args)
     p = gkm.enumerate_faces(g, cap=args.cap, workers=args.workers)
-    if args.json:
-        out.append(formats.dump_json(formats.poset_to_json(p)).rstrip("\n"))
-    elif args.dot:
-        out.append(formats.poset_to_dot(p).rstrip("\n"))
-    else:
-        _face_table(p, out)
+    _emit_poset(p, args, out, text=_face_table)
     return 0
 
 
 def cmd_gkm_tg_faces(args, out: list[str]) -> int:
     g, theta = _load_graph(args)
-    theta = _resolve_theta(g, theta)
     p = gkm.enumerate_tg_faces(g, theta, cap=args.cap, workers=args.workers)
-    if args.json:
-        out.append(formats.dump_json(formats.poset_to_json(p)).rstrip("\n"))
-    elif args.dot:
-        out.append(formats.poset_to_dot(p).rstrip("\n"))
-    else:
-        _face_table(p, out)
+    _emit_poset(p, args, out, text=_face_table)
     return 0
 
 
 def cmd_gkm_connection(args, out: list[str]) -> int:
     g, theta = _load_graph(args)
     if theta is not None:
-        report = gkm.validate_connection(g, theta) if g.signed else gkm.check_connection(g, theta)
+        report = gkm.validate_connection(g, theta)
         if args.json:
             payload = {
                 "kind": "connection-check",
@@ -278,36 +252,24 @@ def cmd_gkm_connection(args, out: list[str]) -> int:
                 out.append(f"  {violation}")
         return 0 if report.ok else 1
     theta = gkm.canonical_connection(g)
+    rows = [
+        {"via": e.name, "at": str(tail), "from": source, "to": theta.maps[(e.name, tail)][source]}
+        for e in g.edges
+        for tail in (e.u, e.v)
+        for source in g.star(tail)
+        if source != e.name
+    ]
     if args.json:
-        rows = []
-        for e in g.edges:
-            for tail in (e.u, e.v):
-                mapping = theta.maps[(e.name, tail)]
-                for source in g.star(tail):
-                    if source != e.name:
-                        rows.append(
-                            {"via": e.name, "at": str(tail), "from": source, "to": mapping[source]}
-                        )
         out.append(formats.dump_json({"kind": "connection", "rows": rows}).rstrip("\n"))
     else:
-        for e in g.edges:
-            for tail in (e.u, e.v):
-                mapping = theta.maps[(e.name, tail)]
-                for source in g.star(tail):
-                    if source != e.name:
-                        out.append(
-                            f"connection {source} at {tail} -> {mapping[source]} via {e.name}"
-                        )
+        out.extend(f"connection {r['from']} at {r['at']} -> {r['to']} via {r['via']}" for r in rows)
     return 0
 
 
 def cmd_gkm_reconstruct(args, out: list[str]) -> int:
     g, theta = _load_graph(args)
-    mode = "tg" if args.mode == "tg" else "faces"
-    if mode == "tg":
-        theta = _resolve_theta(g, theta)
     report = reconstruct.reconstruct_face_poset(
-        g, mode, connection=theta if mode == "tg" else None, cap=args.cap, workers=args.workers
+        g, args.mode, connection=theta, cap=args.cap, workers=args.workers
     )
     galois = None
     if args.verify_galois and not report.diagnostics:
@@ -322,20 +284,13 @@ def cmd_gkm_reconstruct(args, out: list[str]) -> int:
         if galois is not None:
             payload["galois"] = "pass" if galois.ok else "fail"
         out.append(formats.dump_json(payload).rstrip("\n"))
-    elif args.dot:
-        out.append(formats.poset_to_dot(report.faces).rstrip("\n"))
     else:
-        _face_table(report.faces, out)
-        if report.diagnostics:
-            out.append("diagnostics:")
-            for d in report.diagnostics:
-                out.append(f"  {d.describe()}")
-        else:
-            out.append("diagnostics: none")
+        notes = ["diagnostics:" if report.diagnostics else "diagnostics: none"]
+        notes += [f"  {d.describe()}" for d in report.diagnostics]
         if galois is not None:
-            out.append(f"galois: {'pass' if galois.ok else 'fail'}")
-            for failure in galois.failures:
-                out.append(f"  {failure}")
+            notes.append(f"galois: {'pass' if galois.ok else 'fail'}")
+            notes += [f"  {failure}" for failure in galois.failures]
+        _emit_poset(report.faces, args, out, text=lambda p: "\n".join([_face_table(p), *notes]))
     if report.diagnostics:
         return 1
     if galois is not None and not galois.ok:

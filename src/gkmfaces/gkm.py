@@ -6,13 +6,21 @@ collinearity questions ignore signs; in signed mode the stored vector is
 the value for the edge oriented from its first declared endpoint, and the
 reverse orientation is its exact negation.
 
+A connection is a family of bijections between the vertex stars along the
+edges.  `validate_connection` checks its axioms, with the sign rule of the
+graph's mode; `canonical_connection` derives the span-compatible one and
+checks it the same way.
+
 Faces are connected subgraphs that are GKM-graphs in their own right:
 regular of some degree and closed under two-dimensional spans.  A face is
 fixed by its star at each vertex, so faces are grown from a first vertex
 and a subset of its star, one reached vertex at a time, through the stars
 there that agree with the vertices already placed and close every
 two-plane across to them.  Search states are counted against a hard cap,
-so pathological inputs fail loudly instead of hanging.
+so pathological inputs fail loudly instead of hanging.  Totally geodesic
+faces are the faces closed under a connection; `_tg_face_subgraphs` is
+the one path to them, validating the graph once for both the canonical
+connection and the search.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .errors import (
 )
 from .matroid import WeightSystem, flats_lattice
 from .poset import GradedPoset
-from .ratlinalg import EchelonBasis, IntVector, Subspace, as_vector, rank_of
+from .ratlinalg import EchelonBasis, IntVector, Subspace, as_vector
 
 DEFAULT_CAP = 10**6
 
@@ -155,7 +163,9 @@ class GraphReport:
 
 
 def _collinear(a: Sequence[int], b: Sequence[int]) -> bool:
-    return rank_of([tuple(a), tuple(b)]) <= 1
+    """Whether a and b span at most a line: b[j] a[p] = a[j] b[p] at a pivot p of a."""
+    p = next((i for i, x in enumerate(a) if x), None)
+    return p is None or all(a[p] * y == x * b[p] for x, y in zip(a, b))
 
 
 def _plane_table(g: GkmGraph) -> dict[tuple[str, str, object], tuple[str, ...]]:
@@ -288,23 +298,26 @@ class ConnectionReport:
         return self.ok
 
 
-def connection_violations(g: GkmGraph, theta: Connection) -> tuple[str, ...]:
-    """All connection axiom failures; sign rule is exact on signed graphs.
+def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
+    """Check the three connection axioms, reporting every violation.
 
-    On unsigned graphs the translation axiom accepts either sign of the
-    source value, since stored vectors are only defined up to sign.
+    Each star map must be a bijection between the vertex stars that keeps
+    its own edge, the two maps along an edge must be mutually inverse, and
+    the axial value of each image must differ from that of its source by a
+    multiple of the edge's.  That last rule is exact on signed graphs; on
+    unsigned graphs it accepts either sign of the source value, since
+    stored vectors are only defined up to sign.
     """
     out: list[str] = []
+    stars = {x: set(g.star(x)) for x in g.vertices}
     for e in g.edges:
         for tail in (e.u, e.v):
-            head = e.other(tail)
             key = (e.name, tail)
             if key not in theta.maps:
                 out.append(f"no star map along edge {e.name!r} out of {tail!r}")
                 continue
             mapping = theta.maps[key]
-            star_tail, star_head = set(g.star(tail)), set(g.star(head))
-            if set(mapping) != star_tail or set(mapping.values()) != star_head:
+            if set(mapping) != stars[tail] or set(mapping.values()) != stars[e.other(tail)]:
                 out.append(
                     f"map along {e.name!r} out of {tail!r} is not a bijection "
                     "between the vertex stars"
@@ -316,7 +329,7 @@ def connection_violations(g: GkmGraph, theta: Connection) -> tuple[str, ...]:
         fwd, back = (e.name, e.u), (e.name, e.v)
         if fwd in theta.maps and back in theta.maps:
             mapping, inverse = theta.maps[fwd], theta.maps[back]
-            if set(mapping) == set(g.star(e.u)) and set(mapping.values()) == set(g.star(e.v)):
+            if set(mapping) == stars[e.u] and set(mapping.values()) == stars[e.v]:
                 for f, image in mapping.items():
                     if inverse.get(image) != f:
                         out.append(
@@ -329,42 +342,22 @@ def connection_violations(g: GkmGraph, theta: Connection) -> tuple[str, ...]:
             if key not in theta.maps:
                 continue
             head = e.other(tail)
-            mapping = theta.maps[key]
-            for f, image in mapping.items():
-                if f not in set(g.star(tail)) or image not in set(g.star(head)):
+            for f, image in theta.maps[key].items():
+                if f not in stars[tail] or image not in stars[head]:
                     continue
                 if g.signed:
-                    a_f = g.alpha_from(f, tail)
-                    a_image = g.alpha_from(image, head)
-                    a_e = g.alpha_from(e.name, tail)
-                    diff = tuple(p - q for p, q in zip(a_image, a_f))
-                    good = _collinear(diff, a_e)
+                    a_f, a_image, signs = g.alpha_from(f, tail), g.alpha_from(image, head), (1,)
                 else:
-                    a_f, a_image, a_e = g.alpha(f), g.alpha(image), g.alpha(e.name)
-                    good = any(
-                        _collinear(tuple(p - s * q for p, q in zip(a_image, a_f)), a_e)
-                        for s in (1, -1)
-                    )
-                if not good:
+                    a_f, a_image, signs = g.alpha(f), g.alpha(image), (1, -1)
+                if not any(
+                    _collinear(g.alpha(e.name), [p - s * q for p, q in zip(a_image, a_f)])
+                    for s in signs
+                ):
                     out.append(
                         f"difference of axial values of {image!r} and {f!r} is not "
                         f"collinear to the edge {e.name!r}"
                     )
-    return tuple(out)
-
-
-def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
-    """Check the three connection axioms on a signed graph."""
-    if not g.signed:
-        raise GraphModeError("connection validation is defined for signed graphs")
-    violations = connection_violations(g, theta)
-    return ConnectionReport(not violations, violations)
-
-
-def check_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
-    """Connection axioms in whichever sign mode the graph uses."""
-    violations = connection_violations(g, theta)
-    return ConnectionReport(not violations, violations)
+    return ConnectionReport(not out, tuple(out))
 
 
 def canonical_connection(g: GkmGraph) -> Connection:
@@ -372,9 +365,14 @@ def canonical_connection(g: GkmGraph) -> Connection:
 
     Along an oriented edge, every other edge at the tail must see exactly
     one edge at the head inside their common two-dimensional span; three
-    dependent axial values at a vertex break uniqueness and raise.
+    dependent axial values at a vertex break uniqueness and raise, and so
+    does a span-compatible map that fails `validate_connection`.
     """
-    planes = require_valid(g).planes
+    return _canonical_connection(g, require_valid(g))
+
+
+def _canonical_connection(g: GkmGraph, report: GraphReport) -> Connection:
+    """`canonical_connection` of a graph already validated into `report`."""
     maps: dict[tuple[str, object], dict[str, str]] = {}
     for e in g.edges:
         for tail in (e.u, e.v):
@@ -383,7 +381,7 @@ def canonical_connection(g: GkmGraph) -> Connection:
             for f in g.star(tail):
                 if f == e.name:
                     continue
-                candidates = planes[(f, e.name, head)]
+                candidates = report.planes[(f, e.name, head)]
                 if len(candidates) != 1:
                     raise ConnectionNotCanonical(
                         f"connection not canonical: edge {f!r} at {tail!r} has "
@@ -396,7 +394,14 @@ def canonical_connection(g: GkmGraph) -> Connection:
                     f"{tail!r} collide"
                 )
             maps[(e.name, tail)] = mapping
-    return Connection(maps)
+    theta = Connection(maps)
+    check = validate_connection(g, theta)
+    if not check:
+        raise ConnectionNotCanonical(
+            "connection not canonical: the span-compatible map fails the connection axioms: "
+            + "; ".join(check.violations)
+        )
+    return theta
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +462,11 @@ def _grown_stars(g: GkmGraph, planes, d: int, x, stars: dict, z):
             yield grown
 
 
+def _check_limits(cap: int, workers: int) -> None:
+    if cap < 1 or workers < 1:
+        raise ValueError("cap and workers must be at least 1")
+
+
 def enumerate_face_subgraphs(
     g: GkmGraph, cap: int = DEFAULT_CAP, workers: int = 1
 ) -> list[GkmSubgraph]:
@@ -469,9 +479,12 @@ def enumerate_face_subgraphs(
     EnumerationCapExceeded.  `workers` is accepted for compatibility and
     has no effect.
     """
-    if cap < 1 or workers < 1:
-        raise ValueError("cap and workers must be at least 1")
-    report = require_valid(g)
+    _check_limits(cap, workers)
+    return _face_subgraphs(g, require_valid(g), cap)
+
+
+def _face_subgraphs(g: GkmGraph, report: GraphReport, cap: int) -> list[GkmSubgraph]:
+    """`enumerate_face_subgraphs` of a graph already validated into `report`."""
     faces = [GkmSubgraph(frozenset([x]), frozenset()) for x in g.vertices]
     # (degree, first vertex, stars of the placed vertices, vertices reached)
     stack = [(d, x, {}, (x,)) for d in range(report.dimension, 0, -1) for x in reversed(g.vertices)]
@@ -543,28 +556,37 @@ def enumerate_faces(g: GkmGraph, cap: int = DEFAULT_CAP, workers: int = 1) -> Gr
 
 
 def enumerate_tg_faces(
-    g: GkmGraph, theta: Connection, cap: int = DEFAULT_CAP, workers: int = 1
+    g: GkmGraph, theta: Connection | None = None, cap: int = DEFAULT_CAP, workers: int = 1
 ) -> GradedPoset:
-    """Poset of connection-closed faces."""
-    faces = [
-        h
-        for h in enumerate_face_subgraphs(g, cap, workers)
-        if is_totally_geodesic(g, theta, h)
-    ]
-    return _face_poset(g, faces)
+    """Poset of the faces closed under `theta`, or under the canonical connection when it is None.
+
+    A `theta` that fails the connection axioms raises InvalidGraph; a derived
+    map that fails them raises ConnectionNotCanonical.
+    """
+    _check_limits(cap, workers)
+    return _face_poset(g, _tg_face_subgraphs(g, theta, cap))
+
+
+def _tg_face_subgraphs(g: GkmGraph, theta: Connection | None, cap: int) -> list[GkmSubgraph]:
+    """Faces closed under `theta`, canonically sorted.
+
+    A supplied `theta` is checked first and raises InvalidGraph when it
+    fails the connection axioms.  The graph is then validated once; when
+    `theta` is None the canonical connection is derived from that report,
+    and the face search runs on it too.
+    """
+    if theta is not None:
+        check = validate_connection(g, theta)
+        if not check:
+            raise InvalidGraph("supplied connection is invalid: " + "; ".join(check.violations))
+    report = require_valid(g)
+    if theta is None:
+        theta = _canonical_connection(g, report)
+    return [h for h in _face_subgraphs(g, report, cap) if is_totally_geodesic(g, theta, h)]
 
 
 # ----------------------------------------------------------------------
-# representation face posets
-
-
-def representation_face_poset(ws: WeightSystem) -> GradedPoset:
-    """Face poset of the linear torus representation with these weights.
-
-    This is the lattice of flats with drk labels counting weights with
-    multiplicity.
-    """
-    return flats_lattice(ws)
+# local face posets
 
 
 def local_face_poset(g: GkmGraph, x) -> GradedPoset:

@@ -6,24 +6,25 @@ others from the enumerated face poset leaves a poset isomorphic to the
 manifold's.  When some (vertex, span) group has no greatest member the
 input cannot come from a normal weak GKM action: the anomaly is recorded
 as a diagnostic and all maximal members are kept rather than guessed
-between.
+between.  In "tg" mode the candidates are the totally geodesic faces,
+taken from `gkm._tg_face_subgraphs` with the supplied connection or the
+canonical one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidGraph, ReconstructionAmbiguous
+from .errors import ReconstructionAmbiguous
 from .gkm import (
     DEFAULT_CAP,
     Connection,
     GkmGraph,
     GkmSubgraph,
+    _check_limits,
     _face_poset,
-    canonical_connection,
-    check_connection,
+    _tg_face_subgraphs,
     enumerate_face_subgraphs,
-    is_totally_geodesic,
     subgraph_flat,
     subgraph_sort_key,
 )
@@ -64,15 +65,6 @@ class FaceReport:
         return self.faces.drk[element] - self.faces.rank[element]
 
 
-def _resolve_connection(g: GkmGraph, connection: Connection | None) -> Connection:
-    if connection is None:
-        return canonical_connection(g)
-    report = check_connection(g, connection)
-    if not report:
-        raise InvalidGraph("supplied connection is invalid: " + "; ".join(report.violations))
-    return connection
-
-
 def reconstruct_face_poset(
     g: GkmGraph,
     mode: str = "faces",
@@ -82,15 +74,18 @@ def reconstruct_face_poset(
 ) -> FaceReport:
     """Keep only the greatest face per (vertex, span) group.
 
-    In "tg" mode the enumeration is restricted to connection-closed faces
-    first (a connection is derived canonically when none is supplied).
+    In "tg" mode the candidates are the faces closed under `connection`,
+    or under the canonical connection when it is None; a supplied
+    connection that fails the axioms raises InvalidGraph, a derived one
+    ConnectionNotCanonical.  "faces" mode ignores `connection`.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    candidates = enumerate_face_subgraphs(g, cap=cap, workers=workers)
     if mode == "tg":
-        theta = _resolve_connection(g, connection)
-        candidates = [h for h in candidates if is_totally_geodesic(g, theta, h)]
+        _check_limits(cap, workers)
+        candidates = _tg_face_subgraphs(g, connection, cap)
+    else:
+        candidates = enumerate_face_subgraphs(g, cap=cap, workers=workers)
 
     flats = {h: subgraph_flat(g, h, min(h.vertices, key=g.vertex_key)) for h in candidates}
     groups: dict[tuple[int, Subspace], list[GkmSubgraph]] = {}

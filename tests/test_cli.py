@@ -1,7 +1,8 @@
 import io
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -256,3 +257,90 @@ def test_unknown_subcommand_usage_exit():
     )
     assert result.returncode == 2
     assert "usage" in result.stderr
+
+
+GKM_COMMANDS = [
+    ("validate",),
+    ("faces",),
+    ("tg-faces",),
+    ("connection",),
+    ("reconstruct",),
+    ("reconstruct", "--verify-galois"),
+    ("reconstruct", "--mode", "tg"),
+    ("reconstruct", "--mode", "tg", "--verify-galois"),
+]
+
+
+@pytest.mark.parametrize("name", ["cp2.gkm", "g6.gkm", "s2.gkm", "square.gkm"])
+@pytest.mark.parametrize("command", GKM_COMMANDS, ids=" ".join)
+def test_gkm_commands_validate_and_check_a_connection_at_most_once(monkeypatch, name, command):
+    from gkmfaces import gkm
+
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in (gkm.validate_graph, gkm.validate_connection):
+        monkeypatch.setattr(gkm, fn.__name__, counted(fn))
+    code, _ = run_cli("gkm", command[0], path(name), *command[1:])
+    assert code == 0
+    assert calls["validate_graph"] <= 1
+    assert calls["validate_connection"] <= 1
+
+
+def run_cli_with_stderr(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+TRIANGLE = """ambient_rank: 2
+{signed}vertex A
+vertex B
+vertex C
+edge ab A B weight (1,0)
+edge ac A C weight (0,1)
+edge bc B C weight (1,2)
+"""
+
+
+@pytest.mark.parametrize("signed", ["", "signed\n"], ids=["unsigned", "signed"])
+def test_span_compatible_map_failing_the_axioms_fails_every_tg_command(tmp_path, signed):
+    f = tmp_path / "triangle.gkm"
+    f.write_text(TRIANGLE.format(signed=signed))
+    errors = set()
+    for command in (("connection",), ("tg-faces",), ("reconstruct", "--mode", "tg")):
+        code, out, err = run_cli_with_stderr("gkm", command[0], str(f), *command[1:])
+        assert (code, out) == (1, "")
+        errors.add(err)
+    assert len(errors) == 1
+    assert errors.pop().startswith("error: connection not canonical: ")
+    for command in (("faces",), ("reconstruct",)):
+        code, out, err = run_cli_with_stderr("gkm", command[0], str(f), *command[1:])
+        assert (code, err) == (0, "")
+
+
+def test_invalid_file_connection_fails_every_tg_command(tmp_path):
+    f = tmp_path / "g6-broken.gkm"
+    text = corpus_path("g6.gkm").read_text()
+    # swap the images of two edges carried across e123_132 out of 123
+    swaps = (("e123_213", "e132_312", "e132_231"), ("e123_321", "e132_231", "e132_312"))
+    for source, image, swapped in swaps:
+        row = f"connection {source} at 123 -> {{}} via e123_132\n"
+        assert row.format(image) in text
+        text = text.replace(row.format(image), row.format(swapped))
+    f.write_text(text)
+    code, out, err = run_cli_with_stderr("gkm", "connection", str(f))
+    assert (code, out.splitlines()[0]) == (1, "connection: fail")
+    for command in (("tg-faces",), ("reconstruct", "--mode", "tg")):
+        code, out, err = run_cli_with_stderr("gkm", command[0], str(f), *command[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: supplied connection is invalid: ")
+    code, out, err = run_cli_with_stderr("gkm", "reconstruct", str(f))
+    assert (code, err) == (0, "")

@@ -8,20 +8,19 @@ from hypothesis import strategies as st
 from gkmfaces.errors import (
     ConnectionNotCanonical,
     EnumerationCapExceeded,
-    GraphModeError,
+    InvalidGraph,
     ZeroWeight,
 )
 from gkmfaces.gkm import (
     Connection,
     GkmGraph,
     GkmSubgraph,
+    _collinear,
     canonical_connection,
-    check_connection,
     enumerate_face_subgraphs,
     enumerate_faces,
     enumerate_tg_faces,
     local_face_poset,
-    representation_face_poset,
     subgraph_flat,
     subgraph_sort_key,
     validate_connection,
@@ -30,6 +29,7 @@ from gkmfaces.gkm import (
 from gkmfaces.matroid import flats_lattice
 from gkmfaces.poset import are_isomorphic, is_graded
 from gkmfaces.ratlinalg import span_equal
+from gkmfaces.reconstruct import reconstruct_face_poset
 
 from helpers import (
     GKM_CORPUS,
@@ -42,7 +42,19 @@ from helpers import (
     sphere_graph,
     square_graph,
 )
-from oracles import gkm_faces_oracle
+from oracles import gkm_faces_oracle, rank_oracle
+
+
+def vector_pairs(k):
+    vectors = st.tuples(*[st.integers(-3, 3)] * k)
+    return st.tuples(vectors, vectors)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(vector_pairs))
+def test_collinear_matches_the_rank_oracle(pair):
+    a, b = pair
+    assert _collinear(a, b) == (rank_oracle([a, b]) <= 1)
 
 
 def test_single_edge_graph_valid():
@@ -126,13 +138,7 @@ def test_canonical_connection_g6_not_unique():
 def test_g6_file_connection_satisfies_relaxed_axioms():
     g, theta = corpus_graph("g6.gkm")
     assert theta is not None
-    assert check_connection(g, theta).ok
-
-
-def test_validate_connection_requires_signed():
-    g, theta = corpus_graph("g6.gkm")
-    with pytest.raises(GraphModeError):
-        validate_connection(g, theta)
+    assert validate_connection(g, theta).ok
 
 
 def test_connection_axiom1_violation():
@@ -185,8 +191,8 @@ def test_validate_connection_signed_translation_axiom():
 
 
 def test_representation_face_poset_counts():
-    assert len(representation_face_poset(UNIFORM23).elements) == 5
-    p = representation_face_poset(UNIFORM23)
+    assert len(flats_lattice(UNIFORM23).elements) == 5
+    p = flats_lattice(UNIFORM23)
     assert p.drk[(1, 2, 3)] == 3
 
 
@@ -332,6 +338,47 @@ def test_tg_faces_square_all_geodesic():
     g = square_graph()
     theta = canonical_connection(g)
     assert len(enumerate_tg_faces(g, theta).elements) == 9
+
+
+def triangle_graph(signed: bool) -> GkmGraph:
+    """Valid, but its span-compatible map fails the translation axiom."""
+    return GkmGraph(
+        2,
+        ["A", "B", "C"],
+        [("ab", "A", "B"), ("ac", "A", "C"), ("bc", "B", "C")],
+        {"ab": (1, 0), "ac": (0, 1), "bc": (1, 2)},
+        signed=signed,
+    )
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_span_compatible_map_failing_the_axioms_is_not_canonical(signed):
+    g = triangle_graph(signed)
+    assert validate_graph(g).ok
+    with pytest.raises(ConnectionNotCanonical, match="^connection not canonical: ") as err:
+        canonical_connection(g)
+    assert "collinear" in str(err.value)
+    for run in (enumerate_tg_faces, lambda g: reconstruct_face_poset(g, "tg")):
+        with pytest.raises(ConnectionNotCanonical) as again:
+            run(g)
+        assert str(again.value) == str(err.value)
+    assert len(enumerate_faces(g).elements) == 7
+
+
+def test_tg_faces_without_a_connection_use_the_canonical_one():
+    for g in (cp2_graph(), square_graph(), hypercube_graph(3)):
+        assert enumerate_tg_faces(g) == enumerate_tg_faces(g, canonical_connection(g))
+
+
+def test_tg_faces_reject_an_invalid_connection():
+    g, theta = corpus_graph("g6.gkm")
+    broken = {k: dict(v) for k, v in theta.maps.items()}
+    key = ("e123_132", "123")
+    broken[key]["e123_213"], broken[key]["e123_321"] = broken[key]["e123_321"], broken[key]["e123_213"]
+    assert not validate_connection(g, Connection(broken)).ok
+    for run in (enumerate_tg_faces, lambda g, t: reconstruct_face_poset(g, "tg", connection=t)):
+        with pytest.raises(InvalidGraph, match="^supplied connection is invalid: "):
+            run(g, Connection(broken))
 
 
 def test_tg_faces_g6_counts():

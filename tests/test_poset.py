@@ -460,3 +460,65 @@ def test_lattice_predicates_match_the_oracles(p):
     for s in p.elements:
         for t in p.up_set(s):
             assert mobius(p, s, t) == mobius_oracle(p.leq, list(p.elements), s, t)
+
+
+def is_graded_oracle(p) -> bool:
+    """Graded exactly when, at every element, the longest and the shortest
+    path from a source of the cover DAG have the same length, and that
+    length is the stored rank when there is one (networkx path lengths)."""
+    import networkx as nx
+
+    source = ("source",)
+    dag = nx.DiGraph()
+    dag.add_nodes_from(p.elements)
+    dag.add_edges_from(p.covers, weight=-1)
+    dag.add_edges_from(((source, e) for e in p.elements if dag.in_degree(e) == 0), weight=-1)
+    shortest = nx.single_source_shortest_path_length(dag, source)
+    longest = {e: -d for e, d in nx.single_source_bellman_ford_path_length(dag, source).items()}
+    return all(
+        shortest[e] == longest[e] and (p.rank is None or p.rank[e] == shortest[e] - 1)
+        for e in p.elements
+    )
+
+
+@st.composite
+def ranked_cover_dags(draw):
+    """Cover DAGs over up to four levels, with or without stored ranks.
+
+    Covers go upward between levels, either only to the next level or
+    across any gap.  Stored ranks, when present, are the longest-path
+    ranks, with one of them moved by one in some examples.
+    """
+    levels = sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=8)))
+    n = len(levels)
+    step = draw(st.sampled_from([1, None]))
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if levels[i] < levels[j] and step in (None, levels[j] - levels[i])
+    ]
+    covers = []
+    if pairs:
+        at_least = min(len(pairs), n - 1)
+        covers = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=at_least, max_size=14))
+    stored = draw(st.sampled_from(["none", "longest", "moved"]))
+    rank = None
+    if stored != "none":
+        rank = dict.fromkeys(range(n), 0)
+        for i, j in sorted(covers, key=lambda c: levels[c[0]]):
+            rank[j] = max(rank[j], rank[i] + 1)
+        if stored == "moved":
+            rank[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
+    return GradedPoset(draw(st.permutations(range(n))), covers, rank=rank)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ranked_cover_dags())
+def test_is_graded_matches_the_networkx_oracle(p):
+    verdict = is_graded(p)
+    assert bool(verdict) == is_graded_oracle(p)
+    if verdict:
+        assert verdict.rank == max(grading_of(p).values())
+    else:
+        assert verdict.reason
