@@ -1,16 +1,24 @@
 """Order complexes and reduced rational homology.
 
-Betti numbers come from exact ranks of the simplicial boundary matrices.
-The matrices are kept as sparse integer columns and eliminated with
-cross-multiplication plus gcd normalization, so every rank is an exact
-statement about the rational chain complex.  Only homology over Q is
-computed: the spaces verified here are predicted wedges of spheres, where
-rational Betti numbers decide the claim.
+Simplices are tuples of vertex indices, numbered in the complex's
+`vertices` order.  Betti numbers come from exact ranks of the coboundary
+maps delta^(d-1), whose ranks are those of the boundary maps.  Each is
+kept as sparse integer columns, one per (d-1)-simplex with entries at
+its cofaces, and reduced from low degree upward by fraction-free
+elimination: cross-multiplication, gcd division, pivot at the smallest
+row.  A reduced column with pivot s lies in the kernel of delta^d, so
+the column of s in delta^d is in the span of the columns after it and is
+skipped unreduced: "clearing" (Chen and Kerber, Persistent homology
+computation with a twist, 2011), which spares the columns that would
+only reduce to zero.  Only homology over Q is computed: the spaces
+verified here are predicted wedges of spheres, where rational Betti
+numbers decide the claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .errors import EmptyComplex
@@ -22,7 +30,7 @@ from .poset import GradedPoset, mobius
 class OrderComplex:
     """Chains of a poset; facets are the maximal chains."""
 
-    vertices: tuple
+    vertices: tuple  # a linear extension: by height, then by position in the poset
     facets: tuple[tuple, ...]  # each facet lists elements in increasing order
 
 
@@ -34,9 +42,11 @@ def order_complex(p: GradedPoset) -> OrderComplex:
     position = {e: i for i, e in enumerate(p.elements)}
     for e in uppers:
         uppers[e].sort(key=position.get)
+    height = dict.fromkeys(p.elements, 0)  # longest chain below, found as the walk passes
     facets = []
 
     def walk(e, trail):
+        height[e] = max(height[e], len(trail))
         trail = trail + [e]
         if not uppers[e]:
             facets.append(tuple(trail))
@@ -47,31 +57,48 @@ def order_complex(p: GradedPoset) -> OrderComplex:
     for start in sorted(p.minimal_elements(), key=position.get):
         walk(start, [])
     facets.sort(key=lambda chain: (len(chain), [position[e] for e in chain]))
-    return OrderComplex(tuple(p.elements), tuple(facets))
+    vertices = sorted(p.elements, key=lambda e: (height[e], position[e]))
+    return OrderComplex(tuple(vertices), tuple(facets))
 
 
-def _sparse_rank(columns: list[dict[int, int]]) -> int:
-    """Exact rank of an integer matrix given as sparse columns."""
+def _simplices_by_dim(complex_) -> list[list[tuple[int, ...]]]:
+    """Sorted i-simplices for each dimension i, as vertex-index tuples."""
+    index = {v: i for i, v in enumerate(complex_.vertices)}
+    facets = [tuple(sorted(index.setdefault(v, len(index)) for v in f)) for f in complex_.facets]
+    by_size: list[set] = [set() for _ in range(max(map(len, facets)) + 1)]
+    for facet in facets:
+        by_size[len(facet)].add(facet)
+    # each size hands the faces of its simplices down to the next
+    for size in range(len(by_size) - 1, 1, -1):
+        for simplex in by_size[size]:
+            by_size[size - 1].update(combinations(simplex, size - 1))
+    return [sorted(level) for level in by_size[1:]]
+
+
+def _coboundary(faces: list[tuple], cofaces: list[tuple]) -> list[dict[int, int]]:
+    """Sparse columns of the coboundary: one per face, entries at its cofaces."""
+    index = {s: i for i, s in enumerate(faces)}
+    columns: list[dict[int, int]] = [{} for _ in faces]
+    for row, simplex in enumerate(cofaces):
+        sign = (-1) ** (len(simplex) - 1)  # combinations omit the last vertex first
+        for face in map(index.__getitem__, combinations(simplex, len(simplex) - 1)):
+            columns[face][row] = sign
+            sign = -sign
+    return columns
+
+
+def _reduce(columns: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Reduced nonzero columns by pivot row: their count is the rank."""
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for col in columns:
-        col = dict(col)
         while col:
             row = min(col)
-            if row not in pivots:
-                g = 0
-                for value in col.values():
-                    g = gcd(g, value)
-                if col[row] < 0:
-                    g = -g
-                pivots[row] = {r: v // g for r, v in col.items()}
-                rank += 1
+            piv = pivots.get(row)
+            if piv is None:  # columns keep gcd 1, so only the sign is normalised
+                pivots[row] = col if col[row] > 0 else {r: -v for r, v in col.items()}
                 break
-            piv = pivots[row]
             a, b = piv[row], col[row]
-            merged: dict[int, int] = {}
-            for r, v in col.items():
-                merged[r] = a * v
+            merged = col if a == 1 else {r: a * v for r, v in col.items()}
             for r, v in piv.items():
                 merged[r] = merged.get(r, 0) - b * v
             col = {r: v for r, v in merged.items() if v}
@@ -80,56 +107,29 @@ def _sparse_rank(columns: list[dict[int, int]]) -> int:
                 g = gcd(g, v)
             if g > 1:
                 col = {r: v // g for r, v in col.items()}
-    return rank
-
-
-def _simplices_by_dim(facets) -> list[list[tuple]]:
-    """Lexicographically sorted i-simplices for each dimension i."""
-    top = max(len(f) for f in facets) - 1
-    levels: list[set] = [set() for _ in range(top + 1)]
-    from itertools import combinations
-
-    for facet in facets:
-        items = tuple(sorted(facet, key=repr))
-        for size in range(1, len(items) + 1):
-            for sub in combinations(items, size):
-                levels[size - 1].add(sub)
-    return [sorted(level, key=lambda s: tuple(map(repr, s))) for level in levels]
+    return pivots
 
 
 def reduced_betti(complex_) -> dict[int, int]:
     """Reduced rational Betti numbers, degrees -1 through dim.
 
-    Accepts anything with nonempty `facets` of vertex collections (order
-    complexes and simplicial complexes alike).
+    Accepts anything with `vertices` and nonempty `facets` of vertex
+    collections (order complexes and simplicial complexes alike).
     """
-    facets = [tuple(f) for f in complex_.facets]
-    if not facets:
+    if not complex_.facets:
         raise EmptyComplex("cannot take homology of an empty complex")
-    levels = _simplices_by_dim(facets)
-    index = [{s: i for i, s in enumerate(level)} for level in levels]
-    ranks = [1]  # the augmentation map has rank 1 on a nonempty complex
-    for dim in range(1, len(levels)):
-        columns = []
-        for simplex in levels[dim]:
-            col: dict[int, int] = {}
-            for omit in range(len(simplex)):
-                face = simplex[:omit] + simplex[omit + 1 :]
-                col[index[dim - 1][face]] = (-1) ** omit
-            columns.append(col)
-        ranks.append(_sparse_rank(columns))
-    ranks.append(0)  # boundary out of the top degree
+    levels = _simplices_by_dim(complex_)
+    # the empty face's coboundary sums the vertices: rank 1, pivot at the first vertex
+    ranks, cleared = ([1], {0}) if levels else ([0], ())
+    for dim in range(len(levels) - 1):
+        columns = _coboundary(levels[dim], levels[dim + 1])
+        cleared = _reduce([col for j, col in enumerate(columns) if j not in cleared]).keys()
+        ranks.append(len(cleared))
+    ranks.append(0)  # no coboundary out of the top degree
     betti = {-1: 1 - ranks[0]}
-    for dim in range(len(levels)):
-        betti[dim] = len(levels[dim]) - ranks[dim] - ranks[dim + 1]
+    for dim, level in enumerate(levels):
+        betti[dim] = len(level) - ranks[dim] - ranks[dim + 1]
     return betti
-
-
-def euler_characteristic(complex_) -> int:
-    """Alternating sum of face counts, reduced (empty face included)."""
-    facets = [tuple(f) for f in complex_.facets]
-    levels = _simplices_by_dim(facets)
-    return -1 + sum((-1) ** dim * len(level) for dim, level in enumerate(levels))
 
 
 def _concentrated(betti: dict[int, int], degree: int, value: int) -> bool:

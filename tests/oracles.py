@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: rank comes from plain
 Gaussian elimination over fractions.Fraction, closures from a subset scan,
-flat lists from the full 2^n sweep, and GKM faces from checking every edge
+flat lists from the full 2^n sweep, reduced Betti numbers from
+eliminating every boundary matrix, and GKM faces from checking every edge
 subset.  Slow and obvious on purpose.  The lattice predicates scan all
 pairs of elements through `GradedPoset.join`, `meet` and `leq`, and
 check every upper ideal as a poset of its own; they import gkmfaces
@@ -12,6 +13,7 @@ imports it before the package).
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 
 def rank_oracle(vectors):
@@ -144,6 +146,81 @@ def mobius_oracle(leq, elements, s, t):
         return 1
     interval = [u for u in elements if leq(s, u) and leq(u, t)]
     return -sum(mobius_oracle(leq, elements, s, u) for u in interval if u != t)
+
+
+def simplices_oracle(facets):
+    """Every nonempty face of the facets, by dimension, in repr order."""
+    levels = []
+    for facet in facets:
+        items = tuple(sorted(facet, key=repr))
+        levels.extend(set() for _ in range(len(items) - len(levels)))
+        for size in range(1, len(items) + 1):
+            levels[size - 1].update(combinations(items, size))
+    return [sorted(level, key=lambda s: tuple(map(repr, s))) for level in levels]
+
+
+def boundary_columns(levels, dim):
+    """Sparse columns of the boundary map from dimension dim to dim - 1."""
+    index = {s: i for i, s in enumerate(levels[dim - 1])}
+    return [
+        {index[simplex[:omit] + simplex[omit + 1 :]]: (-1) ** omit for omit in range(len(simplex))}
+        for simplex in levels[dim]
+    ]
+
+
+def sparse_rank_oracle(columns):
+    """Exact rank of an integer matrix given as sparse columns.
+
+    Fraction-free elimination of every column in turn, pivot at the
+    smallest row, with cross-multiplication and gcd division.
+    """
+    pivots = {}
+    for col in columns:
+        col = dict(col)
+        while col:
+            row = min(col)
+            if row not in pivots:
+                pivots[row] = col
+                break
+            piv = pivots[row]
+            a, b = piv[row], col[row]
+            merged = {r: a * v for r, v in col.items()}
+            for r, v in piv.items():
+                merged[r] = merged.get(r, 0) - b * v
+            col = {r: v for r, v in merged.items() if v}
+            g = 0
+            for v in col.values():
+                g = gcd(g, v)
+            if g > 1:
+                col = {r: v // g for r, v in col.items()}
+    return len(pivots)
+
+
+def betti_from_ranks(sizes, ranks):
+    """Reduced Betti numbers from face counts and boundary ranks.
+
+    ranks[d] is the rank of the boundary out of dimension d, with
+    ranks[0] the augmentation's; the boundary out of the top is zero.
+    """
+    ranks = list(ranks) + [0]
+    betti = {-1: 1 - ranks[0]}
+    for dim, size in enumerate(sizes):
+        betti[dim] = size - ranks[dim] - ranks[dim + 1]
+    return betti
+
+
+def reduced_betti_oracle(complex_):
+    """Reduced rational Betti numbers by eliminating every boundary matrix."""
+    levels = simplices_oracle(complex_.facets)
+    ranks = [1 if levels else 0]
+    ranks += [sparse_rank_oracle(boundary_columns(levels, dim)) for dim in range(1, len(levels))]
+    return betti_from_ranks([len(level) for level in levels], ranks)
+
+
+def euler_characteristic(complex_):
+    """Alternating sum of face counts, reduced (empty face included)."""
+    levels = simplices_oracle(complex_.facets)
+    return -1 + sum((-1) ** dim * len(level) for dim, level in enumerate(levels))
 
 
 def gkm_faces_oracle(graph):
