@@ -223,14 +223,14 @@ def cmd_gkm_validate(args, out: list[str]) -> int:
 
 def cmd_gkm_faces(args, out: list[str]) -> int:
     g, _ = _load_graph(args)
-    p = gkm.enumerate_faces(g, cap=args.cap, workers=args.workers)
+    p = gkm.enumerate_faces(g, cap=args.cap)
     _emit_poset(p, args, out, text=_face_table)
     return 0
 
 
 def cmd_gkm_tg_faces(args, out: list[str]) -> int:
     g, theta = _load_graph(args)
-    p = gkm.enumerate_tg_faces(g, theta, cap=args.cap, workers=args.workers)
+    p = gkm.enumerate_tg_faces(g, theta, cap=args.cap)
     _emit_poset(p, args, out, text=_face_table)
     return 0
 
@@ -268,9 +268,7 @@ def cmd_gkm_connection(args, out: list[str]) -> int:
 
 def cmd_gkm_reconstruct(args, out: list[str]) -> int:
     g, theta = _load_graph(args)
-    report = reconstruct.reconstruct_face_poset(
-        g, args.mode, connection=theta, cap=args.cap, workers=args.workers
-    )
+    report = reconstruct.reconstruct_face_poset(g, args.mode, connection=theta, cap=args.cap)
     galois = None
     if args.verify_galois and not report.diagnostics:
         galois = reconstruct.verify_galois(g, report)

@@ -257,7 +257,7 @@ def matroid_to_json(ws: WeightSystem) -> dict:
 def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]:
     ambient = None
     signed = False
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}  # declaration order
     edges: list[tuple[str, str, str]] = []
     axial: dict[str, IntVector] = {}
     connection_rows: list[tuple[int, str, str, str, str]] = []
@@ -274,9 +274,9 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
         elif tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise ParseError("expected 'vertex <id>'", lineno, 1)
-            if tokens[1] in set(vertices):
+            if tokens[1] in vertices:
                 raise ParseError(f"vertex {tokens[1]!r} declared twice", lineno, 1)
-            vertices.append(tokens[1])
+            vertices[tokens[1]] = None
         elif tokens[0] == "edge":
             if len(tokens) != 6 or tokens[4] != "weight":
                 raise ParseError("expected 'edge <id> <u> <v> weight (…)'", lineno, 1)
@@ -284,7 +284,7 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
             if name in axial:
                 raise ParseError(f"edge {name!r} declared twice", lineno, 1)
             for x in (u, v):
-                if x not in set(vertices):
+                if x not in vertices:
                     raise ParseError(f"unknown vertex {x!r}", lineno, 1)
             if ambient is None:
                 raise ParseError("ambient_rank must come before the edges", lineno, 1)
@@ -322,11 +322,12 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
 
 def _assemble_connection(graph: GkmGraph, rows) -> Connection:
     maps: dict[tuple[str, str], dict[str, str]] = {}
+    known = set(graph.vertices)
     for lineno, source, vertex, target, via in rows:
         for name in (source, via, target):
             if name not in graph.axial:
                 raise ParseError(f"unknown edge {name!r} in connection", lineno, 1)
-        if vertex not in set(graph.vertices):
+        if vertex not in known:
             raise ParseError(f"unknown vertex {vertex!r} in connection", lineno, 1)
         via_edge = graph.edge(via)
         if vertex not in (via_edge.u, via_edge.v):

@@ -21,6 +21,14 @@ so pathological inputs fail loudly instead of hanging.  Totally geodesic
 faces are the faces closed under a connection; `_tg_face_subgraphs` is
 the one path to them, validating the graph once for both the canonical
 connection and the search.
+
+The face questions run on positions: a graph indexes its vertices and
+edges once, and the search holds stars as edge masks.  The plane table
+reduces the axial vectors at both ends of each edge once modulo that
+edge's line, so two edges span the same plane with it exactly when their
+residues agree, and it stores each plane as a mask of edges; the closure
+test is one AND.  Inclusion between faces is the AND of one membership
+mask per vertex and per edge, from which the face poset takes its covers.
 """
 
 from __future__ import annotations
@@ -99,12 +107,18 @@ class GkmGraph:
             self.axial[e.name] = w
         self.signed = signed
         self._edge_by_name = {e.name: e for e in self.edges}
-        self._star: dict[object, tuple[str, ...]] = {x: tuple() for x in self.vertices}
-        for e in self.edges:
-            self._star[e.u] += (e.name,)
-            self._star[e.v] += (e.name,)
         self._vertex_pos = {x: i for i, x in enumerate(self.vertices)}
         self._edge_pos = {e.name: i for i, e in enumerate(self.edges)}
+        # by position, for the face questions: the two ends of each edge, and
+        # the edges at each vertex in declaration order
+        self._ends = [(self._vertex_pos[e.u], self._vertex_pos[e.v]) for e in self.edges]
+        self._star_at: list[list[int]] = [[] for _ in self.vertices]
+        for i, (a, b) in enumerate(self._ends):
+            self._star_at[a].append(i)
+            self._star_at[b].append(i)
+        self._star = {
+            x: tuple(self.edges[i].name for i in at) for x, at in zip(self.vertices, self._star_at)
+        }
 
     def edge(self, name: str) -> Edge:
         return self._edge_by_name[name]
@@ -156,7 +170,7 @@ class GraphReport:
     rank: int | None
     violations: tuple[str, ...]
     # the _plane_table the closure check ran on, for the searches that follow
-    planes: Mapping[tuple[str, str, object], tuple[str, ...]] = field(repr=False, compare=False)
+    planes: Mapping[tuple[int, int], tuple] = field(repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -168,45 +182,37 @@ def _collinear(a: Sequence[int], b: Sequence[int]) -> bool:
     return p is None or all(a[p] * y == x * b[p] for x, y in zip(a, b))
 
 
-def _plane_table(g: GkmGraph) -> dict[tuple[str, str, object], tuple[str, ...]]:
-    """Edges at z other than e2 that lie in the span of alpha_e1 and alpha_e2.
+def _plane_table(g: GkmGraph) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """For each edge e2 and end z: (e1, plane mask) per other edge e1 at the far end y.
 
-    Keyed (e1, e2, z) for every edge e2 from y to z and every other edge e1
-    at y.  Each plane is spanned once per pair of edges.
+    Edges are positions.  The plane mask holds the edges at z other than e2
+    in the span of alpha_e1 and alpha_e2, and e1 runs through the star at y
+    in order.  The axial vectors at both ends of e2 are reduced once modulo
+    its line: e3 lies in the plane exactly when its residue is None or
+    equals the residue of e1.
     """
-    planes: dict[frozenset[str], EchelonBasis] = {}
     table = {}
-    for e2 in g.edges:
-        for y, z in ((e2.u, e2.v), (e2.v, e2.u)):
-            for e1 in g.star(y):
-                if e1 == e2.name:
-                    continue
-                pair = frozenset((e1, e2.name))
-                if pair not in planes:
-                    planes[pair] = EchelonBasis(g.ambient_rank)
-                    planes[pair].add(g.alpha(e1))
-                    planes[pair].add(g.alpha(e2.name))
-                table[(e1, e2.name, z)] = tuple(
-                    e3 for e3 in g.star(z) if e3 != e2.name and planes[pair].contains(g.alpha(e3))
+    for j, e2 in enumerate(g.edges):
+        line = EchelonBasis(g.ambient_rank)
+        line.add(g.alpha(e2.name))
+        ends = g._ends[j]
+        residue = {
+            i: line.residue(g.alpha(g.edges[i].name))
+            for x in ends
+            for i in g._star_at[x]
+            if i != j
+        }
+        for y, z in (ends, ends[::-1]):
+            at_z = [i for i in g._star_at[z] if i != j]
+            table[(j, z)] = tuple(
+                (
+                    i,
+                    sum(1 << k for k in at_z if residue[k] is None or residue[k] == residue[i]),
                 )
+                for i in g._star_at[y]
+                if i != j
+            )
     return table
-
-
-def _two_plane_closure_violations(g: GkmGraph, planes, edges, star):
-    """Closure failures across the given edges, where star(y) is the kept edges at y.
-
-    Across every edge e2 from y to z, each other kept edge e1 at y needs a
-    kept edge at z other than e2 in the span of alpha_e1 and alpha_e2.
-    """
-    for e2_name in sorted(edges, key=g.edge_key):
-        e2 = g.edge(e2_name)
-        for y, z in ((e2.u, e2.v), (e2.v, e2.u)):
-            at_z = star(z)
-            for e1_name in star(y):
-                if e1_name != e2_name and not any(
-                    e3 in at_z for e3 in planes[(e1_name, e2_name, z)]
-                ):
-                    yield f"no edge at {z!r} continues the span of {e1_name!r} and {e2_name!r}"
 
 
 def validate_graph(g: GkmGraph) -> GraphReport:
@@ -246,9 +252,17 @@ def validate_graph(g: GkmGraph) -> GraphReport:
                         "have dependent axial vectors"
                     )
 
+    # across every edge e2 from y to z, each other edge e1 at y needs an edge
+    # at z other than e2 in the span of alpha_e1 and alpha_e2
     planes = _plane_table(g)
-    all_edges = [e.name for e in g.edges]
-    violations.extend(_two_plane_closure_violations(g, planes, all_edges, g.star))
+    for j, ends in enumerate(g._ends):
+        for z in ends[::-1]:
+            violations.extend(
+                f"no edge at {g.vertices[z]!r} continues the span of "
+                f"{g.edges[i].name!r} and {g.edges[j].name!r}"
+                for i, plane in planes[(j, z)]
+                if not plane
+            )
 
     spans = [Subspace.span([g.alpha(name) for name in g.star(x)], g.ambient_rank) for x in g.vertices]
     rank = spans[0].dim
@@ -374,20 +388,17 @@ def canonical_connection(g: GkmGraph) -> Connection:
 def _canonical_connection(g: GkmGraph, report: GraphReport) -> Connection:
     """`canonical_connection` of a graph already validated into `report`."""
     maps: dict[tuple[str, object], dict[str, str]] = {}
-    for e in g.edges:
-        for tail in (e.u, e.v):
-            head = e.other(tail)
+    for j, e in enumerate(g.edges):
+        for tail, head in zip((e.u, e.v), g._ends[j][::-1]):
             mapping = {e.name: e.name}
-            for f in g.star(tail):
-                if f == e.name:
-                    continue
-                candidates = report.planes[(f, e.name, head)]
-                if len(candidates) != 1:
+            for i, plane in report.planes[(j, head)]:
+                f = g.edges[i].name
+                if plane.bit_count() != 1:
                     raise ConnectionNotCanonical(
                         f"connection not canonical: edge {f!r} at {tail!r} has "
-                        f"{len(candidates)} span-compatible images across {e.name!r}"
+                        f"{plane.bit_count()} span-compatible images across {e.name!r}"
                     )
-                mapping[f] = candidates[0]
+                mapping[f] = g.edges[plane.bit_length() - 1].name
             if len(set(mapping.values())) != len(mapping):
                 raise ConnectionNotCanonical(
                     f"connection not canonical: images across {e.name!r} out of "
@@ -438,61 +449,97 @@ def subgraph_degree(g: GkmGraph, h: GkmSubgraph) -> int:
     return sum(1 for name in g.star(x) if name in h.edges)
 
 
-def _grown_stars(g: GkmGraph, planes, d: int, x, stars: dict, z):
+def _grown_stars(g: GkmGraph, planes, d: int, x: int, stars: dict, z: int):
     """`stars` extended by each d-edge star at z that a face grown from x allows.
 
-    An edge to a placed vertex is kept exactly when that vertex's star keeps
-    it, edges to vertices before x are left out, and the two-planes across
-    every kept edge to a placed vertex must close in both directions.
+    Vertices are positions and stars are edge masks.  An edge to a placed
+    vertex is kept exactly when that vertex's star keeps it, edges to
+    vertices before x are left out, and the two-planes across every kept
+    edge e to a placed vertex w must close in both directions: each edge
+    of w's star other than e needs a plane edge in the star at z, and each
+    edge of the star at z other than e needs one in w's star.  The second
+    rule depends only on w's star, so it sifts the free edges before they
+    are combined; the states yielded, and their order, stay those of
+    testing every combination.
     """
-    first = g.vertex_key(x)
     across, free = [], []
-    for e in g.star(z):
-        w = g.edge(e).other(z)
+    for e in g._star_at[z]:
+        a, b = g._ends[e]
+        w = b if a == z else a
         if w in stars:
-            if e in stars[w]:
+            if stars[w] >> e & 1:
                 across.append(e)
-        elif g.vertex_key(w) > first:
+        elif w > x:
             free.append(e)
     if len(across) > d:
         return
+    kept = sum(1 << e for e in across)
+    allowed = -1  # edges at z whose planes across every kept edge close at the far end
+    needs = []  # plane masks at z that the star there must meet
+    for e in across:
+        a, b = g._ends[e]
+        w = b if a == z else a
+        for i, plane in planes[(e, z)]:
+            if stars[w] >> i & 1 and not plane & kept:
+                needs.append(plane)
+        for i, plane in planes[(e, w)]:
+            if not plane & stars[w]:
+                allowed &= ~(1 << i)
+    if kept & ~allowed:
+        return
+    free = [e for e in free if allowed >> e & 1]
     for extra in combinations(free, d - len(across)):
-        grown = {**stars, z: frozenset(across).union(extra)}
-        if next(_two_plane_closure_violations(g, planes, across, grown.__getitem__), None) is None:
-            yield grown
+        star = kept | sum(1 << e for e in extra)
+        if all(plane & star for plane in needs):
+            yield {**stars, z: star}
 
 
-def _check_limits(cap: int, workers: int) -> None:
-    if cap < 1 or workers < 1:
-        raise ValueError("cap and workers must be at least 1")
+def _positions(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def enumerate_face_subgraphs(
-    g: GkmGraph, cap: int = DEFAULT_CAP, workers: int = 1
-) -> list[GkmSubgraph]:
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+
+
+def enumerate_face_subgraphs(g: GkmGraph, cap: int = DEFAULT_CAP) -> list[GkmSubgraph]:
     """All faces as subgraphs, canonically sorted.
 
     Each face of degree d is grown exactly once: from its first vertex x (by
     vertex_key) with a d-edge star there, then at each reached vertex, in
     the order reached, through every star `_grown_stars` allows.  Each seed
     and branch counts as one search state; more than `cap` of them raise
-    EnumerationCapExceeded.  `workers` is accepted for compatibility and
-    has no effect.
+    EnumerationCapExceeded.
     """
-    _check_limits(cap, workers)
+    _check_cap(cap)
     return _face_subgraphs(g, require_valid(g), cap)
 
 
 def _face_subgraphs(g: GkmGraph, report: GraphReport, cap: int) -> list[GkmSubgraph]:
-    """`enumerate_face_subgraphs` of a graph already validated into `report`."""
-    faces = [GkmSubgraph(frozenset([x]), frozenset()) for x in g.vertices]
-    # (degree, first vertex, stars of the placed vertices, vertices reached)
-    stack = [(d, x, {}, (x,)) for d in range(report.dimension, 0, -1) for x in reversed(g.vertices)]
+    """`enumerate_face_subgraphs` of a graph already validated into `report`.
+
+    The search runs on vertex and edge positions; each face is found as
+    its reached vertices and the OR of its stars' edge masks.
+    """
+    n = len(g.vertices)
+    found = [((x,), 0) for x in range(n)]
+    # (degree, first vertex, edge-mask stars of the placed vertices, vertices reached)
+    stack = [(d, x, {}, (x,)) for d in range(report.dimension, 0, -1) for x in reversed(range(n))]
     states = 0
     while stack:
         d, x, stars, order = stack.pop()
         if len(stars) == len(order):
-            faces.append(GkmSubgraph(frozenset(stars), frozenset().union(*stars.values())))
+            edges = 0
+            for star in stars.values():
+                edges |= star
+            found.append((order, edges))
             continue
         z = order[len(stars)]
         for grown in _grown_stars(g, report.planes, d, x, stars, z):
@@ -501,13 +548,22 @@ def _face_subgraphs(g: GkmGraph, report: GraphReport, cap: int) -> list[GkmSubgr
                 raise EnumerationCapExceeded(
                     cap,
                     states,
-                    f"growing faces of degree {d} from vertex {x!r}, "
-                    f"with {len(faces) - len(g.vertices)} faces of positive degree found",
+                    f"growing faces of degree {d} from vertex {g.vertices[x]!r}, "
+                    f"with {len(found) - n} faces of positive degree found",
                 )
-            ends = dict.fromkeys(g.edge(e).other(z) for e in g.star(z) if e in grown[z])
+            kept = grown[z]
+            ends = dict.fromkeys(
+                b if a == z else a for a, b in (g._ends[e] for e in g._star_at[z] if kept >> e & 1)
+            )
             stack.append((d, x, grown, order + tuple(w for w in ends if w not in order)))
-    faces.sort(key=lambda h: subgraph_sort_key(g, h))
-    return faces
+    # the order of subgraph_sort_key, on positions
+    keyed = sorted((len(order), sorted(order), _positions(edges)) for order, edges in found)
+    return [
+        GkmSubgraph(
+            frozenset(g.vertices[x] for x in vertices), frozenset(g.edges[e].name for e in edges)
+        )
+        for _, vertices, edges in keyed
+    ]
 
 
 def is_totally_geodesic(g: GkmGraph, theta: Connection, h: GkmSubgraph) -> bool:
@@ -524,47 +580,89 @@ def is_totally_geodesic(g: GkmGraph, theta: Connection, h: GkmSubgraph) -> bool:
     return True
 
 
-def _face_poset(g: GkmGraph, faces: list[GkmSubgraph], prefix: str = "H") -> GradedPoset:
+class _Membership:
+    """Membership masks of a list of faces: bit i is set where faces[i] holds the vertex or edge."""
+
+    def __init__(self, faces: Sequence[GkmSubgraph]):
+        self.everything = (1 << len(faces)) - 1
+        self.at_vertex: dict = {}
+        self.at_edge: dict[str, int] = {}
+        for i, h in enumerate(faces):
+            bit = 1 << i
+            for x in h.vertices:
+                self.at_vertex[x] = self.at_vertex.get(x, 0) | bit
+            for e in h.edges:
+                self.at_edge[e] = self.at_edge.get(e, 0) | bit
+
+    def containers(self, h: GkmSubgraph) -> int:
+        """Bitmask of the faces that contain h: the AND over h's vertices and edges."""
+        mask = self.everything
+        for x in h.vertices:
+            mask &= self.at_vertex.get(x, 0)
+        for e in h.edges:
+            mask &= self.at_edge.get(e, 0)
+        return mask
+
+
+def _containers(faces: Sequence[GkmSubgraph]) -> list[int]:
+    """Per face, the bitmask of the faces containing it, itself included."""
+    membership = _Membership(faces)
+    return [membership.containers(h) for h in faces]
+
+
+def _covers(containers: list[int]):
+    """(i, j) for every face j covering face i: the minimal faces strictly above i."""
+    above = [mask & ~(1 << i) for i, mask in enumerate(containers)]
+    for i, up in enumerate(above):
+        higher = 0
+        for j in _positions(up):
+            higher |= above[j]
+        for j in _positions(up & ~higher):
+            yield i, j
+
+
+def _flat(g: GkmGraph, h: GkmSubgraph) -> Subspace:
+    """The span of h at its first vertex, whose rank is h's rank label."""
+    return subgraph_flat(g, h, min(h.vertices, key=g.vertex_key))
+
+
+def _face_poset(
+    g: GkmGraph, faces: list[GkmSubgraph], ranks: Sequence[int], prefix: str = "H"
+) -> GradedPoset:
+    """Inclusion poset of `faces`, where ranks[i] is the rank label of faces[i]."""
     ids = [f"{prefix}{i}" for i in range(len(faces))]
-    by_id = dict(zip(ids, faces))
-    rank = {i: subgraph_flat(g, h, min(h.vertices, key=g.vertex_key)).dim for i, h in by_id.items()}
-    drk = {i: subgraph_degree(g, h) for i, h in by_id.items()}
-    # above[i] / below[i]: bitmasks of the faces strictly containing / inside face i
-    above = [0] * len(faces)
-    below = [0] * len(faces)
-    for i, low in enumerate(faces):
-        for j, high in enumerate(faces):
-            if i != j and high.contains(low):
-                above[i] |= 1 << j
-                below[j] |= 1 << i
-    covers = sorted(
-        (ids[i], ids[j])
-        for i in range(len(faces))
-        for j in range(len(faces))
-        if above[i] >> j & 1 and not above[i] & below[j]
-    )
+    covers = sorted((ids[i], ids[j]) for i, j in _covers(_containers(faces)))
     labels = {
         i: "{" + ",".join(str(x) for x in sorted(h.vertices, key=g.vertex_key)) + "}"
-        for i, h in by_id.items()
+        for i, h in zip(ids, faces)
     }
-    return GradedPoset(ids, covers, rank=rank, drk=drk, payload=by_id, labels=labels)
+    return GradedPoset(
+        ids,
+        covers,
+        rank=dict(zip(ids, ranks)),
+        drk={i: subgraph_degree(g, h) for i, h in zip(ids, faces)},
+        payload=dict(zip(ids, faces)),
+        labels=labels,
+    )
 
 
-def enumerate_faces(g: GkmGraph, cap: int = DEFAULT_CAP, workers: int = 1) -> GradedPoset:
+def enumerate_faces(g: GkmGraph, cap: int = DEFAULT_CAP) -> GradedPoset:
     """Poset of all faces ordered by inclusion; rank labels are span ranks."""
-    return _face_poset(g, enumerate_face_subgraphs(g, cap, workers))
+    faces = enumerate_face_subgraphs(g, cap)
+    return _face_poset(g, faces, [_flat(g, h).dim for h in faces])
 
 
 def enumerate_tg_faces(
-    g: GkmGraph, theta: Connection | None = None, cap: int = DEFAULT_CAP, workers: int = 1
+    g: GkmGraph, theta: Connection | None = None, cap: int = DEFAULT_CAP
 ) -> GradedPoset:
     """Poset of the faces closed under `theta`, or under the canonical connection when it is None.
 
     A `theta` that fails the connection axioms raises InvalidGraph; a derived
     map that fails them raises ConnectionNotCanonical.
     """
-    _check_limits(cap, workers)
-    return _face_poset(g, _tg_face_subgraphs(g, theta, cap))
+    _check_cap(cap)
+    faces = _tg_face_subgraphs(g, theta, cap)
+    return _face_poset(g, faces, [_flat(g, h).dim for h in faces])
 
 
 def _tg_face_subgraphs(g: GkmGraph, theta: Connection | None, cap: int) -> list[GkmSubgraph]:

@@ -9,11 +9,19 @@ as a diagnostic and all maximal members are kept rather than guessed
 between.  In "tg" mode the candidates are the totally geodesic faces,
 taken from `gkm._tg_face_subgraphs` with the supplied connection or the
 canonical one.
+
+Each candidate's span is computed once and gives the survivors their
+ranks.  Groups are bitmasks over the candidate list, and a member is a
+maximum of its group when the candidates containing it meet the group in
+itself alone.  The projection to surviving faces and the Galois check
+take containment from membership masks too; monotonicity is checked on
+the covers of the inclusion order, which implies it on every nested pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ReconstructionAmbiguous
 from .gkm import (
@@ -21,11 +29,15 @@ from .gkm import (
     Connection,
     GkmGraph,
     GkmSubgraph,
-    _check_limits,
+    _check_cap,
+    _containers,
+    _covers,
     _face_poset,
+    _flat,
+    _Membership,
+    _positions,
     _tg_face_subgraphs,
     enumerate_face_subgraphs,
-    subgraph_flat,
     subgraph_sort_key,
 )
 from .poset import GradedPoset
@@ -64,13 +76,17 @@ class FaceReport:
     def complexity(self, element) -> int:
         return self.faces.drk[element] - self.faces.rank[element]
 
+    @cached_property
+    def _survivors(self) -> _Membership:
+        """Membership masks of the surviving faces, in element order."""
+        return _Membership([self.subgraph(e) for e in self.faces.elements])
+
 
 def reconstruct_face_poset(
     g: GkmGraph,
     mode: str = "faces",
     connection: Connection | None = None,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> FaceReport:
     """Keep only the greatest face per (vertex, span) group.
 
@@ -82,42 +98,37 @@ def reconstruct_face_poset(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "tg":
-        _check_limits(cap, workers)
+        _check_cap(cap)
         candidates = _tg_face_subgraphs(g, connection, cap)
     else:
-        candidates = enumerate_face_subgraphs(g, cap=cap, workers=workers)
+        candidates = enumerate_face_subgraphs(g, cap=cap)
 
-    flats = {h: subgraph_flat(g, h, min(h.vertices, key=g.vertex_key)) for h in candidates}
-    groups: dict[tuple[int, Subspace], list[GkmSubgraph]] = {}
-    for h in candidates:
+    flats = [_flat(g, h) for h in candidates]
+    # (vertex key, span) -> bitmask of the candidates in that group
+    groups: dict[tuple[int, Subspace], int] = {}
+    for i, (h, flat) in enumerate(zip(candidates, flats)):
         for x in h.vertices:
-            groups.setdefault((g.vertex_key(x), flats[h]), []).append(h)
+            key = (g.vertex_key(x), flat)
+            groups[key] = groups.get(key, 0) | 1 << i
 
-    keep: set[GkmSubgraph] = set(candidates)
-    diagnostics: list[Diagnostic] = []
-    for (vertex_key, flat), members in sorted(
-        groups.items(), key=lambda item: (item[0][0], item[0][1].sort_key())
-    ):
-        maxima = [
-            h
-            for h in members
-            if not any(other is not h and other.contains(h) for other in members)
-        ]
+    containers = _containers(candidates)
+    keep = (1 << len(candidates)) - 1
+    diagnostics = []
+    for (vertex_key, flat), group in groups.items():
+        # the members inside no other member of their group
+        maxima = [i for i in _positions(group) if containers[i] & group == 1 << i]
         if len(maxima) > 1:
-            diagnostics.append(
-                Diagnostic(
-                    g.vertices[vertex_key],
-                    flat,
-                    tuple(sorted(maxima, key=lambda h: subgraph_sort_key(g, h))),
-                )
-            )
-        dropped = set(members) - set(maxima)
-        keep -= dropped
+            by_key = sorted((candidates[i] for i in maxima), key=lambda h: subgraph_sort_key(g, h))
+            diagnostics.append(Diagnostic(g.vertices[vertex_key], flat, tuple(by_key)))
+        keep &= ~group | sum(1 << i for i in maxima)
+    diagnostics.sort(key=lambda d: (g.vertex_key(d.vertex), d.flat.sort_key()))
 
-    survivors = [h for h in candidates if h in keep]
+    survivors = _positions(keep)
     return FaceReport(
         mode=mode,
-        faces=_face_poset(g, survivors, prefix="F"),
+        faces=_face_poset(
+            g, [candidates[i] for i in survivors], [flats[i].dim for i in survivors], prefix="F"
+        ),
         candidates=tuple(candidates),
         diagnostics=tuple(diagnostics),
     )
@@ -129,21 +140,22 @@ def pi_map(report: FaceReport, h: GkmSubgraph):
         raise ReconstructionAmbiguous(
             "reconstruction produced diagnostics; the projection is not defined"
         )
-    containers = [e for e in report.faces.elements if report.subgraph(e).contains(h)]
+    containers = report._survivors.containers(h)
     if not containers:
         raise ReconstructionAmbiguous(
             "no surviving face contains the given subgraph (internal inconsistency)"
         )
-    minima = [
-        e
-        for e in containers
-        if not any(f != e and report.faces.lt(f, e) for f in containers)
-    ]
-    if len(minima) != 1:
+    # the containers with no other container below them
+    up = report.faces._up
+    higher = 0
+    for i in _positions(containers):
+        higher |= up[i] & ~(1 << i)
+    minima = containers & ~higher
+    if minima.bit_count() != 1:
         raise ReconstructionAmbiguous(
-            f"{len(minima)} minimal surviving faces contain the subgraph"
+            f"{minima.bit_count()} minimal surviving faces contain the subgraph"
         )
-    return minima[0]
+    return report.faces.elements[minima.bit_length() - 1]
 
 
 @dataclass(frozen=True)
@@ -173,25 +185,25 @@ def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
             tuple(d.describe() for d in report.diagnostics),
         )
     failures: list[str] = []
-    projection = {h: pi_map(report, h) for h in report.candidates}
-    for h in report.candidates:
-        if not report.subgraph(projection[h]).contains(h):
+    candidates = report.candidates
+    projection = [pi_map(report, h) for h in candidates]
+    for h, image in zip(candidates, projection):
+        if not report.subgraph(image).contains(h):
             failures.append(
                 f"projection of a face on vertices "
                 f"{[str(x) for x in sorted(h.vertices, key=g.vertex_key)]} "
                 "does not contain it"
             )
+    position = {h: i for i, h in enumerate(candidates)}
     for e in report.faces.elements:
-        if projection[report.subgraph(e)] != e:
+        i = position.get(report.subgraph(e))
+        if i is not None and projection[i] != e:
             failures.append(f"projection does not fix surviving face {e}")
-    for h1 in report.candidates:
-        for h2 in report.candidates:
-            if h2.contains(h1) and not report.faces.leq(projection[h1], projection[h2]):
-                failures.append(
-                    "projection is not monotone on a nested pair of faces"
-                )
-    survivors = set(report.candidates)
+    # monotone on the covers of the inclusion order, so on every nested pair
+    for i, j in _covers(_containers(candidates)):
+        if not report.faces.leq(projection[i], projection[j]):
+            failures.append("projection is not monotone on a nested pair of faces")
     for e in report.faces.elements:
-        if report.subgraph(e) not in survivors:
+        if report.subgraph(e) not in position:
             failures.append(f"surviving face {e} is missing from the full face list")
-    return GaloisReport(not failures, report.mode, len(report.candidates), tuple(failures))
+    return GaloisReport(not failures, report.mode, len(candidates), tuple(failures))

@@ -1,5 +1,6 @@
 """Shared fixtures: random weight systems, corpus access, small graphs."""
 
+import itertools
 import random
 from importlib import resources
 
@@ -101,6 +102,23 @@ def hypercube_graph(d: int) -> GkmGraph:
     return g
 
 
+def flag_graph(n: int) -> GkmGraph:
+    """Fl(n): permutations of 1..n, an edge for each swap of two values.
+
+    The edge swapping a < b carries the root e_a - e_b in simple-root
+    coordinates of Z^(n-1).
+    """
+    perms = ["".join(p) for p in itertools.permutations("123456789"[:n])]
+    edges, axial = [], {}
+    for x, y in itertools.combinations(perms, 2):
+        swapped = sorted(int(a) for a, b in zip(x, y) if a != b)
+        if len(swapped) == 2:
+            a, b = swapped
+            edges.append((f"e{x}_{y}", x, y))
+            axial[f"e{x}_{y}"] = tuple(int(a <= t < b) for t in range(1, n))
+    return GkmGraph(n - 1, perms, edges, axial)
+
+
 def scrambled(rng: random.Random, g: GkmGraph) -> GkmGraph:
     """Same names and faces; new declaration order, edge ends, coordinates and signs."""
     k = g.ambient_rank
@@ -118,3 +136,19 @@ def scrambled(rng: random.Random, g: GkmGraph) -> GkmGraph:
         sign = rng.choice((1, -1))
         axial[name] = tuple(sign * sum(a * x for a, x in zip(row, w)) for row in rows)
     return GkmGraph(k, vertices, edges, axial)
+
+
+def scrambled_graphs(seed: int) -> dict:
+    """name -> (graph, connection-or-None): scrambled Q3, CP2xS2, Fl(3) and CP2xCP2.
+
+    Fl(3) is the bundled g6.gkm with its geometric connection; scrambling
+    keeps edge names, so the connection still applies.
+    """
+    rng = random.Random(seed)
+    flag, theta = corpus_graph("g6.gkm")
+    return {
+        "q3": (scrambled(rng, hypercube_graph(3)), None),
+        "cp2xs2": (scrambled(rng, graph_product(cp2_graph(), sphere_graph())), None),
+        "fl3": (scrambled(rng, flag), theta),
+        "cp2xcp2": (scrambled(rng, graph_product(cp2_graph(), cp2_graph())), None),
+    }

@@ -4,7 +4,9 @@ These deliberately avoid the library's code paths: rank comes from plain
 Gaussian elimination over fractions.Fraction, closures from a subset scan,
 flat lists from the full 2^n sweep, reduced Betti numbers from
 eliminating every boundary matrix, and GKM faces from checking every edge
-subset.  Slow and obvious on purpose.  The lattice predicates scan all
+subset.  The GKM plane table spans one plane per pair of edges, the face
+poset and the Galois monotonicity check scan all pairs of faces.  Slow
+and obvious on purpose.  The lattice predicates scan all
 pairs of elements through `GradedPoset.join`, `meet` and `leq`, and
 check every upper ideal as a poset of its own; they import gkmfaces
 when called, so importing this module does not (bench/workloads.py
@@ -290,3 +292,74 @@ def gkm_faces_oracle(graph):
             if face is not None:
                 faces.append(face)
     return sorted(faces, key=lambda f: (len(f[0]), sorted(map(str, f[0])), sorted(map(str, f[1]))))
+
+
+def plane_table_oracle(graph):
+    """(e1, e2, z) -> edges at z other than e2 in the span of alpha_e1 and alpha_e2.
+
+    Keyed for every edge e2 from y to z and every other edge e1 at y; each
+    plane is one EchelonBasis per pair of edges, each edge at z one
+    membership test.
+    """
+    from gkmfaces.ratlinalg import EchelonBasis
+
+    planes = {}
+    table = {}
+    for e2 in graph.edges:
+        for y, z in ((e2.u, e2.v), (e2.v, e2.u)):
+            for e1 in graph.star(y):
+                if e1 == e2.name:
+                    continue
+                pair = frozenset((e1, e2.name))
+                if pair not in planes:
+                    planes[pair] = EchelonBasis(graph.ambient_rank)
+                    planes[pair].add(graph.alpha(e1))
+                    planes[pair].add(graph.alpha(e2.name))
+                table[(e1, e2.name, z)] = tuple(
+                    e3
+                    for e3 in graph.star(z)
+                    if e3 != e2.name and planes[pair].contains(graph.alpha(e3))
+                )
+    return table
+
+
+def face_poset_oracle(graph, faces, prefix="H"):
+    """The face poset by all-pairs `GkmSubgraph.contains`, ranks from `subgraph_flat`."""
+    from gkmfaces.gkm import subgraph_degree, subgraph_flat
+    from gkmfaces.poset import GradedPoset
+
+    ids = [f"{prefix}{i}" for i in range(len(faces))]
+    by_id = dict(zip(ids, faces))
+    rank = {
+        i: subgraph_flat(graph, h, min(h.vertices, key=graph.vertex_key)).dim
+        for i, h in by_id.items()
+    }
+    drk = {i: subgraph_degree(graph, h) for i, h in by_id.items()}
+    above = [0] * len(faces)
+    below = [0] * len(faces)
+    for i, low in enumerate(faces):
+        for j, high in enumerate(faces):
+            if i != j and high.contains(low):
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    covers = sorted(
+        (ids[i], ids[j])
+        for i in range(len(faces))
+        for j in range(len(faces))
+        if above[i] >> j & 1 and not above[i] & below[j]
+    )
+    labels = {
+        i: "{" + ",".join(str(x) for x in sorted(h.vertices, key=graph.vertex_key)) + "}"
+        for i, h in by_id.items()
+    }
+    return GradedPoset(ids, covers, rank=rank, drk=drk, payload=by_id, labels=labels)
+
+
+def non_monotone_pairs_oracle(report, projection):
+    """Nested candidate pairs (h1 inside h2) whose projections are not ordered."""
+    return [
+        (h1, h2)
+        for h1 in report.candidates
+        for h2 in report.candidates
+        if h2.contains(h1) and not report.faces.leq(projection[h1], projection[h2])
+    ]

@@ -2,28 +2,37 @@
 
 `data/cli_golden.json` holds, for every corpus command and output flag,
 the exit code, stdout and stderr of `gkmfaces.cli.main`.  An argument
-written `@name` stands for the path of the bundled file `name`; no
-command is listed whose output would contain a path of the checkout
-(`corpus` without a name prints the data directory).
+written `@name` stands for the path of the bundled file `name`, and one
+written `%name` for a file holding the seeded scrambled graph `name` of
+`helpers.scrambled_graphs(GRAPH_SEED)`: Q3, CP2xS2, Fl(3) and CP2xCP2,
+the graph families the benchmark runs.  No command is listed whose
+output would contain a path of the checkout (`corpus` without a name
+prints the data directory).
 
 Regenerate it, only when an output change is intended, with
 
     PYTHONPATH=src:tests python tests/test_cli_golden.py
 """
 
+import atexit
+import functools
 import io
 import json
+import shutil
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from gkmfaces.cli import main
+from gkmfaces.formats import format_graph
 
-from helpers import corpus_path
+from helpers import corpus_path, scrambled_graphs
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+GRAPH_SEED = 2026
 
 
 def golden_commands() -> list[list[str]]:
@@ -56,11 +65,36 @@ def golden_commands() -> list[list[str]]:
                 for flags in ([], ["--json"], ["--dot"], ["--cap", "5"]):
                     out.append(["gkm", "reconstruct", graph, "--mode", mode, *galois, *flags])
     out.append(["corpus", "u23.wt"])
+    for name in scrambled_graphs(GRAPH_SEED):
+        graph = f"%{name}"
+        for flags in ([], ["--json"]):
+            for command in ("validate", "faces", "tg-faces", "connection"):
+                out.append(["gkm", command, graph, *flags])
+            for mode in ("faces", "tg"):
+                out.append(["gkm", "reconstruct", graph, "--mode", mode, "--verify-galois", *flags])
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def graph_dir() -> Path:
+    """A temporary directory holding one .gkm file per scrambled graph."""
+    path = Path(tempfile.mkdtemp(prefix="gkmfaces-golden-"))
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    for name, (g, theta) in scrambled_graphs(GRAPH_SEED).items():
+        (path / f"{name}.gkm").write_text(format_graph(g, theta))
+    return path
+
+
+def resolve(arg: str) -> str:
+    if arg.startswith("@"):
+        return str(corpus_path(arg[1:]))
+    if arg.startswith("%"):
+        return str(graph_dir() / f"{arg[1:]}.gkm")
+    return arg
+
+
 def run(argv: list[str]) -> dict:
-    resolved = [str(corpus_path(a[1:])) if a.startswith("@") else a for a in argv]
+    resolved = [resolve(a) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = main(resolved)
@@ -83,7 +117,9 @@ def test_cli_bytes_match_the_golden_file(entry):
 if __name__ == "__main__":
     data_dir = str(corpus_path(""))
     entries = [run(argv) for argv in golden_commands()]
-    assert not any(data_dir in e["stdout"] + e["stderr"] for e in entries)
+    assert not any(
+        path in e["stdout"] + e["stderr"] for e in entries for path in (data_dir, str(graph_dir()))
+    )
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n")
     print(f"{len(entries)} commands recorded", file=sys.stderr)

@@ -1,0 +1,242 @@
+"""The GKM face questions on bitmasks against the pair-by-pair oracles.
+
+The plane table, the face poset and the Galois monotonicity check run on
+edge positions and membership masks; `tests/oracles.py` keeps the
+versions that span one plane per pair of edges and scan all pairs of
+faces.  They are compared on scrambled Q2, Q3, CP2xS2, Fl(3) and
+CP2xCP2, and the plane table also on graphs made invalid by a collinear
+star or an extra parallel edge.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gkmfaces.reconstruct as reconstruct_module
+from gkmfaces.errors import EnumerationCapExceeded
+from gkmfaces.gkm import (
+    GkmGraph,
+    _plane_table,
+    enumerate_face_subgraphs,
+    enumerate_faces,
+    enumerate_tg_faces,
+    validate_graph,
+)
+from gkmfaces.reconstruct import reconstruct_face_poset, verify_galois
+
+from helpers import (
+    corpus_graph,
+    cp2_graph,
+    flag_graph,
+    graph_product,
+    hypercube_graph,
+    scrambled,
+    sphere_graph,
+)
+from oracles import face_poset_oracle, non_monotone_pairs_oracle, plane_table_oracle
+
+BASES = {
+    "q2": lambda: hypercube_graph(2),
+    "q3": lambda: hypercube_graph(3),
+    "cp2xs2": lambda: graph_product(cp2_graph(), sphere_graph()),
+    "fl3": lambda: corpus_graph("g6.gkm")[0],
+    "cp2xcp2": lambda: graph_product(cp2_graph(), cp2_graph()),
+}
+
+graphs = st.builds(
+    lambda name, seed: scrambled(random.Random(seed), BASES[name]()),
+    st.sampled_from(sorted(BASES)),
+    st.integers(0, 10**6),
+)
+
+
+def _edit(g: GkmGraph, edges, axial) -> GkmGraph:
+    return GkmGraph(g.ambient_rank, g.vertices, edges, axial)
+
+
+def collinear_star(g: GkmGraph, rng: random.Random) -> GkmGraph:
+    """One edge's axial vector replaced by a multiple of a neighbour's."""
+    x = rng.choice(g.vertices)
+    keep, change = rng.sample(g.star(x), 2)
+    factor = rng.choice((2, -1, -3))
+    axial = dict(g.axial)
+    axial[change] = tuple(factor * a for a in g.alpha(keep))
+    return _edit(g, [(e.name, e.u, e.v) for e in g.edges], axial)
+
+
+def parallel_edge(g: GkmGraph, rng: random.Random) -> GkmGraph:
+    """An extra edge beside an existing one, with a random or a parallel weight."""
+    twin = rng.choice(g.edges)
+    if rng.random() < 0.5:
+        weight = tuple(-a for a in g.alpha(twin.name))
+    else:
+        weight = (0,) * g.ambient_rank
+        while not any(weight):
+            weight = tuple(rng.randint(-2, 2) for _ in range(g.ambient_rank))
+    edges = [(e.name, e.u, e.v) for e in g.edges]
+    edges.insert(rng.randrange(len(edges) + 1), ("extra", twin.v, twin.u))
+    return _edit(g, edges, {**g.axial, "extra": weight})
+
+
+invalid_graphs = st.builds(
+    lambda g, seed, damage: damage(g, random.Random(seed)),
+    graphs,
+    st.integers(0, 10**6),
+    st.sampled_from([collinear_star, parallel_edge]),
+)
+
+
+def by_name(g: GkmGraph) -> dict:
+    """The plane table in the oracle's terms: (e1, e2, z) -> edge names at z."""
+    return {
+        (g.edges[i].name, g.edges[j].name, g.vertices[z]): tuple(
+            e for e in g.star(g.vertices[z]) if plane >> g.edge_key(e) & 1
+        )
+        for (j, z), row in _plane_table(g).items()
+        for i, plane in row
+    }
+
+
+def closure_violations(g: GkmGraph, table) -> list[str]:
+    return [
+        f"no edge at {z!r} continues the span of {e1!r} and {e2.name!r}"
+        for e2 in g.edges
+        for y, z in ((e2.u, e2.v), (e2.v, e2.u))
+        for e1 in g.star(y)
+        if e1 != e2.name and not table[(e1, e2.name, z)]
+    ]
+
+
+def check_plane_table(g: GkmGraph) -> None:
+    table = plane_table_oracle(g)
+    assert by_name(g) == table
+    violations = [v for v in validate_graph(g).violations if v.startswith("no edge at")]
+    assert violations == closure_violations(g, table)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(graphs)
+def test_plane_table_matches_the_pairwise_oracle(g):
+    check_plane_table(g)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(invalid_graphs)
+def test_plane_table_matches_the_oracle_on_invalid_graphs(g):
+    check_plane_table(g)
+    assert not validate_graph(g).ok
+
+
+def same_poset(got, expected) -> None:
+    assert got.elements == expected.elements
+    assert got.covers == expected.covers
+    assert (got.rank, got.drk) == (expected.rank, expected.drk)
+    assert got.payload == expected.payload
+    assert got.labels == expected.labels
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(graphs)
+def test_face_posets_match_the_all_pairs_oracle(g):
+    faces = enumerate_face_subgraphs(g)
+    same_poset(enumerate_faces(g), face_poset_oracle(g, faces))
+    report = reconstruct_face_poset(g, "faces")
+    survivors = [report.subgraph(e) for e in report.faces.elements]
+    same_poset(report.faces, face_poset_oracle(g, survivors, prefix="F"))
+
+
+def test_tg_face_posets_match_the_all_pairs_oracle():
+    for name, make in BASES.items():
+        g, theta = (make(), None) if name != "fl3" else corpus_graph("g6.gkm")
+        poset = enumerate_tg_faces(g, theta)
+        faces = [poset.payload[e] for e in poset.elements]
+        same_poset(poset, face_poset_oracle(g, faces))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graphs, st.integers(0, 10**6), st.integers(0, 3))
+def test_monotonicity_on_covers_agrees_with_all_pairs(g, seed, moves):
+    # honest projections, then a few candidates sent to the top or to a
+    # random survivor; moves to the top often keep the map monotone
+    report = reconstruct_face_poset(g, "faces")
+    rng = random.Random(seed)
+    projection = {h: reconstruct_module.pi_map(report, h) for h in report.candidates}
+    for h in rng.sample(report.candidates, moves):
+        projection[h] = rng.choice((report.faces.top(), rng.choice(report.faces.elements)))
+    with mock.patch.object(reconstruct_module, "pi_map", lambda r, h: projection[h]):
+        failures = verify_galois(g, report).failures
+    flagged = "projection is not monotone on a nested pair of faces" in failures
+    assert flagged == bool(non_monotone_pairs_oracle(report, projection))
+    if not moves:
+        assert failures == ()
+
+
+Q3_CAPS = {
+    1: "2 seed and branch states reached while growing faces of degree 1 from vertex "
+    "'N.N.N', with 0 faces of positive degree found",
+    5: "6 seed and branch states reached while growing faces of degree 1 from vertex "
+    "'N.N.N', with 2 faces of positive degree found",
+    12: "13 seed and branch states reached while growing faces of degree 1 from vertex "
+    "'N.S.N', with 5 faces of positive degree found",
+    40: "41 seed and branch states reached while growing faces of degree 2 from vertex "
+    "'N.S.N', with 16 faces of positive degree found",
+    55: "56 seed and branch states reached while growing faces of degree 3 from vertex "
+    "'N.N.N', with 18 faces of positive degree found",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(Q3_CAPS))
+def test_cap_errors_on_q3_are_unchanged(cap):
+    with pytest.raises(EnumerationCapExceeded) as err:
+        enumerate_face_subgraphs(hypercube_graph(3), cap=cap)
+    assert str(err.value) == (
+        f"enumeration cap of {cap} candidate subgraphs exceeded: {Q3_CAPS[cap]}"
+    )
+
+
+def test_q3_needs_56_states():
+    assert len(enumerate_face_subgraphs(hypercube_graph(3), cap=56)) == 27
+
+
+def test_cap_errors_on_scrambled_q3_and_fl3_are_unchanged():
+    g = scrambled(random.Random(2026), hypercube_graph(3))
+    cases = [
+        (g, 30, "31 seed and branch states reached while growing faces of degree 2 from "
+         "vertex 'N.N.N', with 13 faces of positive degree found"),
+        (g, 60, "61 seed and branch states reached while growing faces of degree 3 from "
+         "vertex 'N.S.S', with 19 faces of positive degree found"),
+        (corpus_graph("g6.gkm")[0], 81, "82 seed and branch states reached while growing "
+         "faces of degree 3 from vertex '123', with 24 faces of positive degree found"),
+    ]
+    for graph, cap, message in cases:
+        with pytest.raises(EnumerationCapExceeded) as err:
+            enumerate_face_subgraphs(graph, cap=cap)
+        assert str(err.value) == (
+            f"enumeration cap of {cap} candidate subgraphs exceeded: {message}"
+        )
+    assert len(enumerate_face_subgraphs(g, cap=61)) == 27
+
+
+def test_search_states_on_flag_graphs_are_unchanged():
+    # Stars with several edges in one plane through an edge, as in Fl(3)
+    # and Fl(4), are where the closure test prunes in both directions.
+    fl3 = corpus_graph("g6.gkm")[0]
+    for g, faces, states in (
+        (graph_product(fl3, sphere_graph()), 93, 356),
+        (graph_product(sphere_graph(), fl3), 93, 348),
+        (graph_product(fl3, cp2_graph()), 217, 1118),
+    ):
+        assert len(enumerate_face_subgraphs(g, cap=states)) == faces
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_face_subgraphs(g, cap=states - 1)
+    fl4 = scrambled(random.Random(4), flag_graph(4))
+    with pytest.raises(EnumerationCapExceeded) as err:
+        enumerate_face_subgraphs(fl4, cap=77777)
+    assert str(err.value) == (
+        "enumeration cap of 77777 candidate subgraphs exceeded: 77778 seed and branch states "
+        "reached while growing faces of degree 4 from vertex '4231', with 2282 faces of "
+        "positive degree found"
+    )

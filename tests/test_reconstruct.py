@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
+import gkmfaces.reconstruct as reconstruct_module
 from gkmfaces.errors import ReconstructionAmbiguous
 from gkmfaces.gkm import GkmSubgraph, local_face_poset
 from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import (
+    GradedPoset,
     are_isomorphic,
     check_gkm_coherent,
     compactify,
@@ -14,7 +18,7 @@ from gkmfaces.poset import (
 from gkmfaces.complexes import order_complex, reduced_betti
 from gkmfaces.reconstruct import pi_map, reconstruct_face_poset, verify_galois
 
-from helpers import GKM_CORPUS, corpus_graph
+from helpers import GKM_CORPUS, corpus_graph, square_graph
 
 
 def reconstruct(name, mode):
@@ -171,9 +175,119 @@ def test_pi_map_requires_clean_reconstruction():
         pi_map(fake, GkmSubgraph(frozenset(["N"]), frozenset()))
 
 
-def test_workers_do_not_change_reconstruction():
-    g, _ = corpus_graph("g6.gkm")
-    one = reconstruct_face_poset(g, "faces", workers=1)
-    four = reconstruct_face_poset(g, "faces", workers=4)
-    assert one.faces == four.faces
-    assert one.candidates == four.candidates
+# ----------------------------------------------------------------------
+# hand-made reports: the selection's diagnostics and each Galois failure
+
+
+def _sub(vertices, edges=()):
+    return GkmSubgraph(frozenset(vertices), frozenset(edges))
+
+
+def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch):
+    # On the square, two pairs of incomparable candidates share a rank-1 span
+    # through v00 each; a fifth one lies inside the first pair and is dropped.
+    g = square_graph()
+    h1 = _sub(["v00", "v10", "v11"], ["b"])
+    h2 = _sub(["v00", "v10", "v01"], ["b"])
+    h3 = _sub(["v00", "v01", "v10"], ["l"])
+    h4 = _sub(["v00", "v01", "v11"], ["l"])
+    h5 = _sub(["v00", "v10"], ["b"])
+    candidates = [h1, h2, h3, h4, h5]
+    monkeypatch.setattr(
+        reconstruct_module, "enumerate_face_subgraphs", lambda g, **limits: list(candidates)
+    )
+    report = reconstruct_face_poset(g, "faces")
+    assert report.candidates == tuple(candidates)
+    assert [(d.vertex, d.flat.basis, d.maxima) for d in report.diagnostics] == [
+        ("v00", ((0, 1),), (h3, h4)),
+        ("v00", ((1, 0),), (h2, h1)),
+        ("v10", ((1, 0),), (h2, h1)),  # the square lists v10 before v01
+        ("v01", ((0, 1),), (h3, h4)),
+    ]
+    assert [d.describe() for d in report.diagnostics] == [
+        f"no greatest face at vertex {x!r} for a rank-1 span: 2 incomparable maxima"
+        for x in ("v00", "v00", "v10", "v01")
+    ]
+    assert list(report.faces.payload.values()) == [h1, h2, h3, h4]
+    galois = verify_galois(g, report)
+    assert not galois.ok
+    assert galois.failures == tuple(d.describe() for d in report.diagnostics)
+
+
+def _cp2_report():
+    g, report = reconstruct("cp2.gkm", "faces")
+    assert verify_galois(g, report).ok
+    return g, report
+
+
+def _with_faces(report, elements, covers, payload):
+    faces = GradedPoset(
+        elements,
+        covers,
+        rank={e: report.faces.rank.get(e, 0) for e in elements},
+        drk={e: report.faces.drk.get(e, 0) for e in elements},
+        payload=payload,
+    )
+    return replace(report, faces=faces)
+
+
+def test_verify_galois_reports_a_projection_that_misses_its_face(monkeypatch):
+    g, report = _cp2_report()
+    vertex = next(e for e in report.faces.elements if report.faces.rank[e] == 0)
+    monkeypatch.setattr(reconstruct_module, "pi_map", lambda report, h: vertex)
+    failures = verify_galois(g, report).failures
+    missed = [
+        h for h in report.candidates if not report.subgraph(vertex).contains(h)
+    ]
+    assert missed
+    for h in missed:
+        listed = [str(x) for x in sorted(h.vertices, key=g.vertex_key)]
+        assert f"projection of a face on vertices {listed} does not contain it" in failures
+
+
+def test_verify_galois_reports_a_surviving_face_that_is_not_fixed():
+    # reverse one cover between a vertex and an edge through it: the edge is
+    # then the smallest survivor holding the vertex, which no longer projects
+    # to itself
+    g, report = _cp2_report()
+    faces = report.faces
+    vertex, edge = next(
+        (low, high) for low, high in faces.covers if faces.rank[low] == 0
+    )
+    covers = [(high, low) if (low, high) == (vertex, edge) else (low, high) for low, high in faces.covers]
+    broken = _with_faces(report, faces.elements, covers, faces.payload)
+    result = verify_galois(g, broken)
+    assert not result.ok
+    assert f"projection does not fix surviving face {vertex}" in result.failures
+
+
+def test_verify_galois_reports_a_projection_that_is_not_monotone(monkeypatch):
+    g, report = _cp2_report()
+    top = report.faces.top()
+    honest = reconstruct_module.pi_map
+    # the whole graph goes to a vertex, everything else where it belongs
+    vertex = next(e for e in report.faces.elements if report.faces.rank[e] == 0)
+    monkeypatch.setattr(
+        reconstruct_module,
+        "pi_map",
+        lambda r, h: vertex if h == report.subgraph(top) else honest(r, h),
+    )
+    result = verify_galois(g, report)
+    assert "projection is not monotone on a nested pair of faces" in result.failures
+    assert "projection of a face on vertices ['A', 'B', 'C'] does not contain it" in result.failures
+
+
+def test_verify_galois_reports_a_survivor_missing_from_the_face_list():
+    # a survivor outside the candidate list: the projection is defined
+    # (it is its own smallest container) but it was never enumerated
+    g, report = _cp2_report()
+    faces = report.faces
+    stray = _sub(["A"], ["ab"])  # not a face of CP2
+    vertex = next(e for e in faces.elements if report.subgraph(e) == _sub(["A"]))
+    elements = (*faces.elements, "X")
+    covers = [*faces.covers, (vertex, "X"), ("X", faces.top())]
+    payload = {**faces.payload, "X": stray}
+    broken = _with_faces(report, elements, covers, payload)
+    result = verify_galois(g, broken)
+    assert not result.ok
+    assert result.failures == ("surviving face X is missing from the full face list",)
