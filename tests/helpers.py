@@ -119,14 +119,20 @@ def flag_graph(n: int) -> GkmGraph:
     return GkmGraph(n - 1, perms, edges, axial)
 
 
-def scrambled(rng: random.Random, g: GkmGraph) -> GkmGraph:
-    """Same names and faces; new declaration order, edge ends, coordinates and signs."""
-    k = g.ambient_rank
+def unimodular(rng: random.Random, k: int) -> list[list[int]]:
+    """A random matrix in GL_k(Z): a row permutation and k random shears."""
     rows = [[int(i == j) for j in range(k)] for i in range(k)]
     rng.shuffle(rows)
     for _ in range(k if k > 1 else 0):  # unimodular shears keep every span's rank
         i, j = rng.sample(range(k), 2)
         rows[i] = [a + rng.choice((1, -1)) * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def scrambled(rng: random.Random, g: GkmGraph) -> GkmGraph:
+    """Same names and faces; new declaration order, edge ends, coordinates and signs."""
+    k = g.ambient_rank
+    rows = unimodular(rng, k)
     vertices = list(g.vertices)
     rng.shuffle(vertices)
     edges = [(e.name, *rng.sample((e.u, e.v), 2)) for e in g.edges]
@@ -152,3 +158,61 @@ def scrambled_graphs(seed: int) -> dict:
         "fl3": (scrambled(rng, flag), theta),
         "cp2xcp2": (scrambled(rng, graph_product(cp2_graph(), cp2_graph())), None),
     }
+
+
+def type_a_roots(n: int) -> list[tuple[int, ...]]:
+    """Positive roots e_i - e_j of A_n in simple-root coordinates of Z^n."""
+    return [
+        tuple(int(i <= t < j) for t in range(n)) for i in range(n + 1) for j in range(i + 1, n + 1)
+    ]
+
+
+def disguised(rng: random.Random, ws: WeightSystem) -> WeightSystem:
+    """The same matroid up to relabelling: new coordinates, weight order and signs."""
+    rows = unimodular(rng, ws.ambient_rank)
+    weights = [tuple(sum(a * x for a, x in zip(row, w)) for row in rows) for w in ws.weights]
+    rng.shuffle(weights)
+    return WeightSystem(ws.ambient_rank, [w if rng.random() < 0.5 else tuple(-x for x in w) for w in weights])
+
+
+def poset_text(rng: random.Random, elements, covers) -> str:
+    """A .poset file of (name, rank, drk) elements and (low, high) covers, lines shuffled."""
+    rows = [f"element {name} rank {rank} drk {drk}" for name, rank, drk in elements]
+    edges = [f"cover {low} < {high}" for low, high in covers]
+    rng.shuffle(rows)
+    rng.shuffle(edges)
+    return "\n".join(rows + edges) + "\n"
+
+
+def partition_lattice_text(rng: random.Random, n: int) -> str:
+    """The partition lattice of {0..n}, the flats lattice of A_n, as a .poset file.
+
+    A block B holds C(|B|, 2) roots, so drk sums those over the blocks.
+    Built from set partitions alone, without the package.
+    """
+    parts = [[]]
+    for item in range(n + 1):
+        parts = [p[:i] + [b + (item,)] + p[i + 1 :] for p in parts for i, b in enumerate(p)] + [
+            p + [(item,)] for p in parts
+        ]
+    name = {tuple(sorted(p)): f"p{i}" for i, p in enumerate(parts)}
+    elements = [(name[p], n + 1 - len(p), sum(len(b) * (len(b) - 1) // 2 for b in p)) for p in name]
+    covers = [
+        (name[p], name[tuple(sorted([b for t, b in enumerate(p) if t not in (i, j)] + [tuple(sorted(p[i] + p[j]))]))])
+        for p in name
+        for i, j in itertools.combinations(range(len(p)), 2)
+    ]
+    return poset_text(rng, elements, covers)
+
+
+def flats_lattice_text(rng: random.Random, ws: WeightSystem) -> str:
+    """The flats lattice of a small weight system as a .poset file, from the subset-scan oracle."""
+    from oracles import flats_lattice_oracle
+
+    ids, covers, rank = flats_lattice_oracle(list(ws.weights))
+
+    def label(flat):
+        return "{" + ",".join(map(str, flat)) + "}"
+
+    elements = [(label(f), rank[f], len(f)) for f in ids]
+    return poset_text(rng, elements, [(label(a), label(b)) for a, b in covers])

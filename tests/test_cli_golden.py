@@ -5,9 +5,11 @@ the exit code, stdout and stderr of `gkmfaces.cli.main`.  An argument
 written `@name` stands for the path of the bundled file `name`, and one
 written `%name` for a file holding the seeded scrambled graph `name` of
 `helpers.scrambled_graphs(GRAPH_SEED)`: Q3, CP2xS2, Fl(3) and CP2xCP2,
-the graph families the benchmark runs.  No command is listed whose
-output would contain a path of the checkout (`corpus` without a name
-prints the data directory).
+the graph families the benchmark runs.  `%name.wt` and `%name.poset` are
+the weight systems of `weight_inputs()`, disguised A3-A5 and two seeded
+`helpers.weight_corpus` batches, and their flats lattices, built without the
+package.  No command is listed whose output would contain a path of the
+checkout (`corpus` without a name prints the data directory).
 
 Regenerate it, only when an output change is intended, with
 
@@ -18,6 +20,7 @@ import atexit
 import functools
 import io
 import json
+import random
 import shutil
 import sys
 import tempfile
@@ -27,12 +30,38 @@ from pathlib import Path
 import pytest
 
 from gkmfaces.cli import main
-from gkmfaces.formats import format_graph
+from gkmfaces.formats import format_graph, format_matroid
+from gkmfaces.matroid import WeightSystem
 
-from helpers import corpus_path, scrambled_graphs
+from helpers import (
+    corpus_path,
+    disguised,
+    flats_lattice_text,
+    partition_lattice_text,
+    scrambled_graphs,
+    type_a_roots,
+    weight_corpus,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 GRAPH_SEED = 2026
+WEIGHT_SEED = 2026
+
+
+@functools.lru_cache(maxsize=None)
+def weight_inputs() -> dict[str, tuple[str, str]]:
+    """name -> (.wt text, .poset text of its flats lattice)."""
+    rng = random.Random(WEIGHT_SEED)
+    out = {}
+    for n in (3, 4, 5):
+        ws = disguised(rng, WeightSystem(n, type_a_roots(n)))
+        out[f"a{n}"] = (format_matroid(ws), partition_lattice_text(rng, n))
+    for i, ws in enumerate(weight_corpus(WEIGHT_SEED, 8)):
+        out[f"r{i}"] = (format_matroid(ws), flats_lattice_text(rng, ws))
+    # fewer coordinates, so parallel and repeated weights at ranks 2 and 3
+    for i, ws in enumerate(weight_corpus(WEIGHT_SEED + 1, 6, max_k=3)):
+        out[f"s{i}"] = (format_matroid(ws), flats_lattice_text(rng, ws))
+    return out
 
 
 def golden_commands() -> list[list[str]]:
@@ -72,16 +101,28 @@ def golden_commands() -> list[list[str]]:
                 out.append(["gkm", command, graph, *flags])
             for mode in ("faces", "tg"):
                 out.append(["gkm", "reconstruct", graph, "--mode", mode, "--verify-galois", *flags])
+    for name in weight_inputs():
+        wt, lattice = f"%{name}.wt", f"%{name}.poset"
+        for flags in ([], ["--json"]):
+            out.append(["matroid", "flats", wt, *flags])
+        out.append(["matroid", "check", wt])
+        for flags in ([], ["--json"]):
+            out.append(["matroid", "wedge", wt, *flags])
+        out.append(["poset", "check", lattice, "--gkm-coherent"])
+        out.append(["poset", "homology", lattice, "--proper"])
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def graph_dir() -> Path:
-    """A temporary directory holding one .gkm file per scrambled graph."""
+def input_dir() -> Path:
+    """A temporary directory holding every `%name` input file."""
     path = Path(tempfile.mkdtemp(prefix="gkmfaces-golden-"))
     atexit.register(shutil.rmtree, path, ignore_errors=True)
     for name, (g, theta) in scrambled_graphs(GRAPH_SEED).items():
         (path / f"{name}.gkm").write_text(format_graph(g, theta))
+    for name, (wt, lattice) in weight_inputs().items():
+        (path / f"{name}.wt").write_text(wt)
+        (path / f"{name}.poset").write_text(lattice)
     return path
 
 
@@ -89,7 +130,8 @@ def resolve(arg: str) -> str:
     if arg.startswith("@"):
         return str(corpus_path(arg[1:]))
     if arg.startswith("%"):
-        return str(graph_dir() / f"{arg[1:]}.gkm")
+        name = arg[1:]
+        return str(input_dir() / (name if "." in name else f"{name}.gkm"))
     return arg
 
 
@@ -118,7 +160,7 @@ if __name__ == "__main__":
     data_dir = str(corpus_path(""))
     entries = [run(argv) for argv in golden_commands()]
     assert not any(
-        path in e["stdout"] + e["stderr"] for e in entries for path in (data_dir, str(graph_dir()))
+        path in e["stdout"] + e["stderr"] for e in entries for path in (data_dir, str(input_dir()))
     )
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n")
