@@ -71,8 +71,9 @@ def cmd_matroid_check(args, out: list[str]) -> int:
     failures += 0 if geometric else 1
     if geometric:
         ranks = poset.grading_of(lattice)
-        atoms = [e for e in lattice.elements if ranks[e] == 1]
-        coherent = poset.check_coherent(lattice, {a: lattice.drk[a] for a in atoms})
+        atoms = poset.atoms_of(lattice, ranks)
+        # a geometric lattice is locally geometric: only the atom sums are left
+        coherent = poset._atom_sums(lattice, {a: lattice.drk[a] for a in atoms}, ranks)
         out.append(
             "coherent with multiplicity weights: "
             + ("pass" if coherent else f"fail at {coherent.element}")
@@ -145,7 +146,8 @@ def cmd_poset_check(args, out: list[str]) -> int:
             out.append("gkm-coherent: skipped (not locally geometric)")
             failures += 1
         else:
-            result = poset.check_gkm_coherent(p)
+            ranks = poset.grading_of(p)
+            result = poset._atom_sums(p, dict.fromkeys(poset.atoms_of(p, ranks), 1), ranks)
             if result:
                 top = p.top()
                 out.append(f"gkm-coherent: pass (drk at top = {result.drk[top]})")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .errors import EmptyComplex
-from .matroid import WeightSystem, flats_lattice, h_vector, independence_complex
+from .errors import EmptyComplex, PreconditionFailed
+from .matroid import WeightSystem, _faces_by_size, flats_lattice, h_vector, independence_complex
 from .poset import GradedPoset, mobius
 
 
@@ -65,14 +65,7 @@ def _simplices_by_dim(complex_) -> list[list[tuple[int, ...]]]:
     """Sorted i-simplices for each dimension i, as vertex-index tuples."""
     index = {v: i for i, v in enumerate(complex_.vertices)}
     facets = [tuple(sorted(index.setdefault(v, len(index)) for v in f)) for f in complex_.facets]
-    by_size: list[set] = [set() for _ in range(max(map(len, facets)) + 1)]
-    for facet in facets:
-        by_size[len(facet)].add(facet)
-    # each size hands the faces of its simplices down to the next
-    for size in range(len(by_size) - 1, 1, -1):
-        for simplex in by_size[size]:
-            by_size[size - 1].update(combinations(simplex, size - 1))
-    return [sorted(level) for level in by_size[1:]]
+    return [sorted(level) for level in _faces_by_size(facets)[1:]]
 
 
 def _coboundary(faces: list[tuple], cofaces: list[tuple]) -> list[dict[int, int]]:
@@ -164,7 +157,7 @@ def verify_wedge_prediction(ws: WeightSystem) -> WedgeReport:
     """
     rank = ws.rank()
     if rank < 1:
-        raise ValueError("wedge predictions need a weight system of rank at least 1")
+        raise PreconditionFailed("wedge predictions need a weight system of rank at least 1")
     lattice = flats_lattice(ws)
     mu = abs(mobius(lattice, lattice.bottom(), lattice.top()))
     if rank >= 2:

@@ -5,11 +5,14 @@ A weight system is an ordered multiset of nonzero integer vectors; the
 distinct matroid elements.  Flats are index sets closed under rational
 span.  They are grown bottom-up together with their covers: the weights
 are first grouped into parallel classes (the same line through the
-origin), and the flats covering a flat F are found by reducing one
-weight of each class outside F against a basis of F and grouping the
-classes whose residues are parallel.  The cost is governed by the number
-of flats and classes, not by 2^n subsets (the subset scan and the
-pairwise cover scan are kept as test oracles).
+origin), and the flats covering a flat F are found by grouping the
+classes outside F whose residues modulo span(F) are equal.  Each search
+here (flats, bases, the independence degree) carries those residues
+down: a child's residues are its parent's reduced by the one new row,
+one row operation each instead of an elimination against a whole basis.
+The cost is governed by the number of flats and classes, not by 2^n
+subsets (the subset scans and the pairwise cover scan are kept as test
+oracles).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ZeroWeight
 from .poset import GradedPoset
-from .ratlinalg import EchelonBasis, IntVector, Subspace, as_vector
+from .ratlinalg import EchelonBasis, IntVector, Subspace, _carry_residues, as_vector
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,20 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_{d-1}) with d the largest face cardinality."""
-        by_size: dict[int, int] = {}
-        for face in self.faces():
-            by_size[len(face)] = by_size.get(len(face), 0) + 1
-        top = max(by_size) if by_size else 0
-        return tuple(by_size.get(size, 0) for size in range(top + 1))
+        by_size = _faces_by_size([tuple(sorted(facet)) for facet in self.facets])
+        return (1, *map(len, by_size[1:]))
+
+
+def _faces_by_size(facets: list[tuple[int, ...]]) -> list[set[tuple[int, ...]]]:
+    """Faces of the given sorted-tuple facets: the set at index j holds those of size j >= 1."""
+    by_size: list[set] = [set() for _ in range(max(map(len, facets), default=0) + 1)]
+    for facet in facets:
+        by_size[len(facet)].add(facet)
+    # each size hands the faces of its simplices down to the next
+    for size in range(len(by_size) - 1, 1, -1):
+        for simplex in by_size[size]:
+            by_size[size - 1].update(combinations(simplex, size - 1))
+    return by_size
 
 
 def closure(ws: WeightSystem, subset: Iterable[int]) -> Flat:
@@ -112,37 +124,41 @@ def closure(ws: WeightSystem, subset: Iterable[int]) -> Flat:
     return Flat(members, span.dim)
 
 
+def _residues(ws: WeightSystem) -> list[tuple[int, IntVector]]:
+    """(index, residue modulo the zero span) for every weight: its primitive direction."""
+    origin = EchelonBasis(ws.ambient_rank)
+    return [(i, origin.residue(w)) for i, w in enumerate(ws.weights, start=1)]
+
+
 def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[Flat, Flat]]]:
     """Every flat sorted by (rank, members), and every cover pair in that order.
 
     The flats covering F are the closures of F plus one parallel class
     outside F, and two such classes give the same cover exactly when
-    their residues modulo span(F) are parallel.  So each flat costs one
-    reduction per class outside it and finds all of its covers at once.
+    their residues modulo span(F) are equal.  Each frontier flat carries
+    the residues of the classes outside it; a new cover takes them over,
+    reduced by the residue of a class it absorbed, and the classes whose
+    residues vanish are the ones it absorbed.
     """
-    origin = EchelonBasis(ws.ambient_rank)
     parallel: dict[IntVector, list[int]] = {}
-    for i in ws.indices:
-        parallel.setdefault(origin.residue(ws.weight(i)), []).append(i)
-    classes = [(ws.weight(members[0]), frozenset(members)) for members in parallel.values()]
+    for i, residue in _residues(ws):
+        parallel.setdefault(residue, []).append(i)
+    classes = [frozenset(members) for members in parallel.values()]
     bottom = Flat(frozenset(), 0)
     found = {bottom.members: bottom}
     covers: list[tuple[Flat, Flat]] = []
-    frontier = [(bottom, origin, range(len(classes)))]
+    frontier = [(bottom, list(enumerate(parallel)))]
     while frontier:
-        flat, basis, outside = frontier.pop()
+        flat, outside = frontier.pop()
         by_residue: dict[IntVector, list[int]] = {}
-        for c in outside:
-            by_residue.setdefault(basis.residue(classes[c][0]), []).append(c)
-        for group in by_residue.values():
-            members = flat.members.union(*(classes[c][1] for c in group))
+        for c, residue in outside:
+            by_residue.setdefault(residue, []).append(c)
+        for residue, group in by_residue.items():
+            members = flat.members.union(*(classes[c] for c in group))
             bigger = found.get(members)
             if bigger is None:
                 bigger = found[members] = Flat(members, flat.rank + 1)
-                grown = basis.copy()
-                grown.add(classes[group[0]][0])
-                absorbed = set(group)
-                frontier.append((bigger, grown, [c for c in outside if c not in absorbed]))
+                frontier.append((bigger, _carry_residues(residue, outside)))
             covers.append((flat, bigger))
     flats = sorted(found.values(), key=Flat.sort_key)
     position = {flat: i for i, flat in enumerate(flats)}
@@ -179,23 +195,32 @@ def flats_lattice(ws: WeightSystem) -> GradedPoset:
 
 
 def independence_complex(ws: WeightSystem) -> SimplicialComplex:
-    """Faces are the linearly independent index sets; facets are the bases."""
+    """Faces are the linearly independent index sets; facets are the bases.
+
+    The bases are grown in increasing index order, so they come out
+    sorted.  Each independent set carries the residues of the weights
+    after it modulo its span, without those that vanished (the dependent
+    ones).  One weight short of a basis, every carried weight completes
+    it; two short, the pairs with different residues do.
+    """
     rank = ws.rank()
     bases: list[frozenset[int]] = []
 
-    def extend(chosen: list[int], basis: EchelonBasis, start: int) -> None:
-        if basis.dim == rank:
-            bases.append(frozenset(chosen))
-            return
-        for i in range(start, ws.size + 1):
-            grown = basis.copy()
-            if grown.add(ws.weight(i)):
-                extend(chosen + [i], grown, i + 1)
+    def extend(chosen: tuple[int, ...], later: list[tuple[int, IntVector]]) -> None:
+        short = rank - len(chosen)
+        for t in range(len(later) - short + 1):
+            i, row = later[t]
+            if short == 1:
+                bases.append(frozenset((*chosen, i)))
+            elif short == 2:
+                bases.extend(frozenset((*chosen, i, j)) for j, r in later[t + 1 :] if r != row)
+            else:
+                extend((*chosen, i), _carry_residues(row, later[t + 1 :]))
 
     if rank == 0:
         return SimplicialComplex(tuple(), tuple())
-    extend([], EchelonBasis(ws.ambient_rank), 1)
-    return SimplicialComplex(tuple(ws.indices), tuple(sorted(bases, key=sorted)))
+    extend((), _residues(ws))
+    return SimplicialComplex(tuple(ws.indices), tuple(bases))
 
 
 def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
@@ -214,10 +239,30 @@ def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
     )
 
 
+def _has_dependent(later: list[tuple[int, IntVector]], size: int) -> bool:
+    """Whether `size` of the carried weights complete a dependent set.
+
+    `later` holds the residues modulo span(S) of the weights after an
+    independent set S, and no set smaller than |S| + size is dependent.
+    Two weights close one exactly when their residues are equal.
+    """
+    if size == 2:
+        return len({r for _, r in later}) < len(later)
+    return any(
+        _has_dependent(_carry_residues(later[t][1], later[t + 1 :]), size - 1)
+        for t in range(len(later) - size + 1)
+    )
+
+
 def independence_degree(ws: WeightSystem) -> int:
-    """Largest j such that every subset of at most j weights is independent."""
-    for j in range(1, ws.size + 1):
-        for subset in combinations(ws.indices, j):
-            if ws.span_of(subset).dim < j:
-                return j - 1
+    """Largest j such that every subset of at most j weights is independent.
+
+    Weights are nonzero, so every dependent set has at least two
+    elements; sets are searched by size, and the first size with a
+    dependent set is one more than the answer.
+    """
+    residues = _residues(ws)
+    for size in range(2, ws.size + 1):
+        if _has_dependent(residues, size):
+            return size - 1
     return ws.size

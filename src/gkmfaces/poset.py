@@ -464,26 +464,39 @@ def check_coherent(p: GradedPoset, d: Mapping[Element, int]) -> CoherenceResult:
         raise NotLocallyGeometric(f"poset is not locally geometric: {verdict.reason}")
     ranks, _ = computed_ranks(p)
     assert ranks is not None
+    return _atom_sums(p, d, ranks)
+
+
+def _atom_sums(
+    p: GradedPoset, d: Mapping[Element, int], ranks: Mapping[Element, int]
+) -> CoherenceResult:
+    """`check_coherent` on a poset already known to be locally geometric.
+
+    `ranks` are its computed ranks.  The atoms between x and s are the
+    atoms in the up-set of x and the down-set of s, one mask AND each.
+    """
     atoms = atoms_of(p, ranks)
     for a in atoms:
         if a not in d:
             raise MissingAtomWeight(f"no weight for atom {a!r}")
         if d[a] <= 0:
             raise ValueError(f"atom weight for {a!r} must be positive")
-    minima = p.minimal_elements()
+    weight = {p._index[a]: d[a] for a in atoms}
+    atom_mask = sum(1 << i for i in weight)
+    minima = [p._index[x] for x in p.minimal_elements()]
     drk: dict[Element, int] = {}
-    for s in p.elements:
-        sums = []
-        for x in minima:
-            if p.leq(x, s):
-                total = sum(d[a] for a in atoms if p.lt(x, a) and p.leq(a, s))
-                sums.append((x, total))
-        values = {total for _, total in sums}
-        if len(values) > 1:
-            first = sums[0]
-            other = next(pair for pair in sums if pair[1] != first[1])
-            return CoherenceResult(False, element=s, conflict=(first, other))
-        drk[s] = sums[0][1]
+    for s, element in enumerate(p.elements):
+        below = p._down[s]
+        sums = [
+            (p.elements[x], sum(weight[a] for a in p._bits(p._up[x] & below & atom_mask)))
+            for x in minima
+            if below >> x & 1
+        ]
+        first = sums[0]
+        other = next((pair for pair in sums if pair[1] != first[1]), None)
+        if other is not None:
+            return CoherenceResult(False, element=element, conflict=(first, other))
+        drk[element] = first[1]
     return CoherenceResult(True, drk=drk)
 
 

@@ -36,15 +36,15 @@ def _check_lengths(vectors: Sequence[IntVector], ambient: int | None = None) -> 
 
 def _primitive(row: list[int]) -> tuple[int, ...] | None:
     """Divide by the gcd and normalize the leading entry to be positive."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
+    g = gcd(*row)
     if g == 0:
         return None
-    lead = next(x for x in row if x != 0)
+    for lead in row:
+        if lead:
+            break
     if lead < 0:
         g = -g
-    return tuple(x // g for x in row)
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 def _eliminate(row: Sequence[int], basis: list[tuple[int, IntVector]]) -> tuple[int, ...] | None:
@@ -56,6 +56,31 @@ def _eliminate(row: Sequence[int], basis: list[tuple[int, IntVector]]) -> tuple[
             p = base[pivot]
             work = [p * a - c * b for a, b in zip(work, base)]
     return _primitive(work)
+
+
+def _carry_residues(
+    row: IntVector, entries: Sequence[tuple[int, IntVector]]
+) -> list[tuple[int, IntVector]]:
+    """Residues modulo span + <row> from residues modulo span: one row operation each.
+
+    `entries` are (index, residue) pairs and `row` a nonzero residue, all
+    modulo the same span.  Clearing the new pivot with `row` gives exactly
+    what `EchelonBasis.residue` gives for the grown basis: both are the
+    primitive vector with positive lead in Q(v + span) that vanishes on
+    every pivot column.  Pairs whose residue vanishes (those equal to
+    `row`) are dropped; the others keep their order.
+    """
+    pivot = next(i for i, x in enumerate(row) if x)
+    p = row[pivot]
+    kept = []
+    for index, residue in entries:
+        c = residue[pivot]
+        if c:
+            residue = _primitive([p * a - c * b for a, b in zip(residue, row)])
+            if residue is None:
+                continue
+        kept.append((index, residue))
+    return kept
 
 
 class EchelonBasis:
@@ -94,11 +119,6 @@ class EchelonBasis:
         if len(v) != self.ambient:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient rank {self.ambient}")
         return _eliminate(v, self._rows)
-
-    def copy(self) -> "EchelonBasis":
-        twin = EchelonBasis(self.ambient)
-        twin._rows = list(self._rows)
-        return twin
 
     def canonical_rows(self) -> tuple[IntVector, ...]:
         """Fully reduced form: pivots cleared above, rows primitive.

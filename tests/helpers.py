@@ -172,7 +172,8 @@ def disguised(rng: random.Random, ws: WeightSystem) -> WeightSystem:
     rows = unimodular(rng, ws.ambient_rank)
     weights = [tuple(sum(a * x for a, x in zip(row, w)) for row in rows) for w in ws.weights]
     rng.shuffle(weights)
-    return WeightSystem(ws.ambient_rank, [w if rng.random() < 0.5 else tuple(-x for x in w) for w in weights])
+    signed = [w if rng.random() < 0.5 else tuple(-x for x in w) for w in weights]
+    return WeightSystem(ws.ambient_rank, signed)
 
 
 def poset_text(rng: random.Random, elements, covers) -> str:
@@ -197,11 +198,11 @@ def partition_lattice_text(rng: random.Random, n: int) -> str:
         ]
     name = {tuple(sorted(p)): f"p{i}" for i, p in enumerate(parts)}
     elements = [(name[p], n + 1 - len(p), sum(len(b) * (len(b) - 1) // 2 for b in p)) for p in name]
-    covers = [
-        (name[p], name[tuple(sorted([b for t, b in enumerate(p) if t not in (i, j)] + [tuple(sorted(p[i] + p[j]))]))])
-        for p in name
-        for i, j in itertools.combinations(range(len(p)), 2)
-    ]
+    covers = []
+    for p in name:
+        for i, j in itertools.combinations(range(len(p)), 2):
+            merged = [b for t, b in enumerate(p) if t not in (i, j)] + [tuple(sorted(p[i] + p[j]))]
+            covers.append((name[p], name[tuple(sorted(merged))]))
     return poset_text(rng, elements, covers)
 
 

@@ -6,7 +6,10 @@ flat lists from the full 2^n sweep, reduced Betti numbers from
 eliminating every boundary matrix, and GKM faces from checking every edge
 subset.  The GKM plane table spans one plane per pair of edges, the face
 poset and the Galois monotonicity check scan all pairs of faces.  Slow
-and obvious on purpose.  The lattice predicates scan all
+and obvious on purpose.  Bases are the full-rank subsets of that size and the
+independence degree comes from scanning subsets by size.  The flats
+search that reduces every class against the whole basis of each flat is
+kept as the residue oracle.  The lattice predicates scan all
 pairs of elements through `GradedPoset.join`, `meet` and `leq`, and
 check every upper ideal as a poset of its own; they import gkmfaces
 when called, so importing this module does not (bench/workloads.py
@@ -79,6 +82,85 @@ def flats_lattice_oracle(weights):
         if high_rank == low_rank + 1 and low < high
     ]
     return ids, covers, {tuple(sorted(m)): r for m, r in flats}
+
+
+def flats_with_covers_oracle(ws):
+    """(flats, covers) as `matroid._flats_with_covers` gives them, from full eliminations.
+
+    Each frontier flat keeps the weights that span it and builds an
+    `EchelonBasis` from them; every class outside it is reduced against
+    that whole basis.
+    """
+    from gkmfaces.matroid import Flat
+    from gkmfaces.ratlinalg import EchelonBasis
+
+    def basis_of(vectors):
+        basis = EchelonBasis(ws.ambient_rank)
+        for v in vectors:
+            basis.add(v)
+        return basis
+
+    parallel = {}
+    for i in ws.indices:
+        parallel.setdefault(basis_of([]).residue(ws.weight(i)), []).append(i)
+    classes = [(ws.weight(members[0]), frozenset(members)) for members in parallel.values()]
+    bottom = Flat(frozenset(), 0)
+    found = {bottom.members: bottom}
+    covers = []
+    frontier = [(bottom, [], range(len(classes)))]
+    while frontier:
+        flat, spanning, outside = frontier.pop()
+        basis = basis_of(spanning)
+        by_residue = {}
+        for c in outside:
+            by_residue.setdefault(basis.residue(classes[c][0]), []).append(c)
+        for group in by_residue.values():
+            members = flat.members.union(*(classes[c][1] for c in group))
+            bigger = found.get(members)
+            if bigger is None:
+                bigger = found[members] = Flat(members, flat.rank + 1)
+                rest = [c for c in outside if c not in group]
+                frontier.append((bigger, spanning + [classes[group[0]][0]], rest))
+            covers.append((flat, bigger))
+    flats = sorted(found.values(), key=Flat.sort_key)
+    position = {flat: i for i, flat in enumerate(flats)}
+    covers.sort(key=lambda pair: (position[pair[0]], position[pair[1]]))
+    return flats, covers
+
+
+def independence_complex_oracle(weights):
+    """Bases as sorted index tuples in lexicographic order: the r-subsets of rank r."""
+    r = rank_oracle(weights)
+    if r == 0:
+        return []
+    return [
+        subset
+        for subset in combinations(range(1, len(weights) + 1), r)
+        if rank_oracle([weights[i - 1] for i in subset]) == r
+    ]
+
+
+def independent_sets_by_size_oracle(weights):
+    """(f_-1, f_0, ...): the number of independent index sets of each size."""
+    counts = [1]
+    for size in range(1, len(weights) + 1):
+        count = sum(
+            rank_oracle([weights[i] for i in subset]) == size
+            for subset in combinations(range(len(weights)), size)
+        )
+        if not count:
+            break
+        counts.append(count)
+    return tuple(counts)
+
+
+def independence_degree_oracle(ws):
+    """Largest j with every subset of at most j weights independent, by a subset scan."""
+    for j in range(1, ws.size + 1):
+        for subset in combinations(ws.indices, j):
+            if ws.span_of(subset).dim < j:
+                return j - 1
+    return ws.size
 
 
 def is_geometric_lattice_oracle(p):

@@ -1,0 +1,109 @@
+"""The searches that carry residues against the oracles that eliminate.
+
+`matroid._flats_with_covers`, `independence_complex`, `h_vector` and
+`independence_degree` reduce each weight's residue by one row per search
+step.  `tests/oracles.py` keeps the flats search that reduces every
+class against the whole basis of its flat, the full-rank subset scan for
+bases and face counts, and the subset scan for the independence degree.
+They are compared on random weight systems built to hold parallel,
+negated, scaled and repeated weights.  The flats lattice is also checked
+to be invariant under permuting, scaling and negating the weights.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkmfaces.matroid import (
+    WeightSystem,
+    _flats_with_covers,
+    flats_lattice,
+    h_vector,
+    independence_complex,
+    independence_degree,
+)
+
+from helpers import type_a_roots
+from oracles import (
+    flats_with_covers_oracle,
+    independence_complex_oracle,
+    independence_degree_oracle,
+    independent_sets_by_size_oracle,
+)
+
+SCALES = (1, -1, 2, -2, 3)
+
+
+@st.composite
+def weight_systems(draw, max_n=8):
+    """Up to max_n weights: copies of a few directions, scaled, negated and shuffled."""
+    k = draw(st.integers(1, 4) | st.integers(3, 4))
+    direction = st.tuples(*[st.integers(-3, 3)] * k).filter(any)
+    weights = []
+    for w in draw(st.lists(direction, min_size=2, max_size=6)):
+        for c in draw(st.lists(st.sampled_from(SCALES), min_size=1, max_size=3)):
+            weights.append(tuple(c * x for x in w))
+    return WeightSystem(k, draw(st.permutations(weights))[:max_n])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weight_systems())
+def test_flats_and_covers_match_the_full_elimination_oracle(ws):
+    assert _flats_with_covers(ws) == flats_with_covers_oracle(ws)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weight_systems())
+def test_bases_match_the_full_rank_subset_scan(ws):
+    facets = independence_complex(ws).facets
+    assert [tuple(sorted(f)) for f in facets] == independence_complex_oracle(list(ws.weights))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weight_systems(max_n=7))
+def test_f_and_h_vectors_count_the_independent_sets(ws):
+    complex_ = independence_complex(ws)
+    f = independent_sets_by_size_oracle(list(ws.weights))
+    assert complex_.f_vector() == f
+    d = len(f) - 1
+    h = h_vector(complex_)
+    # h is the binomial transform of f, and sum(h) counts the bases
+    assert sum(h) == f[-1] and all(x >= 0 for x in h) and len(h) == d + 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weight_systems())
+def test_independence_degree_matches_the_subset_scan(ws):
+    assert independence_degree(ws) == independence_degree_oracle(ws)
+
+
+def test_searches_match_the_oracles_on_type_a():
+    for n in (2, 3, 4):
+        ws = WeightSystem(n, type_a_roots(n))
+        assert _flats_with_covers(ws) == flats_with_covers_oracle(ws)
+        facets = [tuple(sorted(f)) for f in independence_complex(ws).facets]
+        assert facets == independence_complex_oracle(list(ws.weights))
+        assert independence_degree(ws) == independence_degree_oracle(ws) == 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weight_systems(), st.data())
+def test_flats_lattice_is_invariant_under_permuting_scaling_and_negating(ws, data):
+    order = data.draw(st.permutations(range(ws.size)))
+    scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=ws.size, max_size=ws.size))
+    moved = [None] * ws.size
+    for i, (j, c) in enumerate(zip(order, scales)):
+        moved[j] = tuple(c * x for x in ws.weights[i])
+    image = {i + 1: j + 1 for i, j in enumerate(order)}
+
+    def relabelled(p):
+        def new(e):
+            return tuple(sorted(image[i] for i in e))
+
+        return (
+            {new(e): (p.rank[e], p.drk[e]) for e in p.elements},
+            {(new(low), new(high)) for low, high in p.covers},
+        )
+
+    q = flats_lattice(WeightSystem(ws.ambient_rank, moved))
+    labels = {e: (q.rank[e], q.drk[e]) for e in q.elements}
+    assert relabelled(flats_lattice(ws)) == (labels, set(q.covers))

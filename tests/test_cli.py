@@ -344,3 +344,36 @@ def test_invalid_file_connection_fails_every_tg_command(tmp_path):
         assert err.startswith("error: supplied connection is invalid: ")
     code, out, err = run_cli_with_stderr("gkm", "reconstruct", str(f))
     assert (code, err) == (0, "")
+
+
+def test_wedge_on_a_weight_file_without_weights_is_a_typed_error(tmp_path):
+    f = tmp_path / "empty.wt"
+    f.write_text("ambient_rank: 2\n")
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli_with_stderr("matroid", "wedge", str(f), *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: wedge predictions need a weight system of rank at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, minima",
+    [
+        (("matroid", "check", "u23.wt"), 1),
+        (("matroid", "check", "coll.wt"), 1),
+        (("poset", "check", "glued.poset", "--gkm-coherent"), 2),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a, tuple) else str(a),
+)
+def test_check_commands_scan_each_up_set_once(monkeypatch, argv, minima):
+    from gkmfaces import poset
+
+    scans = Counter()
+    scan = poset._up_set_failure
+
+    def counted(p, s, level):
+        scans[s] += 1
+        return scan(p, s, level)
+
+    monkeypatch.setattr(poset, "_up_set_failure", counted)
+    run_cli(argv[0], argv[1], path(argv[2]), *argv[3:])
+    assert len(scans) == minima and set(scans.values()) == {1}

@@ -7,9 +7,10 @@ written `%name` for a file holding the seeded scrambled graph `name` of
 `helpers.scrambled_graphs(GRAPH_SEED)`: Q3, CP2xS2, Fl(3) and CP2xCP2,
 the graph families the benchmark runs.  `%name.wt` and `%name.poset` are
 the weight systems of `weight_inputs()`, disguised A3-A5 and two seeded
-`helpers.weight_corpus` batches, and their flats lattices, built without the
-package.  No command is listed whose output would contain a path of the
-checkout (`corpus` without a name prints the data directory).
+`helpers.weight_corpus` batches, and their flats lattices, built without
+the package; `%empty.wt` declares an ambient rank and no weights.  No
+command is listed whose output would contain a path of the checkout
+(`corpus` without a name prints the data directory).
 
 Regenerate it, only when an output change is intended, with
 
@@ -110,6 +111,8 @@ def golden_commands() -> list[list[str]]:
             out.append(["matroid", "wedge", wt, *flags])
         out.append(["poset", "check", lattice, "--gkm-coherent"])
         out.append(["poset", "homology", lattice, "--proper"])
+    for flags in ([], ["--json"]):
+        out.append(["matroid", "wedge", "%empty.wt", *flags])
     return out
 
 
@@ -123,6 +126,7 @@ def input_dir() -> Path:
     for name, (wt, lattice) in weight_inputs().items():
         (path / f"{name}.wt").write_text(wt)
         (path / f"{name}.poset").write_text(lattice)
+    (path / "empty.wt").write_text(format_matroid(WeightSystem(2, [])))
     return path
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmfaces.complexes import order_complex, reduced_betti, verify_wedge_prediction
-from gkmfaces.errors import EmptyComplex
+from gkmfaces.errors import EmptyComplex, GkmFacesError, PreconditionFailed
 from gkmfaces.matroid import SimplicialComplex, WeightSystem, flats_lattice, independence_complex
 from gkmfaces.poset import GradedPoset, grading_of
 
@@ -228,6 +228,12 @@ def test_wedge_rank_one_skips_proper_part():
     assert report.proper_betti is None
     assert report.ok
     assert report.top_h == 0
+
+
+def test_wedge_without_weights_is_a_precondition_failure():
+    with pytest.raises(PreconditionFailed, match="rank at least 1") as info:
+        verify_wedge_prediction(WeightSystem(2, []))
+    assert isinstance(info.value, GkmFacesError)
 
 
 def test_wedge_collinear():

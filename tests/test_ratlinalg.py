@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmfaces.errors import DimensionMismatch
-from gkmfaces.ratlinalg import EchelonBasis, Subspace, in_span, rank_of, span_equal
+from gkmfaces.ratlinalg import EchelonBasis, Subspace, _carry_residues, in_span, rank_of, span_equal
 
 from oracles import in_span_oracle, rank_oracle
 
@@ -132,3 +134,25 @@ def test_echelon_basis_incremental_rank():
     assert eb.dim == 2
     assert eb.contains((1, 0, -1))
     assert not eb.contains((0, 0, 1))
+
+
+@st.composite
+def vector_lists(draw):
+    k = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-4, 4)] * k).filter(any)
+    return k, draw(st.lists(vector, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vector_lists())
+def test_carried_residues_are_the_echelon_residues(case):
+    """Each row step gives exactly `EchelonBasis.residue` modulo the grown basis."""
+    k, vectors = case
+    basis = EchelonBasis(k)
+    carried = [(i, basis.residue(v)) for i, v in enumerate(vectors)]
+    while carried:
+        (i, row), rest = carried[0], carried[1:]
+        basis.add(vectors[i])
+        carried = _carry_residues(row, rest)
+        expected = [(j, basis.residue(vectors[j])) for j, _ in rest]
+        assert carried == [(j, r) for j, r in expected if r is not None]
