@@ -35,13 +35,10 @@ class OrderComplex:
 
 
 def order_complex(p: GradedPoset) -> OrderComplex:
-    """All maximal chains, walked over the true Hasse diagram."""
+    """All maximal chains, walked over the true Hasse diagram, upper covers in element order."""
     uppers: dict = {e: [] for e in p.elements}
     for low, high in p.hasse_covers():
         uppers[low].append(high)
-    position = {e: i for i, e in enumerate(p.elements)}
-    for e in uppers:
-        uppers[e].sort(key=position.get)
     height = dict.fromkeys(p.elements, 0)  # longest chain below, found as the walk passes
     facets = []
 
@@ -54,10 +51,10 @@ def order_complex(p: GradedPoset) -> OrderComplex:
         for nxt in uppers[e]:
             walk(nxt, trail)
 
-    for start in sorted(p.minimal_elements(), key=position.get):
+    for start in p.minimal_elements():
         walk(start, [])
-    facets.sort(key=lambda chain: (len(chain), [position[e] for e in chain]))
-    vertices = sorted(p.elements, key=lambda e: (height[e], position[e]))
+    facets.sort(key=lambda chain: (len(chain), [p._index[e] for e in chain]))
+    vertices = sorted(p.elements, key=lambda e: (height[e], p._index[e]))
     return OrderComplex(tuple(vertices), tuple(facets))
 
 

@@ -177,30 +177,30 @@ def _export_ids(p: GradedPoset) -> dict:
     return out
 
 
-def format_poset(p: GradedPoset) -> str:
+def _export_view(p: GradedPoset) -> tuple[dict, dict | None, str, list[tuple[str, str]]]:
+    """Export ids, stored else computed ranks (None and why, if ungradable), sorted id covers."""
     names = _export_ids(p)
-    ranks = p.rank
+    ranks, reason = (p.rank, "") if p.rank is not None else computed_ranks(p)
+    ordered = sorted(p.covers, key=lambda c: (p._index[c[0]], p._index[c[1]]))
+    return names, ranks, reason, [(names[low], names[high]) for low, high in ordered]
+
+
+def format_poset(p: GradedPoset) -> str:
+    names, ranks, reason, covers = _export_view(p)
     if ranks is None:
-        ranks, reason = computed_ranks(p)
-        if ranks is None:
-            raise GkmFacesError(f"cannot export an ungradable poset: {reason}")
+        raise GkmFacesError(f"cannot export an ungradable poset: {reason}")
     out = []
     for e in p.elements:
         line = f"element {names[e]} rank {ranks[e]}"
         if p.drk is not None:
             line += f" drk {p.drk[e]}"
         out.append(line)
-    position = {e: i for i, e in enumerate(p.elements)}
-    for low, high in sorted(p.covers, key=lambda c: (position[c[0]], position[c[1]])):
-        out.append(f"cover {names[low]} < {names[high]}")
+    out.extend(f"cover {low} < {high}" for low, high in covers)
     return "\n".join(out) + "\n"
 
 
 def poset_to_json(p: GradedPoset) -> dict:
-    names = _export_ids(p)
-    ranks = p.rank
-    if ranks is None:
-        ranks, _ = computed_ranks(p)
+    names, ranks, _, covers = _export_view(p)
     elements = []
     for e in p.elements:
         entry: dict = {"id": names[e]}
@@ -213,20 +213,12 @@ def poset_to_json(p: GradedPoset) -> dict:
         if e in p.labels and p.labels[e] != names[e]:
             entry["label"] = p.labels[e]
         elements.append(entry)
-    position = {e: i for i, e in enumerate(p.elements)}
-    covers = [
-        [names[low], names[high]]
-        for low, high in sorted(p.covers, key=lambda c: (position[c[0]], position[c[1]]))
-    ]
-    return {"kind": "poset", "elements": elements, "covers": covers}
+    return {"kind": "poset", "elements": elements, "covers": [list(c) for c in covers]}
 
 
 def poset_to_dot(p: GradedPoset) -> str:
     """Hasse diagram with one layer per rank, lowest rank at the bottom."""
-    names = _export_ids(p)
-    ranks = p.rank
-    if ranks is None:
-        ranks, _ = computed_ranks(p)
+    names, ranks, _, covers = _export_view(p)
     out = ["digraph poset {", "  rankdir=BT;", "  node [shape=box];"]
     for e in p.elements:
         label = p.labels.get(e, names[e])
@@ -235,9 +227,7 @@ def poset_to_dot(p: GradedPoset) -> str:
         for level in sorted(set(ranks.values())):
             same = " ".join(f'"{names[e]}";' for e in p.elements if ranks[e] == level)
             out.append(f"  {{ rank=same; {same} }}")
-    position = {e: i for i, e in enumerate(p.elements)}
-    for low, high in sorted(p.covers, key=lambda c: (position[c[0]], position[c[1]])):
-        out.append(f'  "{names[low]}" -> "{names[high]}";')
+    out.extend(f'  "{low}" -> "{high}";' for low, high in covers)
     out.append("}")
     return "\n".join(out) + "\n"
 

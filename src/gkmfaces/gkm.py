@@ -28,7 +28,8 @@ reduces the axial vectors at both ends of each edge once modulo that
 edge's line, so two edges span the same plane with it exactly when their
 residues agree, and it stores each plane as a mask of edges; the closure
 test is one AND.  Inclusion between faces is the AND of one membership
-mask per vertex and per edge, from which the face poset takes its covers.
+mask per vertex and per edge.  Those masks are the up-sets of the face
+poset, whose covers come from the order core, `poset._cover_pairs`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     ZeroWeight,
 )
 from .matroid import WeightSystem, flats_lattice
-from .poset import GradedPoset
+from .poset import GradedPoset, _bits, _cover_pairs
 from .ratlinalg import EchelonBasis, IntVector, Subspace, as_vector
 
 DEFAULT_CAP = 10**6
@@ -81,6 +82,8 @@ class GkmGraph:
             raise ValueError("ambient rank must be at least 1")
         self.ambient_rank = ambient_rank
         self.vertices = tuple(vertices)
+        if not self.vertices:
+            raise ValueError("graph must have at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex identifiers")
         vertex_set = set(self.vertices)
@@ -294,9 +297,6 @@ class Connection:
     def __init__(self, maps: Mapping[tuple[str, object], Mapping[str, str]]):
         self.maps = {key: dict(value) for key, value in maps.items()}
 
-    def apply(self, edge: str, tail, f: str) -> str:
-        return self.maps[(edge, tail)][f]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Connection):
             return NotImplemented
@@ -494,16 +494,6 @@ def _grown_stars(g: GkmGraph, planes, d: int, x: int, stars: dict, z: int):
             yield {**stars, z: star}
 
 
-def _positions(mask: int) -> list[int]:
-    """The set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _check_cap(cap: int) -> None:
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -557,7 +547,7 @@ def _face_subgraphs(g: GkmGraph, report: GraphReport, cap: int) -> list[GkmSubgr
             )
             stack.append((d, x, grown, order + tuple(w for w in ends if w not in order)))
     # the order of subgraph_sort_key, on positions
-    keyed = sorted((len(order), sorted(order), _positions(edges)) for order, edges in found)
+    keyed = sorted((len(order), sorted(order), _bits(edges)) for order, edges in found)
     return [
         GkmSubgraph(
             frozenset(g.vertices[x] for x in vertices), frozenset(g.edges[e].name for e in edges)
@@ -610,17 +600,6 @@ def _containers(faces: Sequence[GkmSubgraph]) -> list[int]:
     return [membership.containers(h) for h in faces]
 
 
-def _covers(containers: list[int]):
-    """(i, j) for every face j covering face i: the minimal faces strictly above i."""
-    above = [mask & ~(1 << i) for i, mask in enumerate(containers)]
-    for i, up in enumerate(above):
-        higher = 0
-        for j in _positions(up):
-            higher |= above[j]
-        for j in _positions(up & ~higher):
-            yield i, j
-
-
 def _flat(g: GkmGraph, h: GkmSubgraph) -> Subspace:
     """The span of h at its first vertex, whose rank is h's rank label."""
     return subgraph_flat(g, h, min(h.vertices, key=g.vertex_key))
@@ -631,7 +610,8 @@ def _face_poset(
 ) -> GradedPoset:
     """Inclusion poset of `faces`, where ranks[i] is the rank label of faces[i]."""
     ids = [f"{prefix}{i}" for i in range(len(faces))]
-    covers = sorted((ids[i], ids[j]) for i, j in _covers(_containers(faces)))
+    everything = (1 << len(faces)) - 1
+    covers = sorted((ids[i], ids[j]) for i, j in _cover_pairs(_containers(faces), everything))
     labels = {
         i: "{" + ",".join(str(x) for x in sorted(h.vertices, key=g.vertex_key)) + "}"
         for i, h in zip(ids, faces)

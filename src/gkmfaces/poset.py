@@ -3,22 +3,26 @@
 Elements are opaque hashable identifiers; the full order is the
 reflexive-transitive closure of the declared covers, precomputed at
 construction as up- and down-set bitmasks so every predicate afterwards
-is pure reads.  Rank and drk labellings are optional data: predicates
-compute rank from the covers once, compare it against stored labels
-where present, and pass it down.  The geometric-lattice axioms are
-checked on the bitmasks of one up-set at a time, without building
-subposets: once for a lattice, and once per minimal element for the
-locally geometric check, since every upper ideal is an interval of the
-up-set of a minimal element and intervals of geometric lattices are
-geometric.  Each check scans the pairs of one up-set, with joins and
-meets found by dict lookup of bitmasks.  The subposet-building versions
-are kept as test oracles.
+is pure reads.  The order core is three module functions on those
+masks, shared with the face posets and the reconstruction: `_bits`
+walks the set bits of a mask, `_minimal` keeps the elements of a mask
+with nothing of it strictly below them, and `_cover_pairs` takes the
+covers within a mask as the minimal elements of each strict up-set.
+Rank and drk labellings are optional data: predicates compute rank from the
+covers once, compare it against stored labels where present, and pass
+it down.  The geometric-lattice axioms are checked on the bitmasks of
+one up-set at a time, without building subposets: once for a lattice,
+and once per minimal element for the locally geometric check, since
+every upper ideal is an interval of the up-set of a minimal element and
+intervals of geometric lattices are geometric.  Each check scans the
+pairs of one up-set, with joins and meets found by dict lookup of
+bitmasks.  The subposet-building versions are kept as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyPoset,
@@ -29,6 +33,29 @@ from .errors import (
 )
 
 Element = Hashable
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _minimal(up: Sequence[int], mask: int) -> list[int]:
+    """Elements of mask with nothing of mask strictly below them, ascending; up[i] is i's up-set."""
+    higher = 0
+    for i in _bits(mask):
+        higher |= up[i] ^ (1 << i)  # up[i] holds i
+    return _bits(mask & ~higher)
+
+
+def _cover_pairs(up: Sequence[int], mask: int) -> list[tuple[int, int]]:
+    """(i, j) for each j covering i within mask, ascending: j is minimal in mask above i."""
+    return [(i, j) for i in _bits(mask) for j in _minimal(up, up[i] & mask & ~(1 << i))]
 
 
 @dataclass(frozen=True)
@@ -119,21 +146,10 @@ class GradedPoset:
             for j in above[i]:
                 up[i] |= up[j]
         down = [1 << i for i in range(n)]
-        for i in range(n):
-            mask = up[i]
-            while mask:
-                low_bit = mask & -mask
-                down[low_bit.bit_length() - 1] |= 1 << i
-                mask ^= low_bit
+        for i in order:
+            for j in above[i]:
+                down[j] |= down[i]
         return up, down
-
-    def _bits(self, mask: int) -> list[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
 
     def leq(self, a: Element, b: Element) -> bool:
         return bool(self._up[self._index[a]] & (1 << self._index[b]))
@@ -142,10 +158,10 @@ class GradedPoset:
         return a != b and self.leq(a, b)
 
     def up_set(self, a: Element) -> list[Element]:
-        return [self.elements[i] for i in self._bits(self._up[self._index[a]])]
+        return [self.elements[i] for i in _bits(self._up[self._index[a]])]
 
     def down_set(self, a: Element) -> list[Element]:
-        return [self.elements[i] for i in self._bits(self._down[self._index[a]])]
+        return [self.elements[i] for i in _bits(self._down[self._index[a]])]
 
     def minimal_elements(self) -> list[Element]:
         lowers = {high for _, high in self.covers}
@@ -169,27 +185,20 @@ class GradedPoset:
         Differs from the declared covers only when the input listed a
         transitively redundant pair.
         """
-        n = len(self.elements)
-        out = []
-        for i in range(n):
-            strict = self._up[i] & ~(1 << i)
-            for j in self._bits(strict):
-                between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    out.append((self.elements[i], self.elements[j]))
-        return out
+        name = self.elements
+        return [(name[i], name[j]) for i, j in _cover_pairs(self._up, (1 << len(name)) - 1)]
 
     # ------------------------------------------------------------------
     # lattice operations
 
     def _least_of(self, mask: int) -> int | None:
-        for i in self._bits(mask):
+        for i in _bits(mask):
             if mask & ~self._up[i] == 0:
                 return i
         return None
 
     def _greatest_of(self, mask: int) -> int | None:
-        for i in self._bits(mask):
+        for i in _bits(mask):
             if mask & ~self._down[i] == 0:
                 return i
         return None
@@ -211,20 +220,11 @@ class GradedPoset:
         """Subposet on `keep`, covers recomputed from the induced order."""
         keep_set = set(keep)
         kept = [e for e in self.elements if e in keep_set]
-        mask = 0
-        for e in kept:
-            mask |= 1 << self._index[e]
-        covers = []
-        for e in kept:
-            i = self._index[e]
-            strict = self._up[i] & mask & ~(1 << i)
-            for j in self._bits(strict):
-                between = self._up[i] & self._down[j] & mask & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    covers.append((e, self.elements[j]))
+        mask = sum(1 << self._index[e] for e in kept)
+        name = self.elements
         return GradedPoset(
             kept,
-            covers,
+            [(name[i], name[j]) for i, j in _cover_pairs(self._up, mask)],
             rank=rank,
             drk={e: self.drk[e] for e in kept} if self.drk is not None else None,
             payload={e: self.payload[e] for e in kept if e in self.payload},
@@ -340,14 +340,14 @@ def _not_atomistic(p: GradedPoset, s: int, level: list[int]) -> int | None:
     """
     up, down = p._up, p._down
     region = up[s]
-    members = p._bits(region)
+    members = _bits(region)
     atoms = 0
     for i in members:
         if level[i] == level[s] + 1:
             atoms |= 1 << i
     for e in members:
         common = region
-        for a in p._bits(down[e] & atoms):
+        for a in _bits(down[e] & atoms):
             common &= up[a]
         if common != up[e]:
             return e
@@ -369,7 +369,7 @@ def _up_set_failure(p: GradedPoset, s: int, level: list[int]) -> str:
     """
     up, down, name = p._up, p._down, p.elements
     region = up[s]
-    members = p._bits(region)
+    members = _bits(region)
     join_of = {up[i]: i for i in members}
     meet_of = {down[i] & region: i for i in members}
     submodular = ""
@@ -440,10 +440,10 @@ def mobius(p: GradedPoset, s: Element, t: Element) -> int:
         raise Incomparable(f"{s!r} is not below {t!r}")
     first = p._index[s]
     interval = p._up[first] & p._down[p._index[t]]
-    below = {u: p._down[u] & interval & ~(1 << u) for u in p._bits(interval)}
+    below = {u: p._down[u] & interval & ~(1 << u) for u in _bits(interval)}
     values: dict[int, int] = {}
     for u in sorted(below, key=lambda u: below[u].bit_count()):
-        values[u] = 1 if u == first else -sum(values[v] for v in p._bits(below[u]))
+        values[u] = 1 if u == first else -sum(values[v] for v in _bits(below[u]))
     return values[p._index[t]]
 
 
@@ -488,7 +488,7 @@ def _atom_sums(
     for s, element in enumerate(p.elements):
         below = p._down[s]
         sums = [
-            (p.elements[x], sum(weight[a] for a in p._bits(p._up[x] & below & atom_mask)))
+            (p.elements[x], sum(weight[a] for a in _bits(p._up[x] & below & atom_mask)))
             for x in minima
             if below >> x & 1
         ]

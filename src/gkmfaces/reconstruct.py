@@ -14,8 +14,10 @@ Each candidate's span is computed once and gives the survivors their
 ranks.  Groups are bitmasks over the candidate list, and a member is a
 maximum of its group when the candidates containing it meet the group in
 itself alone.  The projection to surviving faces and the Galois check
-take containment from membership masks too; monotonicity is checked on
-the covers of the inclusion order, which implies it on every nested pair.
+take containment from membership masks too: the projection is the one
+minimal container, `poset._minimal`, and monotonicity is checked on the
+covers of the inclusion order, `poset._cover_pairs`, which implies it on
+every nested pair.
 """
 
 from __future__ import annotations
@@ -31,16 +33,14 @@ from .gkm import (
     GkmSubgraph,
     _check_cap,
     _containers,
-    _covers,
     _face_poset,
     _flat,
     _Membership,
-    _positions,
     _tg_face_subgraphs,
     enumerate_face_subgraphs,
     subgraph_sort_key,
 )
-from .poset import GradedPoset
+from .poset import GradedPoset, _bits, _cover_pairs, _minimal
 from .ratlinalg import Subspace
 
 MODES = ("faces", "tg")
@@ -116,14 +116,14 @@ def reconstruct_face_poset(
     diagnostics = []
     for (vertex_key, flat), group in groups.items():
         # the members inside no other member of their group
-        maxima = [i for i in _positions(group) if containers[i] & group == 1 << i]
+        maxima = [i for i in _bits(group) if containers[i] & group == 1 << i]
         if len(maxima) > 1:
             by_key = sorted((candidates[i] for i in maxima), key=lambda h: subgraph_sort_key(g, h))
             diagnostics.append(Diagnostic(g.vertices[vertex_key], flat, tuple(by_key)))
         keep &= ~group | sum(1 << i for i in maxima)
     diagnostics.sort(key=lambda d: (g.vertex_key(d.vertex), d.flat.sort_key()))
 
-    survivors = _positions(keep)
+    survivors = _bits(keep)
     return FaceReport(
         mode=mode,
         faces=_face_poset(
@@ -145,17 +145,10 @@ def pi_map(report: FaceReport, h: GkmSubgraph):
         raise ReconstructionAmbiguous(
             "no surviving face contains the given subgraph (internal inconsistency)"
         )
-    # the containers with no other container below them
-    up = report.faces._up
-    higher = 0
-    for i in _positions(containers):
-        higher |= up[i] & ~(1 << i)
-    minima = containers & ~higher
-    if minima.bit_count() != 1:
-        raise ReconstructionAmbiguous(
-            f"{minima.bit_count()} minimal surviving faces contain the subgraph"
-        )
-    return report.faces.elements[minima.bit_length() - 1]
+    minima = _minimal(report.faces._up, containers)
+    if len(minima) != 1:
+        raise ReconstructionAmbiguous(f"{len(minima)} minimal surviving faces contain the subgraph")
+    return report.faces.elements[minima[0]]
 
 
 @dataclass(frozen=True)
@@ -200,7 +193,7 @@ def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
         if i is not None and projection[i] != e:
             failures.append(f"projection does not fix surviving face {e}")
     # monotone on the covers of the inclusion order, so on every nested pair
-    for i, j in _covers(_containers(candidates)):
+    for i, j in _cover_pairs(_containers(candidates), (1 << len(candidates)) - 1):
         if not report.faces.leq(projection[i], projection[j]):
             failures.append("projection is not monotone on a nested pair of faces")
     for e in report.faces.elements:

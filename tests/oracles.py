@@ -13,7 +13,9 @@ kept as the residue oracle.  The lattice predicates scan all
 pairs of elements through `GradedPoset.join`, `meet` and `leq`, and
 check every upper ideal as a poset of its own; they import gkmfaces
 when called, so importing this module does not (bench/workloads.py
-imports it before the package).
+imports it before the package).  Covers within a mask come from the
+pairwise scan for an element strictly between, and minimal elements
+from a scan for an element strictly below.
 """
 
 from fractions import Fraction
@@ -219,6 +221,32 @@ def is_locally_geometric_oracle(p):
                 False, f"upper ideal at {s!r} has rank {verdict.rank}, expected {k - ranks[s]}"
             )
     return Verdict(True, rank=k)
+
+
+def cover_pairs_oracle(up, mask):
+    """(i, j) for each j covering i within mask, both ascending: nothing of mask between.
+
+    `up[i]` is the bitmask of the elements at or above i; the down-sets
+    are read off it.
+    """
+    n = len(up)
+    down = [sum(1 << k for k in range(n) if up[k] >> j & 1) for j in range(n)]
+    out = []
+    for i in range(n):
+        if not mask >> i & 1:
+            continue
+        for j in range(n):
+            if j != i and mask >> j & 1 and up[i] >> j & 1:
+                between = up[i] & down[j] & mask & ~(1 << i) & ~(1 << j)
+                if between == 0:
+                    out.append((i, j))
+    return out
+
+
+def minimal_oracle(up, mask):
+    """The elements of mask below which no other element of mask lies, ascending."""
+    members = [i for i in range(len(up)) if mask >> i & 1]
+    return [j for j in members if not any(k != j and up[k] >> j & 1 for k in members)]
 
 
 def mobius_oracle(leq, elements, s, t):

@@ -114,6 +114,12 @@ def test_loop_rejected_at_construction():
         GkmGraph(2, ["a"], [("e", "a", "a")], {"e": (1, 0)})
 
 
+def test_empty_vertex_list_rejected_at_construction():
+    # validate_graph starts its connectivity walk at the first vertex
+    with pytest.raises(ValueError, match="at least one vertex"):
+        GkmGraph(1, [], [], {})
+
+
 def test_canonical_connection_square_carry_across():
     g = square_graph(signed=True)
     theta = canonical_connection(g)
