@@ -1,65 +1,79 @@
 """Order complexes and reduced rational homology.
 
 Simplices are tuples of vertex indices, numbered in the complex's
-`vertices` order.  Betti numbers come from exact ranks of the coboundary
-maps delta^(d-1), whose ranks are those of the boundary maps.  Each is
-kept as sparse integer columns, one per (d-1)-simplex with entries at
-its cofaces, and reduced from low degree upward by fraction-free
-elimination: cross-multiplication, gcd division, pivot at the smallest
-row.  A reduced column with pivot s lies in the kernel of delta^d, so
-the column of s in delta^d is in the span of the columns after it and is
-skipped unreduced: "clearing" (Chen and Kerber, Persistent homology
-computation with a twist, 2011), which spares the columns that would
-only reduce to zero.  Only homology over Q is computed: the spaces
-verified here are predicted wedges of spheres, where rational Betti
-numbers decide the claim.
+`vertices` order.  The simplices of an order complex are its chains,
+listed from its order masks; its facets are walked only when read.
+Betti numbers come from exact ranks of the coboundary maps delta^(d-1),
+whose ranks are those of the boundary maps.  Each is kept as sparse
+integer columns, one per (d-1)-simplex with entries at its cofaces, and
+reduced from low degree upward by fraction-free elimination:
+cross-multiplication, gcd division, pivot at the smallest row.  A
+reduced column with pivot s lies in the kernel of delta^d, so the column
+of s in delta^d is in the span of the columns after it and is skipped
+unreduced: "clearing" (Chen and Kerber, Persistent homology computation
+with a twist, 2011), which spares the columns that would only reduce to
+zero.  Only homology over Q is computed: the spaces verified here are
+predicted wedges of spheres, where rational Betti numbers decide the
+claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
 from .errors import EmptyComplex, PreconditionFailed
-from .matroid import WeightSystem, _faces_by_size, flats_lattice, h_vector, independence_complex
-from .poset import GradedPoset, mobius
+from .matroid import WeightSystem, _faces_by_size, _h_numbers, flats_lattice, independence_complex
+from .poset import GradedPoset, _bits, _minimal, mobius
 
 
 @dataclass(frozen=True)
 class OrderComplex:
-    """Chains of a poset; facets are the maximal chains."""
+    """Chains of a poset, numbered over a linear extension of it; facets are the maximal chains."""
 
     vertices: tuple  # a linear extension: by height, then by position in the poset
-    facets: tuple[tuple, ...]  # each facet lists elements in increasing order
+    positions: tuple[int, ...]  # positions[v]: vertex v's position in the poset
+    above: tuple[int, ...]  # above[v]: mask of the vertices strictly above vertex v
+
+    @cached_property
+    def facets(self) -> tuple[tuple, ...]:
+        """Maximal chains, elements in increasing order, by length and then element positions."""
+        up = [mask | 1 << v for v, mask in enumerate(self.above)]
+        uppers = [_minimal(up, mask) for mask in self.above]  # the upper covers
+        chains, facets = [(v,) for v in _minimal(up, (1 << len(up)) - 1)], []
+        while chains:  # saturated chains from a minimal vertex, one cover longer each round
+            facets += [chain for chain in chains if not uppers[chain[-1]]]
+            chains = [chain + (w,) for chain in chains for w in uppers[chain[-1]]]
+        facets.sort(key=lambda chain: (len(chain), [self.positions[v] for v in chain]))
+        return tuple(tuple(self.vertices[v] for v in chain) for chain in facets)
 
 
 def order_complex(p: GradedPoset) -> OrderComplex:
-    """All maximal chains, walked over the true Hasse diagram, upper covers in element order."""
-    uppers: dict = {e: [] for e in p.elements}
-    for low, high in p.hasse_covers():
-        uppers[low].append(high)
-    height = dict.fromkeys(p.elements, 0)  # longest chain below, found as the walk passes
-    facets = []
-
-    def walk(e, trail):
-        height[e] = max(height[e], len(trail))
-        trail = trail + [e]
-        if not uppers[e]:
-            facets.append(tuple(trail))
-            return
-        for nxt in uppers[e]:
-            walk(nxt, trail)
-
-    for start in p.minimal_elements():
-        walk(start, [])
-    facets.sort(key=lambda chain: (len(chain), [p._index[e] for e in chain]))
-    vertices = sorted(p.elements, key=lambda e: (height[e], p._index[e]))
-    return OrderComplex(tuple(vertices), tuple(facets))
+    """The order complex of p, its vertices peeled off level by level from the bottom."""
+    order, rest = [], (1 << len(p.elements)) - 1
+    while rest:  # each level: the minimal elements left, whose longest chain below is one longer
+        level = _minimal(p._up, rest)
+        order += level
+        rest &= ~sum(1 << i for i in level)
+    vertex = {i: v for v, i in enumerate(order)}
+    above = tuple(sum(1 << vertex[j] for j in _bits(p._up[i] ^ (1 << i))) for i in order)
+    return OrderComplex(tuple(p.elements[i] for i in order), tuple(order), above)
 
 
 def _simplices_by_dim(complex_) -> list[list[tuple[int, ...]]]:
-    """Sorted i-simplices for each dimension i, as vertex-index tuples."""
+    """Sorted i-simplices for each dimension i, as vertex-index tuples.
+
+    A chain extends by every vertex strictly above its last one, which
+    lists each chain once and in order; other complexes hand faces down.
+    """
+    if isinstance(complex_, OrderComplex):
+        uppers = [_bits(mask) for mask in complex_.above]
+        levels = [[(v,) for v in range(len(uppers))]]
+        while longer := [chain + (w,) for chain in levels[-1] for w in uppers[chain[-1]]]:
+            levels.append(longer)
+        return levels
     index = {v: i for i, v in enumerate(complex_.vertices)}
     facets = [tuple(sorted(index.setdefault(v, len(index)) for v in f)) for f in complex_.facets]
     return [sorted(level) for level in _faces_by_size(facets)[1:]]
@@ -103,12 +117,15 @@ def _reduce(columns: list[dict[int, int]]) -> dict[int, dict[int, int]]:
 def reduced_betti(complex_) -> dict[int, int]:
     """Reduced rational Betti numbers, degrees -1 through dim.
 
-    Accepts anything with `vertices` and nonempty `facets` of vertex
-    collections (order complexes and simplicial complexes alike).
+    Accepts an order complex, or anything with `vertices` and nonempty `facets`.
     """
-    if not complex_.facets:
+    if not isinstance(complex_, OrderComplex) and not complex_.facets:
         raise EmptyComplex("cannot take homology of an empty complex")
-    levels = _simplices_by_dim(complex_)
+    return _betti(_simplices_by_dim(complex_))
+
+
+def _betti(levels: list[list[tuple[int, ...]]]) -> dict[int, int]:
+    """Reduced Betti numbers of the complex with these sorted simplices by dimension."""
     # the empty face's coboundary sums the vertices: rank 1, pivot at the first vertex
     ranks, cleared = ([1], {0}) if levels else ([0], ())
     for dim in range(len(levels) - 1):
@@ -164,9 +181,9 @@ def verify_wedge_prediction(ws: WeightSystem) -> WedgeReport:
         skipped = False
     else:
         proper_betti, proper_ok, skipped = None, False, True
-    complex_ = independence_complex(ws)
-    top_h = h_vector(complex_)[-1]
-    complex_betti = reduced_betti(complex_)
+    levels = _simplices_by_dim(independence_complex(ws))  # every basis has `rank` weights
+    top_h = _h_numbers((1, *map(len, levels)), rank)[-1]
+    complex_betti = _betti(levels)
     complex_ok = _concentrated(complex_betti, rank - 1, top_h)
     return WedgeReport(
         rank=rank,

@@ -363,8 +363,9 @@ def format_graph(graph: GkmGraph, theta: Connection | None = None) -> str:
         for e in graph.edges:
             for tail in (e.u, e.v):
                 mapping = theta.maps[(e.name, tail)]
-                for source in graph.star(tail):
-                    if source == e.name:
+                star = graph.star(tail)
+                for source in star:
+                    if source == e.name and len(star) > 1:  # implicit, unless it is all there is
                         continue
                     out.append(
                         f"connection {source} at {tail} -> {mapping[source]} via {e.name}"

@@ -231,8 +231,11 @@ def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
     sizes = {len(f) for f in complex_.facets}
     if len(sizes) > 1:
         raise ValueError(f"complex is not pure: facet sizes {sorted(sizes)}")
-    d = sizes.pop() if sizes else 0
-    f = complex_.f_vector()
+    return _h_numbers(complex_.f_vector(), sizes.pop() if sizes else 0)
+
+
+def _h_numbers(f: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """h_0..h_d from the f-vector (f_-1, f_0, ...) of a pure complex with facets of size d."""
     return tuple(
         sum((-1) ** (j - i) * comb(d - i, j - i) * f[i] for i in range(j + 1))
         for j in range(d + 1)

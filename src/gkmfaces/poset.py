@@ -55,7 +55,15 @@ def _minimal(up: Sequence[int], mask: int) -> list[int]:
 
 def _cover_pairs(up: Sequence[int], mask: int) -> list[tuple[int, int]]:
     """(i, j) for each j covering i within mask, ascending: j is minimal in mask above i."""
-    return [(i, j) for i in _bits(mask) for j in _minimal(up, up[i] & mask & ~(1 << i))]
+    above = [u & mask & ~(1 << i) for i, u in enumerate(up)]  # each strict up-set, once
+    pairs = []
+    for i in _bits(mask):
+        higher = 0
+        for j in _bits(above[i]):
+            higher |= above[j]
+        for j in _bits(above[i] & ~higher):
+            pairs.append((i, j))
+    return pairs
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ check every upper ideal as a poset of its own; they import gkmfaces
 when called, so importing this module does not (bench/workloads.py
 imports it before the package).  Covers within a mask come from the
 pairwise scan for an element strictly between, and minimal elements
-from a scan for an element strictly below.
+from a scan for an element strictly below.  The chains of a poset are
+the subsets it orders totally, found among all subsets.
 """
 
 from fractions import Fraction
@@ -247,6 +248,24 @@ def minimal_oracle(up, mask):
     """The elements of mask below which no other element of mask lies, ascending."""
     members = [i for i in range(len(up)) if mask >> i & 1]
     return [j for j in members if not any(k != j and up[k] >> j & 1 for k in members)]
+
+
+def chains_oracle(p):
+    """Every nonempty chain of poset p, by size: levels[d] holds the (d+1)-element ones.
+
+    A chain is a subset that `p.leq` orders totally; all subsets are tried.
+    """
+    levels = []
+    for size in range(1, len(p.elements) + 1):
+        level = {
+            frozenset(subset)
+            for subset in combinations(p.elements, size)
+            if all(p.leq(a, b) or p.leq(b, a) for a, b in combinations(subset, 2))
+        }
+        if not level:
+            break
+        levels.append(level)
+    return levels
 
 
 def mobius_oracle(leq, elements, s, t):

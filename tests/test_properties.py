@@ -1,17 +1,23 @@
-"""Property tests on the file formats and the flats lattice.
+"""Property tests on the file formats, the CLI and the flats lattice.
 
 Each format's writer and parser are inverse on random inputs: weight
 systems, posets with stored ranks and optional drk labels, and graphs
 with and without a connection.  Random line-structured text, made of
 the grammars' own tokens, makes each parser either return or raise
-`ParseError`, never anything else.  On flats lattices of random weight
+`ParseError`, never anything else.  The CLI, run on files written from
+the same random inputs, exits 0, 1 or 2 and writes to stderr only the
+message of a `GkmFacesError`.  On flats lattices of random weight
 systems the Möbius function alternates in sign by rank (Rota's sign
 theorem for geometric lattices).
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkmfaces import cli
 from gkmfaces.errors import ParseError
 from gkmfaces.formats import (
     format_graph,
@@ -54,19 +60,21 @@ def ranked_posets(draw):
 
 @st.composite
 def graphs(draw, with_connection):
-    """A multigraph on named vertices; with a connection, every vertex has degree at least 2.
+    """A multigraph on named vertices; with a connection, at least one edge.
 
-    The connection sends each edge at the tail to any edge at the head
-    other than the one it runs along: the parser checks only that the
-    rows name edges at the right vertices, not the connection axioms.
+    Vertices of degree 0 and 1 occur, so a star may hold only the edge
+    that the map runs along.  The connection sends each other edge at
+    the tail to any edge at the head, other than the one it runs along
+    when there is one: the parser checks only that the rows name edges
+    at the right vertices, not the connection axioms.
     """
     k = draw(st.integers(1, 3))
     vertices = draw(st.lists(IDS, min_size=2 if with_connection else 1, max_size=5, unique=True))
     n = len(vertices)
-    ends = [(i, (i + 1) % n) for i in range(n)] if with_connection else []
+    ends = []
     if n > 1:
         pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
-        ends += draw(st.lists(pair, max_size=5))
+        ends += draw(st.lists(pair, min_size=int(with_connection), max_size=6))
     names = [f"e{i}" for i in range(len(ends))]
     g = GkmGraph(
         k,
@@ -80,7 +88,7 @@ def graphs(draw, with_connection):
     maps = {}
     for e in g.edges:
         for tail in (e.u, e.v):
-            head = [f for f in g.star(e.other(tail)) if f != e.name]
+            head = [f for f in g.star(e.other(tail)) if f != e.name] or [e.name]
             maps[(e.name, tail)] = {
                 f: e.name if f == e.name else draw(st.sampled_from(head)) for f in g.star(tail)
             }
@@ -107,6 +115,50 @@ def test_poset_files_round_trip(p):
 def test_graph_files_round_trip(case):
     g, theta = case
     assert parse_graph_with_connection(format_graph(g, theta)) == (g, theta)
+
+
+# per file kind: its contents, and the commands run on it
+COMMANDS = {
+    "wt": (
+        weight_systems().map(format_matroid),
+        [["matroid", "flats", "--json"], ["matroid", "check"], ["matroid", "wedge"]],
+    ),
+    "poset": (
+        ranked_posets().map(format_poset),
+        [
+            ["poset", "check", "--gkm-coherent"],
+            ["poset", "compactify", "--dot"],
+            ["poset", "projectivize"],
+            ["poset", "homology"],
+            ["poset", "homology", "--proper", "--json"],
+        ],
+    ),
+    "gkm": (
+        st.booleans().flatmap(graphs).map(lambda case: format_graph(*case)),
+        [
+            ["gkm", "validate"],
+            ["gkm", "faces", "--json"],
+            ["gkm", "tg-faces"],
+            ["gkm", "connection"],
+            ["gkm", "reconstruct", "--verify-galois"],
+            ["gkm", "reconstruct", "--mode", "tg", "--dot"],
+        ],
+    ),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(COMMANDS)), st.data())
+def test_cli_on_generated_files_exits_0_1_or_2(tmp_path_factory, kind, data):
+    contents, commands = COMMANDS[kind]
+    path = tmp_path_factory.getbasetemp() / f"generated.{kind}"
+    path.write_text(data.draw(contents))
+    command = data.draw(st.sampled_from(commands))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([*command[:2], str(path), *command[2:]])
+    assert code in (0, 1, 2)
+    assert err.getvalue() == "" or (code != 0 and err.getvalue().startswith("error: "))
 
 
 WORDS = (
