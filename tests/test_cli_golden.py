@@ -8,7 +8,10 @@ written `%name` for a file holding the seeded scrambled graph `name` of
 the graph families the benchmark runs.  `%name.wt` and `%name.poset` are
 the weight systems of `weight_inputs()`, disguised A3-A5 and two seeded
 `helpers.weight_corpus` batches, and their flats lattices, built without
-the package; `%empty.wt` declares an ambient rank and no weights.  No
+the package; `%empty.wt` declares an ambient rank and no weights.
+`%conflict.poset`, `%misranked.poset` and `%bowtie.poset` are the
+posets of `BAD_POSETS`, which fail the grading or the locally geometric
+check in the three ways named there.  No
 command is listed whose output would contain a path of the checkout
 (`corpus` without a name prints the data directory).
 
@@ -47,6 +50,19 @@ from helpers import (
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 GRAPH_SEED = 2026
 WEIGHT_SEED = 2026
+
+BAD_POSETS = {
+    # a<c, b<c, a<d<c: the covers reach c at ranks 1 and 2
+    "conflict": "element a rank 0\nelement b rank 0\nelement d rank 1\nelement c rank 2\n"
+    "cover a < c\ncover b < c\ncover a < d\ncover d < c\n",
+    # the Boolean lattice B2 with its top stored at rank 3 instead of 2
+    "misranked": "element 0 rank 0 drk 0\nelement x rank 1 drk 1\nelement y rank 1 drk 1\n"
+    "element 1 rank 3 drk 2\ncover 0 < x\ncover 0 < y\ncover x < 1\ncover y < 1\n",
+    # graded with a top, but a and b have two minimal upper bounds
+    "bowtie": "element 0 rank 0\nelement a rank 1\nelement b rank 1\nelement c rank 2\n"
+    "element d rank 2\nelement 1 rank 3\ncover 0 < a\ncover 0 < b\ncover a < c\n"
+    "cover a < d\ncover b < c\ncover b < d\ncover c < 1\ncover d < 1\n",
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,6 +129,13 @@ def golden_commands() -> list[list[str]]:
         out.append(["poset", "homology", lattice, "--proper"])
     for flags in ([], ["--json"]):
         out.append(["matroid", "wedge", "%empty.wt", *flags])
+    for name in BAD_POSETS:
+        bad = f"%{name}.poset"
+        for flags in ([], ["--gkm-coherent"]):
+            out.append(["poset", "check", bad, *flags])
+        out.append(["poset", "compactify", bad])
+        out.append(["poset", "projectivize", bad])
+        out.append(["poset", "glue", bad, bad])
     return out
 
 
@@ -127,6 +150,8 @@ def input_dir() -> Path:
         (path / f"{name}.wt").write_text(wt)
         (path / f"{name}.poset").write_text(lattice)
     (path / "empty.wt").write_text(format_matroid(WeightSystem(2, [])))
+    for name, text in BAD_POSETS.items():
+        (path / f"{name}.poset").write_text(text)
     return path
 
 
