@@ -3,12 +3,14 @@
 Exit codes: 0 when every requested check passes, 1 when a check fails or
 the input is semantically unusable (invalid graph, cap exceeded), 2 for
 usage and parse errors.  Output is assembled in memory and flushed once,
-so identical invocations produce byte-identical output.
+so identical invocations produce byte-identical output; a reader that
+closes the pipe before it is written gets exit code 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -62,25 +64,18 @@ def cmd_matroid_flats(args, out: list[str]) -> int:
 def cmd_matroid_check(args, out: list[str]) -> int:
     ws = formats.parse_matroid(_read(args.file))
     lattice = flats_lattice(ws)
-    geometric = poset.is_geometric_lattice(lattice)
-    failures = 0
+    geometric = coherent = poset.is_geometric_lattice(lattice)
     out.append(f"flats: {len(lattice.elements)}")
-    out.append(
-        "geometric lattice: " + ("pass" if geometric else f"fail: {geometric.reason}")
-    )
-    failures += 0 if geometric else 1
+    out.append("geometric lattice: " + ("pass" if geometric else f"fail: {geometric.reason}"))
     if geometric:
-        ranks = poset.grading_of(lattice)
-        atoms = poset.atoms_of(lattice, ranks)
         # a geometric lattice is locally geometric: only the atom sums are left
-        coherent = poset._atom_sums(lattice, {a: lattice.drk[a] for a in atoms}, ranks)
+        coherent = poset._atom_sums(lattice, {a: lattice.drk[a] for a in poset.atoms_of(lattice)})
         out.append(
             "coherent with multiplicity weights: "
             + ("pass" if coherent else f"fail at {coherent.element}")
         )
-        failures += 0 if coherent else 1
     out.append(f"independence degree: {independence_degree(ws)}")
-    return 1 if failures else 0
+    return 0 if coherent else 1
 
 
 def cmd_matroid_wedge(args, out: list[str]) -> int:
@@ -130,7 +125,6 @@ def cmd_matroid_wedge(args, out: list[str]) -> int:
 
 def cmd_poset_check(args, out: list[str]) -> int:
     p = formats.parse_poset(_read(args.file))
-    failures = 0
     graded = poset.is_graded(p)
     out.append("graded: " + ("pass" if graded else f"fail: {graded.reason}"))
     if not graded:
@@ -140,25 +134,21 @@ def cmd_poset_check(args, out: list[str]) -> int:
         "locally geometric: "
         + (f"pass (rank {locally.rank})" if locally else f"fail: {locally.reason}")
     )
-    failures += 0 if locally else 1
-    if args.gkm_coherent:
-        if not locally:
-            out.append("gkm-coherent: skipped (not locally geometric)")
-            failures += 1
-        else:
-            ranks = poset.grading_of(p)
-            result = poset._atom_sums(p, dict.fromkeys(poset.atoms_of(p, ranks), 1), ranks)
-            if result:
-                top = p.top()
-                out.append(f"gkm-coherent: pass (drk at top = {result.drk[top]})")
-            else:
-                (x1, s1), (x2, s2) = result.conflict
-                out.append(
-                    f"gkm-coherent: fail at element {result.element}: "
-                    f"sum {s1} from {x1} vs sum {s2} from {x2}"
-                )
-                failures += 1
-    return 1 if failures else 0
+    if not args.gkm_coherent:
+        return 0 if locally else 1
+    if not locally:
+        out.append("gkm-coherent: skipped (not locally geometric)")
+        return 1
+    result = poset._atom_sums(p, dict.fromkeys(poset.atoms_of(p), 1))
+    if result:
+        out.append(f"gkm-coherent: pass (drk at top = {result.drk[p.top()]})")
+        return 0
+    (x1, s1), (x2, s2) = result.conflict
+    out.append(
+        f"gkm-coherent: fail at element {result.element}: "
+        f"sum {s1} from {x1} vs sum {s2} from {x2}"
+    )
+    return 1
 
 
 def cmd_poset_compactify(args, out: list[str]) -> int:
@@ -449,7 +439,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if out:
-        sys.stdout.write("\n".join(out) + "\n")
+        try:
+            sys.stdout.write("\n".join(out) + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe early; point stdout at devnull so the
+            # interpreter's own flush at exit does not fail on it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return code
 
 

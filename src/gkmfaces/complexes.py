@@ -52,7 +52,7 @@ class OrderComplex:
 
 def order_complex(p: GradedPoset) -> OrderComplex:
     """The order complex of p, its vertices peeled off level by level from the bottom."""
-    order, rest = [], (1 << len(p.elements)) - 1
+    order, rest = [], p._all
     while rest:  # each level: the minimal elements left, whose longest chain below is one longer
         level = _minimal(p._up, rest)
         order += level

@@ -28,7 +28,7 @@ import re
 from .errors import GkmFacesError, ParseError
 from .gkm import Connection, GkmGraph
 from .matroid import WeightSystem
-from .poset import GradedPoset, computed_ranks
+from .poset import GradedPoset
 from .ratlinalg import IntVector
 
 
@@ -125,12 +125,12 @@ def parse_poset(text: str) -> GradedPoset:
             name = tokens[1]
             if name in rank:
                 raise ParseError(f"element {name!r} declared twice", lineno, 1)
-            if not tokens[3].lstrip("-").isdigit():
+            if not re.fullmatch(r"-?[0-9]+", tokens[3]):
                 raise ParseError(f"bad rank {tokens[3]!r}", lineno, 1)
             elements.append(name)
             rank[name] = int(tokens[3])
             if len(tokens) == 6:
-                if tokens[4] != "drk" or not tokens[5].isdigit():
+                if tokens[4] != "drk" or not re.fullmatch(r"[0-9]+", tokens[5]):
                     raise ParseError("expected 'drk <d>'", lineno, 1)
                 drk[name] = int(tokens[5])
         elif tokens[0] == "cover":
@@ -180,7 +180,10 @@ def _export_ids(p: GradedPoset) -> dict:
 def _export_view(p: GradedPoset) -> tuple[dict, dict | None, str, list[tuple[str, str]]]:
     """Export ids, stored else computed ranks (None and why, if ungradable), sorted id covers."""
     names = _export_ids(p)
-    ranks, reason = (p.rank, "") if p.rank is not None else computed_ranks(p)
+    ranks, reason = p.rank, ""
+    if ranks is None:
+        level, reason = p._grading
+        ranks = None if level is None else dict(zip(p.elements, level))
     ordered = sorted(p.covers, key=lambda c: (p._index[c[0]], p._index[c[1]]))
     return names, ranks, reason, [(names[low], names[high]) for low, high in ordered]
 

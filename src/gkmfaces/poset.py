@@ -8,20 +8,23 @@ masks, shared with the face posets and the reconstruction: `_bits`
 walks the set bits of a mask, `_minimal` keeps the elements of a mask
 with nothing of it strictly below them, and `_cover_pairs` takes the
 covers within a mask as the minimal elements of each strict up-set.
-Rank and drk labellings are optional data: predicates compute rank from the
-covers once, compare it against stored labels where present, and pass
-it down.  The geometric-lattice axioms are checked on the bitmasks of
-one up-set at a time, without building subposets: once for a lattice,
-and once per minimal element for the locally geometric check, since
-every upper ideal is an interval of the up-set of a minimal element and
-intervals of geometric lattices are geometric.  Each check scans the
-pairs of one up-set, with joins and meets found by dict lookup of
-bitmasks.  The subposet-building versions are kept as test oracles.
+Rank and drk labellings are optional data.  Ranks are computed from the
+covers once per poset, on first use, and checked against the stored
+labels where present (`GradedPoset._grading`); every predicate and
+construction reads them there.  The geometric-lattice axioms are
+checked on the bitmasks of one up-set at a time, without building
+subposets: once for a lattice, and once per minimal element for the
+locally geometric check, since every upper ideal is an interval of the
+up-set of a minimal element and intervals of geometric lattices are
+geometric.  Each check scans the pairs of one up-set, with joins and
+meets found by dict lookup of bitmasks.  The subposet-building versions
+are kept as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -124,6 +127,7 @@ class GradedPoset:
         self.payload = dict(payload) if payload is not None else {}
         self.labels = dict(labels) if labels is not None else {}
         self._up, self._down = self._closure()
+        self._all = (1 << len(self.elements)) - 1  # the mask of every element
 
     # ------------------------------------------------------------------
     # order core
@@ -172,12 +176,10 @@ class GradedPoset:
         return [self.elements[i] for i in _bits(self._down[self._index[a]])]
 
     def minimal_elements(self) -> list[Element]:
-        lowers = {high for _, high in self.covers}
-        return [e for e in self.elements if e not in lowers]
+        return [self.elements[i] for i in _minimal(self._up, self._all)]
 
     def maximal_elements(self) -> list[Element]:
-        uppers = {low for low, _ in self.covers}
-        return [e for e in self.elements if e not in uppers]
+        return [self.elements[i] for i in _minimal(self._down, self._all)]
 
     def top(self) -> Element | None:
         maxima = self.maximal_elements()
@@ -194,7 +196,42 @@ class GradedPoset:
         transitively redundant pair.
         """
         name = self.elements
-        return [(name[i], name[j]) for i, j in _cover_pairs(self._up, (1 << len(name)) - 1)]
+        return [(name[i], name[j]) for i, j in _cover_pairs(self._up, self._all)]
+
+    @cached_property
+    def _grading(self) -> tuple[list[int] | None, str]:
+        """Rank of each element index forced by the covers, or None and why.
+
+        Computed on first read and kept.  Each cover is looked at once,
+        when its lower end has been ranked, and its upper end must then
+        sit one rank higher.  The covers are acyclic, so every pass ranks
+        something and every cover gets its look.  Stored rank labels,
+        when present, must agree with the computed ranks.
+        """
+        name, index = self.elements, self._index
+        level: list = [None] * len(name)
+        for i in _minimal(self._up, self._all):
+            level[i] = 0
+        pending = [(index[low], index[high]) for low, high in self.covers]
+        while pending:
+            rest = []
+            for low, high in pending:
+                if level[low] is None:
+                    rest.append((low, high))
+                    continue
+                value = level[low] + 1
+                if level[high] is None:
+                    level[high] = value
+                elif level[high] != value:
+                    return None, (
+                        f"element {name[high]!r} is reached at ranks {level[high]} and {value}"
+                    )
+            pending = rest
+        for e, computed in zip(name, level):
+            if self.rank is not None and self.rank[e] != computed:
+                stored = self.rank[e]
+                return None, f"stored rank {stored} of {e!r} disagrees with computed {computed}"
+        return level, ""
 
     # ------------------------------------------------------------------
     # lattice operations
@@ -239,17 +276,11 @@ class GradedPoset:
             labels={e: self.labels[e] for e in kept if e in self.labels},
         )
 
-    def upper_ideal(self, s: Element, ranks: Mapping[Element, int] | None = None) -> "GradedPoset":
-        """The subposet of everything above s, reranked to start at 0.
-
-        `ranks` defaults to the stored rank labelling; pass the computed
-        one when the poset carries none.
-        """
-        base = ranks if ranks is not None else self.rank
+    def upper_ideal(self, s: Element) -> "GradedPoset":
+        """The subposet of everything above s, stored ranks shifted to start at 0."""
         keep = self.up_set(s)
-        shift = None if base is None else base[s]
-        new_rank = None if base is None else {e: base[e] - shift for e in keep}
-        return self.induced(keep, rank=new_rank)
+        rank = None if self.rank is None else {e: self.rank[e] - self.rank[s] for e in keep}
+        return self.induced(keep, rank=rank)
 
     def proper_part(self) -> "GradedPoset":
         bottom, top = self.bottom(), self.top()
@@ -280,73 +311,30 @@ class GradedPoset:
 # predicates
 
 
-def computed_ranks(p: GradedPoset) -> tuple[dict | None, str]:
-    """Rank labelling forced by the covers, or a reason why none exists.
-
-    Each cover is looked at once, when its lower end has been ranked, and
-    its upper end must then sit one rank higher.  The covers are acyclic,
-    so every element is reached from a minimal element and every cover
-    gets its look.
-    """
-    ranks: dict[Element, int] = {e: 0 for e in p.minimal_elements()}
-    pending = list(p.covers)
-    progress = True
-    while pending and progress:
-        progress = False
-        rest = []
-        for low, high in pending:
-            if low in ranks:
-                value = ranks[low] + 1
-                if ranks.setdefault(high, value) != value:
-                    return None, (
-                        f"element {high!r} is reached at ranks {ranks[high]} and {value}"
-                    )
-                progress = True
-            else:
-                rest.append((low, high))
-        pending = rest
-    return ranks, ""
-
-
-def _graded_ranks(p: GradedPoset) -> tuple[dict | None, str]:
-    """Computed ranks if the poset is graded, else None and the reason."""
-    ranks, reason = computed_ranks(p)
-    if ranks is None:
-        return None, reason
-    if p.rank is not None:
-        for e in p.elements:
-            if p.rank[e] != ranks[e]:
-                return None, f"stored rank {p.rank[e]} of {e!r} disagrees with computed {ranks[e]}"
-    return ranks, ""
-
-
 def is_graded(p: GradedPoset) -> Verdict:
     """Minimal elements at rank 0 and every cover raising rank by one.
 
     Stored rank labels, when present, must agree with the computed ones.
     """
-    ranks, reason = _graded_ranks(p)
-    if ranks is None:
-        return Verdict(False, reason)
-    return Verdict(True, rank=max(ranks.values()))
+    level, reason = p._grading
+    return Verdict(False, reason) if level is None else Verdict(True, rank=max(level))
 
 
 def grading_of(p: GradedPoset) -> dict:
     """Computed ranks of a poset known to be graded."""
-    ranks, reason = _graded_ranks(p)
-    if ranks is None:
+    level, reason = p._grading
+    if level is None:
         raise PreconditionFailed(f"poset is not graded: {reason}")
-    return ranks
+    return dict(zip(p.elements, level))
 
 
-def _not_atomistic(p: GradedPoset, s: int, level: list[int]) -> int | None:
+def _not_atomistic(p: GradedPoset, s: int) -> int | None:
     """First element of the up-set of s that is not the join of the atoms below it.
 
-    e is that join exactly when the common upper bounds of those atoms
-    (and of s, for e = s) are the up-set of e.  `level[i]` is the rank
-    of element i in a graded p.
+    p is graded.  e is that join exactly when the common upper bounds of
+    those atoms (and of s, for e = s) are the up-set of e.
     """
-    up, down = p._up, p._down
+    up, down, level = p._up, p._down, p._grading[0]
     region = up[s]
     members = _bits(region)
     atoms = 0
@@ -362,20 +350,19 @@ def _not_atomistic(p: GradedPoset, s: int, level: list[int]) -> int | None:
     return None
 
 
-def _up_set_failure(p: GradedPoset, s: int, level: list[int]) -> str:
+def _up_set_failure(p: GradedPoset, s: int) -> str:
     """Why the up-set of element index s is not a geometric lattice, or "".
 
-    The caller has checked that p is graded; `level[i]` is the rank of
-    element i.  All pairs are scanned in element order and the first
-    failure is named: a missing join or meet first, then an element that
-    is not the join of the atoms below it, then a pair that breaks rank
-    submodularity.  The common upper bounds of a and b are the up-set of
+    The caller has checked that p is graded.  All pairs are scanned in
+    element order and the first failure is named: a missing join or meet
+    first, then an element that is not the join of the atoms below it,
+    then a pair that breaks rank submodularity.  The common upper bounds of a and b are the up-set of
     their join when it exists, and their common lower bounds above s are
     the down-set of their meet within the up-set, so each is one dict
     lookup of a bitmask.  Every pair check is symmetric, so only pairs
     with a before b are visited.
     """
-    up, down, name = p._up, p._down, p.elements
+    up, down, name, level = p._up, p._down, p.elements, p._grading[0]
     region = up[s]
     members = _bits(region)
     join_of = {up[i]: i for i in members}
@@ -392,7 +379,7 @@ def _up_set_failure(p: GradedPoset, s: int, level: list[int]) -> str:
                 return f"meet of {name[a]!r} and {name[b]!r} does not exist"
             if level[join] + level[meet] > level_a + level[b] and not submodular:
                 submodular = f"rank submodularity fails for {name[a]!r}, {name[b]!r}"
-    e = _not_atomistic(p, s, level)
+    e = _not_atomistic(p, s)
     if e is not None:
         return f"element {name[e]!r} is not the join of the atoms below it"
     return submodular
@@ -400,16 +387,16 @@ def _up_set_failure(p: GradedPoset, s: int, level: list[int]) -> str:
 
 def is_geometric_lattice(p: GradedPoset) -> Verdict:
     """Graded lattice, atomistic and rank-submodular."""
-    ranks, reason = _graded_ranks(p)
-    if ranks is None:
-        return Verdict(False, f"not graded: {reason}")
+    graded = is_graded(p)
+    if not graded:
+        return Verdict(False, f"not graded: {graded.reason}")
     bottom, top = p.bottom(), p.top()
     if bottom is None:
         return Verdict(False, "no unique bottom element")
     if top is None:
         return Verdict(False, "no unique top element")
-    failure = _up_set_failure(p, p._index[bottom], [ranks[e] for e in p.elements])
-    return Verdict(False, failure) if failure else Verdict(True, rank=ranks[top])
+    failure = _up_set_failure(p, p._index[bottom])
+    return Verdict(False, failure) if failure else graded
 
 
 def is_locally_geometric(p: GradedPoset) -> Verdict:
@@ -420,22 +407,19 @@ def is_locally_geometric(p: GradedPoset) -> Verdict:
     minimal elements decide the verdict.  Only when one of them fails are
     all elements scanned, to name the first failing ideal in element order.
     """
-    ranks, reason = _graded_ranks(p)
-    if ranks is None:
-        return Verdict(False, f"not graded: {reason}")
-    top = p.top()
-    if top is None:
+    graded = is_graded(p)
+    if not graded:
+        return Verdict(False, f"not graded: {graded.reason}")
+    if p.top() is None:
         return Verdict(False, "no greatest element")
-    level = [ranks[e] for e in p.elements]
-    minima = [p._index[e] for e in p.minimal_elements()]
-    if any(_up_set_failure(p, x, level) for x in minima):
+    if any(_up_set_failure(p, x) for x in _minimal(p._up, p._all)):
         for s, element in enumerate(p.elements):
-            failure = _up_set_failure(p, s, level)
+            failure = _up_set_failure(p, s)
             if failure:
                 return Verdict(
                     False, f"upper ideal at {element!r} is not a geometric lattice: {failure}"
                 )
-    return Verdict(True, rank=ranks[top])
+    return graded
 
 
 def mobius(p: GradedPoset, s: Element, t: Element) -> int:
@@ -455,8 +439,8 @@ def mobius(p: GradedPoset, s: Element, t: Element) -> int:
     return values[p._index[t]]
 
 
-def atoms_of(p: GradedPoset, ranks: Mapping[Element, int]) -> list[Element]:
-    return [e for e in p.elements if ranks[e] == 1]
+def atoms_of(p: GradedPoset) -> list[Element]:
+    return [e for e, r in grading_of(p).items() if r == 1]
 
 
 def check_coherent(p: GradedPoset, d: Mapping[Element, int]) -> CoherenceResult:
@@ -470,20 +454,16 @@ def check_coherent(p: GradedPoset, d: Mapping[Element, int]) -> CoherenceResult:
     verdict = is_locally_geometric(p)
     if not verdict:
         raise NotLocallyGeometric(f"poset is not locally geometric: {verdict.reason}")
-    ranks, _ = computed_ranks(p)
-    assert ranks is not None
-    return _atom_sums(p, d, ranks)
+    return _atom_sums(p, d)
 
 
-def _atom_sums(
-    p: GradedPoset, d: Mapping[Element, int], ranks: Mapping[Element, int]
-) -> CoherenceResult:
+def _atom_sums(p: GradedPoset, d: Mapping[Element, int]) -> CoherenceResult:
     """`check_coherent` on a poset already known to be locally geometric.
 
-    `ranks` are its computed ranks.  The atoms between x and s are the
-    atoms in the up-set of x and the down-set of s, one mask AND each.
+    The atoms between x and s are the atoms in the up-set of x and the
+    down-set of s, one mask AND each.
     """
-    atoms = atoms_of(p, ranks)
+    atoms = atoms_of(p)
     for a in atoms:
         if a not in d:
             raise MissingAtomWeight(f"no weight for atom {a!r}")
@@ -491,7 +471,7 @@ def _atom_sums(
             raise ValueError(f"atom weight for {a!r} must be positive")
     weight = {p._index[a]: d[a] for a in atoms}
     atom_mask = sum(1 << i for i in weight)
-    minima = [p._index[x] for x in p.minimal_elements()]
+    minima = _minimal(p._up, p._all)
     drk: dict[Element, int] = {}
     for s, element in enumerate(p.elements):
         below = p._down[s]
@@ -509,11 +489,16 @@ def _atom_sums(
 
 
 def check_gkm_coherent(p: GradedPoset) -> CoherenceResult:
-    """Coherence for the constant atom weight 1."""
-    ranks, reason = computed_ranks(p)
-    if ranks is None:
+    """Coherence for the constant atom weight 1.
+
+    Covers that force no ranking are named as such; every other failure,
+    a stored rank that disagrees with the covers among them, is
+    `check_coherent`'s.
+    """
+    level, reason = p._grading
+    if level is None and not reason.startswith("stored rank"):
         raise NotLocallyGeometric(f"poset is not graded: {reason}")
-    return check_coherent(p, {a: 1 for a in atoms_of(p, ranks)})
+    return check_coherent(p, dict.fromkeys(atoms_of(p) if level else (), 1))
 
 
 # ----------------------------------------------------------------------
@@ -532,12 +517,10 @@ def compactify(p: GradedPoset) -> GradedPoset:
     bottom = p.bottom()
     if bottom is None:
         raise PreconditionFailed("compactification needs a unique bottom element")
-    ranks = grading_of(p)
+    rank = grading_of(p)
     double = _fresh_id(p, "0'")
-    atoms = [e for e in p.elements if ranks[e] == 1]
     elements = list(p.elements) + [double]
-    covers = list(p.covers) + [(double, a) for a in atoms]
-    rank = {e: ranks[e] for e in p.elements}
+    covers = list(p.covers) + [(double, a) for a in atoms_of(p)]
     rank[double] = 0
     labels = dict(p.labels)
     labels[double] = "0'"
@@ -568,8 +551,8 @@ def glue_top(p1: GradedPoset, p2: GradedPoset) -> GradedPoset:
     tops = (p1.top(), p2.top())
     if tops[0] is None or tops[1] is None:
         raise PreconditionFailed("both posets need a unique top element")
-    ranks1, ranks2 = grading_of(p1), grading_of(p2)
-    k1, k2 = ranks1[tops[0]], ranks2[tops[1]]
+    gradings = grading_of(p1), grading_of(p2)
+    k1, k2 = gradings[0][tops[0]], gradings[1][tops[1]]
     if k1 != k2:
         raise PreconditionFailed(f"ranks differ: {k1} vs {k2}")
     top = ("top",)
@@ -577,11 +560,8 @@ def glue_top(p1: GradedPoset, p2: GradedPoset) -> GradedPoset:
     covers: list[tuple[Element, Element]] = []
     rank: dict[Element, int] = {top: k1}
     labels: dict[Element, str] = {top: "top"}
-
-    def absorb(p: GradedPoset, ranks: Mapping[Element, int], tag: str, old_top: Element):
-        rename: dict[Element, Element] = {
-            e: top if e == old_top else (tag, e) for e in p.elements
-        }
+    for p, ranks, tag, old_top in zip((p1, p2), gradings, "LR", tops):
+        rename = {e: top if e == old_top else (tag, e) for e in p.elements}
         for e in p.elements:
             if e == old_top:
                 continue
@@ -589,9 +569,6 @@ def glue_top(p1: GradedPoset, p2: GradedPoset) -> GradedPoset:
             rank[rename[e]] = ranks[e]
             labels[rename[e]] = f"{tag}:{p.labels.get(e, e)}"
         covers.extend((rename[a], rename[b]) for a, b in p.covers)
-
-    absorb(p1, ranks1, "L", tops[0])
-    absorb(p2, ranks2, "R", tops[1])
     elements.append(top)
     return GradedPoset(elements, covers, rank=rank, labels=labels)
 

@@ -47,6 +47,29 @@ def corpus_poset(name: str):
     return parse_poset(corpus_text(name))
 
 
+def graded_posets(monkeypatch) -> list:
+    """Every poset whose `_grading` is evaluated from now on, once per evaluation.
+
+    The list holds the posets themselves, so none is freed and its id
+    reused while the list is alive.
+    """
+    from functools import cached_property
+
+    from gkmfaces.poset import GradedPoset
+
+    graded = []
+    compute = GradedPoset.__dict__["_grading"].func
+
+    def counted(p):
+        graded.append(p)
+        return compute(p)
+
+    grading = cached_property(counted)
+    grading.__set_name__(GradedPoset, "_grading")
+    monkeypatch.setattr(GradedPoset, "_grading", grading)
+    return graded
+
+
 def corpus_graph(name: str):
     """(graph, connection-or-None) for a bundled .gkm file."""
     return parse_graph_with_connection(corpus_text(name))

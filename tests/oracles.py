@@ -9,7 +9,8 @@ poset and the Galois monotonicity check scan all pairs of faces.  Slow
 and obvious on purpose.  Bases are the full-rank subsets of that size and the
 independence degree comes from scanning subsets by size.  The flats
 search that reduces every class against the whole basis of each flat is
-kept as the residue oracle.  The lattice predicates scan all
+kept as the residue oracle.  Ranks come from repeated passes over the
+covers of a poset.  The lattice predicates scan all
 pairs of elements through `GradedPoset.join`, `meet` and `leq`, and
 check every upper ideal as a poset of its own; they import gkmfaces
 when called, so importing this module does not (bench/workloads.py
@@ -166,14 +167,41 @@ def independence_degree_oracle(ws):
     return ws.size
 
 
+def computed_ranks_oracle(p):
+    """Rank labelling forced by the covers, or None and why, by passes over the covers.
+
+    Each pass ranks the upper end of every cover whose lower end is
+    ranked, one above it, and names the first upper end reached at two
+    different ranks.  Stored rank labels are not looked at.
+    """
+    ranks = {e: 0 for e in p.elements if all(high != e for _, high in p.covers)}
+    pending = list(p.covers)
+    progress = True
+    while pending and progress:
+        progress = False
+        rest = []
+        for low, high in pending:
+            if low in ranks:
+                value = ranks[low] + 1
+                if ranks.setdefault(high, value) != value:
+                    return None, (
+                        f"element {high!r} is reached at ranks {ranks[high]} and {value}"
+                    )
+                progress = True
+            else:
+                rest.append((low, high))
+        pending = rest
+    return ranks, ""
+
+
 def is_geometric_lattice_oracle(p):
     """Graded lattice, atomistic and rank-submodular, by all-pairs scans."""
-    from gkmfaces.poset import Verdict, computed_ranks, is_graded
+    from gkmfaces.poset import Verdict, is_graded
 
     graded = is_graded(p)
     if not graded:
         return Verdict(False, f"not graded: {graded.reason}")
-    ranks, _ = computed_ranks(p)
+    ranks, _ = computed_ranks_oracle(p)
     if p.bottom() is None:
         return Verdict(False, "no unique bottom element")
     if p.top() is None:
@@ -201,7 +229,7 @@ def is_geometric_lattice_oracle(p):
 
 def is_locally_geometric_oracle(p):
     """Every upper ideal, built as a poset of its own, checked by the oracle above."""
-    from gkmfaces.poset import Verdict, computed_ranks, is_graded
+    from gkmfaces.poset import Verdict, is_graded
 
     graded = is_graded(p)
     if not graded:
@@ -209,10 +237,12 @@ def is_locally_geometric_oracle(p):
     top = p.top()
     if top is None:
         return Verdict(False, "no greatest element")
-    ranks, _ = computed_ranks(p)
+    ranks, _ = computed_ranks_oracle(p)
     k = ranks[top]
     for s in p.elements:
-        verdict = is_geometric_lattice_oracle(p.upper_ideal(s, ranks=ranks))
+        up = p.up_set(s)
+        ideal = p.induced(up, rank={e: ranks[e] - ranks[s] for e in up})
+        verdict = is_geometric_lattice_oracle(ideal)
         if not verdict:
             return Verdict(
                 False, f"upper ideal at {s!r} is not a geometric lattice: {verdict.reason}"

@@ -7,8 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from gkmfaces.cli import main
+from gkmfaces.formats import format_graph
 
-from helpers import corpus_path
+from helpers import corpus_path, graded_posets, hypercube_graph
 
 
 def run_cli(*argv):
@@ -249,6 +250,20 @@ def test_console_entry_point_subprocess():
     assert result.stdout.strip() == "valid: dimension 1, rank 1"
 
 
+def test_reader_closing_the_pipe_early_exits_1_without_a_traceback(tmp_path):
+    # the face table of Q6 is about 73 KiB, more than a pipe holds
+    graph = tmp_path / "q6.gkm"
+    graph.write_text(format_graph(hypercube_graph(6)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gkmfaces.cli", "gkm", "faces", str(graph)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_unknown_subcommand_usage_exit():
     result = subprocess.run(
         [sys.executable, "-m", "gkmfaces.cli", "bogus"],
@@ -370,10 +385,25 @@ def test_check_commands_scan_each_up_set_once(monkeypatch, argv, minima):
     scans = Counter()
     scan = poset._up_set_failure
 
-    def counted(p, s, level):
+    def counted(p, s):
         scans[s] += 1
-        return scan(p, s, level)
+        return scan(p, s)
 
     monkeypatch.setattr(poset, "_up_set_failure", counted)
     run_cli(argv[0], argv[1], path(argv[2]), *argv[3:])
     assert len(scans) == minima and set(scans.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matroid", "check", "u23.wt"),
+        ("matroid", "check", "coll.wt"),
+        ("poset", "check", "glued.poset", "--gkm-coherent"),
+    ],
+    ids=" ".join,
+)
+def test_check_commands_grade_one_poset_once(monkeypatch, argv):
+    graded = graded_posets(monkeypatch)
+    run_cli(argv[0], argv[1], path(argv[2]), *argv[3:])
+    assert len(graded) == 1

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmfaces.errors import EmptyPoset, Incomparable, NotLocallyGeometric
+from gkmfaces.errors import (
+    EmptyPoset,
+    GkmFacesError,
+    Incomparable,
+    NotLocallyGeometric,
+    PreconditionFailed,
+)
 from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import (
     GradedPoset,
@@ -21,8 +27,21 @@ from gkmfaces.poset import (
     projectivize,
 )
 
-from helpers import BASIS2, COLLINEAR, UNIFORM23, corpus_poset, random_weight_system, weight_corpus
-from oracles import is_geometric_lattice_oracle, is_locally_geometric_oracle, mobius_oracle
+from helpers import (
+    BASIS2,
+    COLLINEAR,
+    UNIFORM23,
+    corpus_poset,
+    graded_posets,
+    random_weight_system,
+    weight_corpus,
+)
+from oracles import (
+    computed_ranks_oracle,
+    is_geometric_lattice_oracle,
+    is_locally_geometric_oracle,
+    mobius_oracle,
+)
 
 
 def chain(n):
@@ -522,3 +541,51 @@ def test_is_graded_matches_the_networkx_oracle(p):
         assert verdict.rank == max(grading_of(p).values())
     else:
         assert verdict.reason
+
+
+def graded_ranks_oracle(p):
+    """The cover-pass ranks, or None and why, also failing where a stored label disagrees."""
+    ranks, reason = computed_ranks_oracle(p)
+    if ranks is None or p.rank is None:
+        return ranks, reason
+    for e in p.elements:
+        if p.rank[e] != ranks[e]:
+            return None, f"stored rank {p.rank[e]} of {e!r} disagrees with computed {ranks[e]}"
+    return ranks, ""
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except GkmFacesError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ranked_cover_dags())
+def test_grading_matches_the_cover_pass_oracle(p):
+    ranks, reason = graded_ranks_oracle(p)
+    verdict = is_graded(p)
+    assert (verdict.ok, verdict.reason) == (ranks is not None, reason)
+    ungraded = (PreconditionFailed, f"poset is not graded: {reason}")
+    assert outcome(grading_of, p) == (ranks if ranks is not None else ungraded)
+    # weight 1 on the atoms; check_coherent fails before reading it on a poset without ranks
+    ones = {e: 1 for e in p.elements if ranks is not None and ranks[e] == 1}
+    coherent = outcome(check_coherent, p, ones)
+    locally = is_locally_geometric_oracle(p)
+    if not locally:
+        reason = f"poset is not locally geometric: {locally.reason}"
+        assert coherent == (NotLocallyGeometric, reason)
+    # only covers that force no ranking at all have a message of their own
+    covers_ranks, covers_reason = computed_ranks_oracle(p)
+    if covers_ranks is None:
+        coherent = (NotLocallyGeometric, f"poset is not graded: {covers_reason}")
+    assert outcome(check_gkm_coherent, p) == coherent
+
+
+def test_check_gkm_coherent_grades_the_poset_once(monkeypatch):
+    p = corpus_poset("glued.poset")
+    graded = graded_posets(monkeypatch)
+    check_gkm_coherent(p)
+    assert graded == [p]

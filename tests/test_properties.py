@@ -168,7 +168,7 @@ WORDS = (
     "signed", "#",
 )
 NAME = st.sampled_from(("a", "b", "c", "e0", "e1"))
-NUMBER = st.sampled_from(("-1", "0", "1", "2", "x"))
+NUMBER = st.sampled_from(("-1", "0", "1", "2", "x", "--1", "²"))
 VECTOR = st.sampled_from(("(1,0)", "(0,1)", "(1,1)", "(-1,2)", "(0,0)", "(1,0,0)", "(1,"))
 # per parser: a header, and its directives with random arguments
 GRAMMARS = {
