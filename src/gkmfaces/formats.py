@@ -111,6 +111,9 @@ def format_matroid(ws: WeightSystem) -> str:
 # ----------------------------------------------------------------------
 # poset files
 
+# what int() reads as a rank or a drk; str.isdigit() also passes "²", which int() rejects
+_RANK, _DRK = re.compile(r"-?[0-9]+"), re.compile(r"[0-9]+")
+
 
 def parse_poset(text: str) -> GradedPoset:
     elements: list[str] = []
@@ -125,12 +128,12 @@ def parse_poset(text: str) -> GradedPoset:
             name = tokens[1]
             if name in rank:
                 raise ParseError(f"element {name!r} declared twice", lineno, 1)
-            if not re.fullmatch(r"-?[0-9]+", tokens[3]):
+            if not _RANK.fullmatch(tokens[3]):
                 raise ParseError(f"bad rank {tokens[3]!r}", lineno, 1)
             elements.append(name)
             rank[name] = int(tokens[3])
             if len(tokens) == 6:
-                if tokens[4] != "drk" or not re.fullmatch(r"[0-9]+", tokens[5]):
+                if tokens[4] != "drk" or not _DRK.fullmatch(tokens[5]):
                     raise ParseError("expected 'drk <d>'", lineno, 1)
                 drk[name] = int(tokens[5])
         elif tokens[0] == "cover":
