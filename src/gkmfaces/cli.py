@@ -74,7 +74,7 @@ def cmd_matroid_check(args, out: list[str]) -> int:
             "coherent with multiplicity weights: "
             + ("pass" if coherent else f"fail at {coherent.element}")
         )
-    out.append(f"independence degree: {independence_degree(ws)}")
+    out.append(f"independence degree: {independence_degree(lattice)}")
     return 0 if coherent else 1
 
 

@@ -238,14 +238,6 @@ def poset_to_dot(p: GradedPoset) -> str:
     return "\n".join(out) + "\n"
 
 
-def matroid_to_json(ws: WeightSystem) -> dict:
-    return {
-        "kind": "matroid",
-        "ambient_rank": ws.ambient_rank,
-        "weights": [list(w) for w in ws.weights],
-    }
-
-
 # ----------------------------------------------------------------------
 # graph files
 
@@ -377,23 +369,6 @@ def format_graph(graph: GkmGraph, theta: Connection | None = None) -> str:
                         f"connection {source} at {tail} -> {mapping[source]} via {e.name}"
                     )
     return "\n".join(out) + "\n"
-
-
-def graph_to_json(graph: GkmGraph) -> dict:
-    return {
-        "kind": "graph",
-        "ambient_rank": graph.ambient_rank,
-        "signed": graph.signed,
-        "vertices": [str(x) for x in graph.vertices],
-        "edges": [
-            {
-                "id": e.name,
-                "ends": [str(e.u), str(e.v)],
-                "weight": list(graph.alpha(e.name)),
-            }
-            for e in graph.edges
-        ],
-    }
 
 
 def dump_json(obj: dict) -> str:

@@ -6,13 +6,13 @@ distinct matroid elements.  Flats are index sets closed under rational
 span.  They are grown bottom-up together with their covers: the weights
 are first grouped into parallel classes (the same line through the
 origin), and the flats covering a flat F are found by grouping the
-classes outside F whose residues modulo span(F) are equal.  Each search
-here (flats, bases, the independence degree) carries those residues
-down: a child's residues are its parent's reduced by the one new row,
-one row operation each instead of an elimination against a whole basis.
-The cost is governed by the number of flats and classes, not by 2^n
-subsets (the subset scans and the pairwise cover scan are kept as test
-oracles).
+classes outside F whose residues modulo span(F) are equal.  Both
+searches here (flats and bases) carry those residues down: a child's
+residues are its parent's reduced by the one new row, one row operation
+each instead of an elimination against a whole basis.  The cost is
+governed by the number of flats and classes, not by 2^n subsets (the
+subset scans and the pairwise cover scan are kept as test oracles).  The
+independence degree is read off the flats lattice's labels.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, ZeroWeight
+from .errors import DimensionMismatch, PreconditionFailed, ZeroWeight
 from .poset import GradedPoset
 from .ratlinalg import EchelonBasis, IntVector, Subspace, _carry_residues, as_vector
 
@@ -89,14 +89,6 @@ class SimplicialComplex:
 
     vertices: tuple[int, ...]
     facets: tuple[frozenset[int], ...]
-
-    def faces(self) -> set[frozenset[int]]:
-        out: set[frozenset[int]] = {frozenset()}
-        for facet in self.facets:
-            items = sorted(facet)
-            for size in range(1, len(items) + 1):
-                out.update(frozenset(c) for c in combinations(items, size))
-        return out
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_{d-1}) with d the largest face cardinality."""
@@ -242,30 +234,19 @@ def _h_numbers(f: tuple[int, ...], d: int) -> tuple[int, ...]:
     )
 
 
-def _has_dependent(later: list[tuple[int, IntVector]], size: int) -> bool:
-    """Whether `size` of the carried weights complete a dependent set.
-
-    `later` holds the residues modulo span(S) of the weights after an
-    independent set S, and no set smaller than |S| + size is dependent.
-    Two weights close one exactly when their residues are equal.
-    """
-    if size == 2:
-        return len({r for _, r in later}) < len(later)
-    return any(
-        _has_dependent(_carry_residues(later[t][1], later[t + 1 :]), size - 1)
-        for t in range(len(later) - size + 1)
-    )
-
-
-def independence_degree(ws: WeightSystem) -> int:
+def independence_degree(lattice: GradedPoset) -> int:
     """Largest j such that every subset of at most j weights is independent.
 
-    Weights are nonzero, so every dependent set has at least two
-    elements; sets are searched by size, and the first size with a
-    dependent set is one more than the answer.
+    `lattice` is a flats lattice: rank labels are flat ranks and drk
+    labels count weights.  The closure of a smallest dependent set holds
+    more weights than its rank, one less than the set's size, and a flat
+    with more weights than its rank r holds a dependent set of at most
+    r + 1 of them.  So the answer is the least rank of such a flat, or
+    the number of weights (the top's drk) when there is none.
     """
-    residues = _residues(ws)
-    for size in range(2, ws.size + 1):
-        if _has_dependent(residues, size):
-            return size - 1
-    return ws.size
+    if lattice.rank is None or lattice.drk is None:
+        raise PreconditionFailed("the independence degree needs rank and drk labels")
+    return min(
+        (r for e, r in lattice.rank.items() if lattice.drk[e] > r),
+        default=max(lattice.drk.values()),
+    )

@@ -6,7 +6,8 @@ flat lists from the full 2^n sweep, reduced Betti numbers from
 eliminating every boundary matrix, and GKM faces from checking every edge
 subset.  The GKM plane table spans one plane per pair of edges, the face
 poset and the Galois monotonicity check scan all pairs of faces.  Slow
-and obvious on purpose.  Bases are the full-rank subsets of that size and the
+and obvious on purpose.  Bases are the full-rank subsets of that size, the
+faces of a complex are all subsets of its facets, and the
 independence degree comes from scanning subsets by size.  The flats
 search that reduces every class against the whole basis of each flat is
 kept as the residue oracle.  Ranks come from repeated passes over the
@@ -156,6 +157,16 @@ def independent_sets_by_size_oracle(weights):
             break
         counts.append(count)
     return tuple(counts)
+
+
+def faces_oracle(complex_):
+    """Every face of a complex stored by facets, the empty one too: all subsets of every facet."""
+    out = {frozenset()}
+    for facet in complex_.facets:
+        items = sorted(facet)
+        for size in range(1, len(items) + 1):
+            out.update(frozenset(c) for c in combinations(items, size))
+    return out
 
 
 def independence_degree_oracle(ws):

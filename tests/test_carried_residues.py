@@ -1,13 +1,15 @@
 """The searches that carry residues against the oracles that eliminate.
 
-`matroid._flats_with_covers`, `independence_complex`, `h_vector` and
-`independence_degree` reduce each weight's residue by one row per search
-step.  `tests/oracles.py` keeps the flats search that reduces every
-class against the whole basis of its flat, the full-rank subset scan for
-bases and face counts, and the subset scan for the independence degree.
-They are compared on random weight systems built to hold parallel,
-negated, scaled and repeated weights.  The flats lattice is also checked
-to be invariant under permuting, scaling and negating the weights.
+`matroid._flats_with_covers`, `independence_complex` and `h_vector`
+reduce each weight's residue by one row per search step, and
+`independence_degree` reads its answer off the flats lattice those
+residues built.  `tests/oracles.py` keeps the flats search that reduces
+every class against the whole basis of its flat, the full-rank subset
+scan for bases and face counts, and the subset scan for the independence
+degree.  They are compared on random weight systems built to hold
+parallel, negated, scaled and repeated weights.  The flats lattice is
+also checked to be invariant under permuting, scaling and negating the
+weights.
 """
 
 from hypothesis import given, settings
@@ -73,7 +75,7 @@ def test_f_and_h_vectors_count_the_independent_sets(ws):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(weight_systems())
 def test_independence_degree_matches_the_subset_scan(ws):
-    assert independence_degree(ws) == independence_degree_oracle(ws)
+    assert independence_degree(flats_lattice(ws)) == independence_degree_oracle(ws)
 
 
 def test_searches_match_the_oracles_on_type_a():
@@ -82,7 +84,7 @@ def test_searches_match_the_oracles_on_type_a():
         assert _flats_with_covers(ws) == flats_with_covers_oracle(ws)
         facets = [tuple(sorted(f)) for f in independence_complex(ws).facets]
         assert facets == independence_complex_oracle(list(ws.weights))
-        assert independence_degree(ws) == independence_degree_oracle(ws) == 2
+        assert independence_degree(flats_lattice(ws)) == independence_degree_oracle(ws) == 2
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

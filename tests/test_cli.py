@@ -1,13 +1,22 @@
 import io
+import json
+import os
 import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import gkmfaces
+from gkmfaces import formats, reconstruct
 from gkmfaces.cli import main
 from gkmfaces.formats import format_graph
+from gkmfaces.gkm import GkmSubgraph
+from gkmfaces.ratlinalg import Subspace
+from gkmfaces.reconstruct import Diagnostic, GaloisReport
 
 from helpers import corpus_path, graded_posets, hypercube_graph
 
@@ -21,6 +30,11 @@ def run_cli(*argv):
 
 def path(name):
     return str(corpus_path(name))
+
+
+# a `python -m gkmfaces.cli` child imports the gkmfaces under test, installed or not
+_paths = (str(Path(gkmfaces.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _paths))}
 
 
 def test_matroid_flats_u23():
@@ -157,6 +171,60 @@ def test_gkm_reconstruct_cap_error(capsys):
     )
 
 
+# the reconstruction's failing reports, made by hand: selection diagnostics,
+# which skip the Galois check, and a Galois check that fails
+DIAGNOSTICS = tuple(
+    Diagnostic(
+        vertex,
+        Subspace.span([(1, 0)], 2),
+        (GkmSubgraph(frozenset([vertex]), frozenset()),) * 2,
+    )
+    for vertex in ("v00", "v10")
+)
+DIAGNOSTIC_LINES = [
+    f"no greatest face at vertex {x!r} for a rank-1 span: 2 incomparable maxima"
+    for x in ("v00", "v10")
+]
+GALOIS_FAILURES = (
+    "projection is not monotone on a nested pair of faces",
+    "surviving face X is missing from the full face list",
+)
+
+
+def test_gkm_reconstruct_with_diagnostics_exits_1(monkeypatch):
+    argv = ("gkm", "reconstruct", path("square.gkm"), "--verify-galois")
+    _, text = run_cli(*argv)
+    _, payload = run_cli(*argv, "--json")
+    honest = reconstruct.reconstruct_face_poset
+    monkeypatch.setattr(
+        reconstruct,
+        "reconstruct_face_poset",
+        lambda *args, **kwargs: replace(honest(*args, **kwargs), diagnostics=DIAGNOSTICS),
+    )
+    monkeypatch.setattr(reconstruct, "verify_galois", lambda *args: pytest.fail("galois ran"))
+    notes = "".join(f"  {line}\n" for line in DIAGNOSTIC_LINES)
+    assert run_cli(*argv) == (
+        1, text.replace("diagnostics: none\ngalois: pass\n", "diagnostics:\n" + notes)
+    )
+    expected = json.loads(payload)
+    del expected["galois"]
+    expected["diagnostics"] = DIAGNOSTIC_LINES
+    assert run_cli(*argv, "--json") == (1, formats.dump_json(expected))
+
+
+def test_gkm_reconstruct_failing_the_galois_check_exits_1(monkeypatch):
+    argv = ("gkm", "reconstruct", path("square.gkm"), "--verify-galois")
+    _, text = run_cli(*argv)
+    _, payload = run_cli(*argv, "--json")
+    failed = GaloisReport(False, "faces", 9, GALOIS_FAILURES)
+    monkeypatch.setattr(reconstruct, "verify_galois", lambda g, report: failed)
+    notes = "".join(f"  {failure}\n" for failure in GALOIS_FAILURES)
+    assert run_cli(*argv) == (1, text.replace("galois: pass\n", "galois: fail\n" + notes))
+    expected = json.loads(payload)
+    expected["galois"] = "fail"
+    assert run_cli(*argv, "--json") == (1, formats.dump_json(expected))
+
+
 @pytest.mark.parametrize("flag", [("--workers", "0"), ("--workers", "-3"), ("--cap", "-1")])
 def test_enumeration_flags_below_one_are_usage_errors(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -177,6 +245,31 @@ def test_rank_zero_weight_file_is_a_parse_error(tmp_path):
     bad.write_text("ambient_rank: 0\n")
     code, out = run_cli("matroid", "flats", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        (
+            ("poset", "check"),
+            "cyclic.poset",
+            "element a rank 0\nelement b rank 1\ncover a < b\ncover b < a\n",
+            "line 1, column 1: covers contain a cycle",
+        ),
+        (
+            ("gkm", "validate"),
+            "row.gkm",
+            "ambient_rank: 1\nvertex a\nvertex b\nedge e a b weight (1)\n"
+            "connection e at zz -> e via e\n",
+            "line 5, column 1: unknown vertex 'zz' in connection",
+        ),
+    ],
+)
+def test_semantic_parse_errors_exit_2(tmp_path, capsys, command, name, text, message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert run_cli(*command, str(bad)) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_file_is_an_error(tmp_path):
@@ -245,6 +338,7 @@ def test_console_entry_point_subprocess():
         [sys.executable, "-m", "gkmfaces.cli", "gkm", "validate", path("s2.gkm")],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "valid: dimension 1, rank 1"
@@ -258,6 +352,7 @@ def test_reader_closing_the_pipe_early_exits_1_without_a_traceback(tmp_path):
         [sys.executable, "-m", "gkmfaces.cli", "gkm", "faces", str(graph)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -269,6 +364,7 @@ def test_unknown_subcommand_usage_exit():
         [sys.executable, "-m", "gkmfaces.cli", "bogus"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 2
     assert "usage" in result.stderr

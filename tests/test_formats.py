@@ -5,8 +5,6 @@ from gkmfaces.formats import (
     format_graph,
     format_matroid,
     format_poset,
-    graph_to_json,
-    matroid_to_json,
     parse_graph,
     parse_graph_with_connection,
     parse_matroid,
@@ -187,8 +185,73 @@ def test_graph_round_trip_plain():
         assert parse_graph(format_graph(g)) == g
 
 
-def test_json_dumps_are_dicts():
-    assert matroid_to_json(BASIS2)["ambient_rank"] == 2
-    g = parse_graph(corpus_text("s2.gkm"))
-    payload = graph_to_json(g)
-    assert payload["edges"][0]["weight"] == [1]
+# ----------------------------------------------------------------------
+# every error path of the parsers, with its exact message and position
+
+EDGE_AB = "ambient_rank: 2\nvertex a\nvertex b\n"
+SQUARE = (
+    "ambient_rank: 2\nvertex v00\nvertex v10\nvertex v01\nvertex v11\n"
+    "edge b v00 v10 weight (1,0)\nedge t v01 v11 weight (1,0)\n"
+    "edge l v00 v01 weight (0,1)\nedge r v10 v11 weight (0,1)\n"
+)  # nine lines: the first connection row is line 10
+
+
+def _g6_without_its_last_connection_row():
+    text = corpus_text("g6.gkm")
+    last = [line for line in text.splitlines() if line.startswith("connection")][-1]
+    return text.replace(last + "\n", "")
+
+
+PARSE_ERRORS = [
+    # vectors
+    (parse_matroid, "ambient_rank: 2\nw1 = ()\n", "empty vector", 2, 6),
+    (parse_matroid, "ambient_rank: 2\nw1 = (1,x)\n", "bad integer 'x' in vector", 2, 6),
+    (parse_graph, EDGE_AB + "edge e a b weight 1,0\n",
+     "expected a parenthesized vector, got '1,0'", 4, 1),
+    # weight files
+    (parse_matroid, "ambient_rank: 2\nambient_rank: 2\n", "ambient_rank given twice", 2, 1),
+    # poset files
+    (parse_poset, "element a\n", "expected 'element <id> rank <r> [drk <d>]'", 1, 1),
+    (parse_poset, "element a rank 0\nelement b rank 1\ncover a < b\ncover b < a\n",
+     "covers contain a cycle", 1, 1),
+    (parse_poset, "element a rank 0\ncover a < a\n", "cover ('a', 'a') is a self-loop", 1, 1),
+    # graph files
+    (parse_graph, "ambient_rank: 2\nsigned yes\n", "'signed' takes no arguments", 2, 1),
+    (parse_graph, EDGE_AB + "vertex\n", "expected 'vertex <id>'", 4, 1),
+    (parse_graph, EDGE_AB + "vertex a\n", "vertex 'a' declared twice", 4, 1),
+    (parse_graph, EDGE_AB + "edge e a b (1,0)\n",
+     "expected 'edge <id> <u> <v> weight (…)'", 4, 1),
+    (parse_graph, EDGE_AB + "edge e a b weight (1,0)\nedge e a b weight (0,1)\n",
+     "edge 'e' declared twice", 5, 1),
+    (parse_graph, "vertex a\nvertex b\nedge e a b weight (1,0)\nambient_rank: 2\n",
+     "ambient_rank must come before the edges", 3, 1),
+    (parse_graph, EDGE_AB + "edge e a b weight (1,0,1)\n",
+     "edge weight has 3 entries, expected 2", 4, 19),
+    (parse_graph, EDGE_AB + "edge e a b weight (0,0)\n", "zero weight forbidden", 4, 19),
+    (parse_graph, EDGE_AB + "edge e a a weight (1,0)\n", "edge 'e' is a loop", 1, 1),
+    # connection rows
+    (parse_graph, SQUARE + "connection x at v00 -> r via b\n",
+     "unknown edge 'x' in connection", 10, 1),
+    (parse_graph, SQUARE + "connection l at zz -> r via b\n",
+     "unknown vertex 'zz' in connection", 10, 1),
+    (parse_graph, SQUARE + "connection l at v01 -> r via b\n",
+     "vertex 'v01' is not an endpoint of 'b'", 10, 1),
+    (parse_graph, SQUARE + "connection t at v00 -> r via b\n",
+     "edge 't' is not at vertex 'v00'", 10, 1),
+    (parse_graph, SQUARE + "connection l at v00 -> t via b\n",
+     "edge 't' is not at vertex 'v10'", 10, 1),
+    (parse_graph, SQUARE + "connection l at v00 -> r via b\nconnection l at v00 -> b via b\n",
+     "conflicting images for 'l' across 'b'", 11, 1),
+    (parse_graph, _g6_without_its_last_connection_row(),
+     "connection along 'e312_321' out of '321' misses edge 'e231_321'", 1, 1),
+    (parse_graph, SQUARE + "connection l at v00 -> r via b\nconnection r at v10 -> l via b\n",
+     "no connection rows along 't' out of 'v01'", 1, 1),
+]
+
+
+@pytest.mark.parametrize("parse, text, message, line, column", PARSE_ERRORS)
+def test_parse_error_message_and_position(parse, text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)

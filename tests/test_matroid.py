@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from gkmfaces.errors import DimensionMismatch, ZeroWeight
+from gkmfaces.errors import DimensionMismatch, PreconditionFailed, ZeroWeight
 from gkmfaces.matroid import (
     Flat,
     WeightSystem,
@@ -16,10 +16,10 @@ from gkmfaces.matroid import (
     independence_complex,
     independence_degree,
 )
-from gkmfaces.poset import grading_of
+from gkmfaces.poset import GradedPoset, grading_of
 
 from helpers import BASIS2, COLLINEAR, UNIFORM23, weight_corpus
-from oracles import closure_oracle, flats_lattice_oracle, flats_oracle, rank_oracle
+from oracles import closure_oracle, faces_oracle, flats_lattice_oracle, flats_oracle, rank_oracle
 
 
 def test_weight_system_rejects_zero():
@@ -231,7 +231,7 @@ def test_independence_complex_pure_and_extendable():
         complex_ = independence_complex(ws)
         rank = ws.rank()
         assert all(len(f) == rank for f in complex_.facets)
-        for face in complex_.faces():
+        for face in faces_oracle(complex_):
             assert ws.span_of(face).dim == len(face)  # faces really are independent
             assert any(face <= facet for facet in complex_.facets)
 
@@ -251,7 +251,15 @@ def test_h_vector_requires_pure():
 
 
 def test_independence_degree():
-    assert independence_degree(BASIS2) == 2
-    assert independence_degree(UNIFORM23) == 2
-    assert independence_degree(COLLINEAR) == 1
-    assert independence_degree(WeightSystem(2, [(1, 0)])) == 1
+    assert independence_degree(flats_lattice(BASIS2)) == 2
+    assert independence_degree(flats_lattice(UNIFORM23)) == 2
+    assert independence_degree(flats_lattice(COLLINEAR)) == 1
+    assert independence_degree(flats_lattice(WeightSystem(2, [(1, 0)]))) == 1
+
+
+def test_independence_degree_needs_rank_and_drk_labels():
+    lattice = flats_lattice(UNIFORM23)
+    for rank, drk in ((None, lattice.drk), (lattice.rank, None)):
+        unlabelled = GradedPoset(lattice.elements, lattice.covers, rank=rank, drk=drk)
+        with pytest.raises(PreconditionFailed, match="needs rank and drk labels"):
+            independence_degree(unlabelled)
