@@ -68,8 +68,7 @@ def cmd_matroid_check(args, out: list[str]) -> int:
     out.append(f"flats: {len(lattice.elements)}")
     out.append("geometric lattice: " + ("pass" if geometric else f"fail: {geometric.reason}"))
     if geometric:
-        # a geometric lattice is locally geometric: only the atom sums are left
-        coherent = poset._atom_sums(lattice, {a: lattice.drk[a] for a in poset.atoms_of(lattice)})
+        coherent = poset.check_coherent(lattice, lattice.drk)  # atoms weighted by multiplicity
         out.append(
             "coherent with multiplicity weights: "
             + ("pass" if coherent else f"fail at {coherent.element}")
@@ -139,7 +138,7 @@ def cmd_poset_check(args, out: list[str]) -> int:
     if not locally:
         out.append("gkm-coherent: skipped (not locally geometric)")
         return 1
-    result = poset._atom_sums(p, dict.fromkeys(poset.atoms_of(p), 1))
+    result = poset.check_gkm_coherent(p)
     if result:
         out.append(f"gkm-coherent: pass (drk at top = {result.drk[p.top()]})")
         return 0
@@ -346,11 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     flats.set_defaults(handler=cmd_matroid_flats)
     check = matroid.add_parser("check", help="geometric-lattice and coherence checks")
     check.add_argument("file")
-    check.set_defaults(handler=cmd_matroid_check, json=False, dot=False)
+    check.set_defaults(handler=cmd_matroid_check)
     wedge = matroid.add_parser("wedge", help="verify the sphere-wedge homology predictions")
     wedge.add_argument("file")
     wedge.add_argument("--json", action="store_true")
-    wedge.set_defaults(handler=cmd_matroid_wedge, dot=False)
+    wedge.set_defaults(handler=cmd_matroid_wedge)
 
     posets = top.add_parser("poset", help="graded poset operations").add_subparsers(
         dest="subcommand", required=True
@@ -358,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcheck = posets.add_parser("check", help="gradedness, local geometricity, coherence")
     pcheck.add_argument("file")
     pcheck.add_argument("--gkm-coherent", action="store_true", dest="gkm_coherent")
-    pcheck.set_defaults(handler=cmd_poset_check, json=False, dot=False)
+    pcheck.set_defaults(handler=cmd_poset_check)
     for name, handler in (
         ("compactify", cmd_poset_compactify),
         ("projectivize", cmd_poset_projectivize),
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     homology.add_argument("file")
     homology.add_argument("--proper", action="store_true", help="strip bottom and top first")
     homology.add_argument("--json", action="store_true")
-    homology.set_defaults(handler=cmd_poset_homology, dot=False)
+    homology.set_defaults(handler=cmd_poset_homology)
 
     graphs = top.add_parser("gkm", help="GKM-graph operations").add_subparsers(
         dest="subcommand", required=True
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = graphs.add_parser("validate", help="check the GKM-graph axioms")
     validate.add_argument("file")
     validate.add_argument("--json", action="store_true")
-    validate.set_defaults(handler=cmd_gkm_validate, dot=False)
+    validate.set_defaults(handler=cmd_gkm_validate)
     faces = graphs.add_parser("faces", help="enumerate all faces")
     faces.add_argument("file")
     _output_flags(faces)
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     connection.add_argument("file")
     connection.add_argument("--json", action="store_true")
-    connection.set_defaults(handler=cmd_gkm_connection, dot=False)
+    connection.set_defaults(handler=cmd_gkm_connection)
     rec = graphs.add_parser("reconstruct", help="recover the manifold face poset")
     rec.add_argument("file")
     rec.add_argument("--mode", choices=("faces", "tg"), default="faces")
@@ -411,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus = top.add_parser("corpus", help="locate or print the bundled example files")
     corpus.add_argument("name", nargs="?", default=None)
-    corpus.set_defaults(handler=cmd_corpus, json=False, dot=False)
+    corpus.set_defaults(handler=cmd_corpus)
 
     return parser
 

@@ -2,7 +2,8 @@
 
 Simplices are tuples of vertex indices, numbered in the complex's
 `vertices` order.  The simplices of an order complex are its chains,
-listed from its order masks; its facets are walked only when read.
+listed from its order masks; its facets are walked only when read and
+kept.  A simplicial complex keeps its faces once listed (`_faces`).
 Betti numbers come from exact ranks of the coboundary maps delta^(d-1),
 whose ranks are those of the boundary maps.  Each is kept as sparse
 integer columns, one per (d-1)-simplex with entries at its cofaces, and
@@ -25,7 +26,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import EmptyComplex, PreconditionFailed
-from .matroid import WeightSystem, _faces_by_size, _h_numbers, flats_lattice, independence_complex
+from .matroid import WeightSystem, flats_lattice, h_vector, independence_complex
 from .poset import GradedPoset, _bits, _minimal, mobius
 
 
@@ -66,17 +67,15 @@ def _simplices_by_dim(complex_) -> list[list[tuple[int, ...]]]:
     """Sorted i-simplices for each dimension i, as vertex-index tuples.
 
     A chain extends by every vertex strictly above its last one, which
-    lists each chain once and in order; other complexes hand faces down.
+    lists each chain once and in order; other complexes keep their faces.
     """
-    if isinstance(complex_, OrderComplex):
-        uppers = [_bits(mask) for mask in complex_.above]
-        levels = [[(v,) for v in range(len(uppers))]]
-        while longer := [chain + (w,) for chain in levels[-1] for w in uppers[chain[-1]]]:
-            levels.append(longer)
-        return levels
-    index = {v: i for i, v in enumerate(complex_.vertices)}
-    facets = [tuple(sorted(index.setdefault(v, len(index)) for v in f)) for f in complex_.facets]
-    return [sorted(level) for level in _faces_by_size(facets)[1:]]
+    if not isinstance(complex_, OrderComplex):
+        return complex_._faces
+    uppers = [_bits(mask) for mask in complex_.above]
+    levels = [[(v,) for v in range(len(uppers))]]
+    while longer := [chain + (w,) for chain in levels[-1] for w in uppers[chain[-1]]]:
+        levels.append(longer)
+    return levels
 
 
 def _coboundary(faces: list[tuple], cofaces: list[tuple]) -> list[dict[int, int]]:
@@ -121,11 +120,7 @@ def reduced_betti(complex_) -> dict[int, int]:
     """
     if not isinstance(complex_, OrderComplex) and not complex_.facets:
         raise EmptyComplex("cannot take homology of an empty complex")
-    return _betti(_simplices_by_dim(complex_))
-
-
-def _betti(levels: list[list[tuple[int, ...]]]) -> dict[int, int]:
-    """Reduced Betti numbers of the complex with these sorted simplices by dimension."""
+    levels = _simplices_by_dim(complex_)
     # the empty face's coboundary sums the vertices: rank 1, pivot at the first vertex
     ranks, cleared = ([1], {0}) if levels else ([0], ())
     for dim in range(len(levels) - 1):
@@ -181,9 +176,9 @@ def verify_wedge_prediction(ws: WeightSystem) -> WedgeReport:
         skipped = False
     else:
         proper_betti, proper_ok, skipped = None, False, True
-    levels = _simplices_by_dim(independence_complex(ws))  # every basis has `rank` weights
-    top_h = _h_numbers((1, *map(len, levels)), rank)[-1]
-    complex_betti = _betti(levels)
+    independence = independence_complex(ws)  # faces listed once, for both calls
+    top_h = h_vector(independence)[-1]
+    complex_betti = reduced_betti(independence)
     complex_ok = _concentrated(complex_betti, rank - 1, top_h)
     return WedgeReport(
         rank=rank,

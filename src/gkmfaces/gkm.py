@@ -19,22 +19,23 @@ there that agree with the vertices already placed and close every
 two-plane across to them.  Search states are counted against a hard cap,
 so pathological inputs fail loudly instead of hanging.  Totally geodesic
 faces are the faces closed under a connection; `_tg_face_subgraphs` is
-the one path to them, validating the graph once for both the canonical
-connection and the search.
+the one path to them.
 
-The face questions run on positions: a graph indexes its vertices and
-edges once, and the search holds stars as edge masks.  The plane table
-reduces the axial vectors at both ends of each edge once modulo that
-edge's line, so two edges span the same plane with it exactly when their
-residues agree, and it stores each plane as a mask of edges; the closure
-test is one AND.  Inclusion between faces is the AND of one membership
-mask per vertex and per edge.  Those masks are the up-sets of the face
-poset, whose covers come from the order core, `poset._cover_pairs`.
+A graph keeps what it derives: vertex and edge positions, and from first
+use its plane table and its `validate_graph` report, which every
+question needing a valid graph reads through `require_valid`.  The face
+search holds stars as edge masks.  The plane table reduces the axial
+vectors at both ends of each edge once modulo that edge's line, so two
+edges span the same plane with it exactly when their residues agree,
+and it stores each plane as a mask of edges; the closure test is one
+AND.  Inclusion between faces is the AND of one membership mask per
+vertex and per edge.  Those masks are the up-sets of the face poset,
+whose covers come from the order core, `poset._cover_pairs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -122,6 +123,43 @@ class GkmGraph:
         self._star = {
             x: tuple(self.edges[i].name for i in at) for x, at in zip(self.vertices, self._star_at)
         }
+        # kept on first use as plain attributes: cached_property reads `__dict__`, which slows reads
+        self._planes = self._report = None
+
+    @property
+    def _plane_table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """For each edge e2 and end z: (e1, plane mask) per other edge e1 at the far end y.
+
+        Edges are positions.  The plane mask holds the edges at z other than e2
+        in the span of alpha_e1 and alpha_e2, and e1 runs through the star at y
+        in order.  The axial vectors at both ends of e2 are reduced once modulo
+        its line: e3 lies in the plane exactly when its residue is None or
+        equals the residue of e1.  Built on first read and kept.
+        """
+        if self._planes is not None:
+            return self._planes
+        table = self._planes = {}
+        for j, e2 in enumerate(self.edges):
+            line = EchelonBasis(self.ambient_rank)
+            line.add(self.alpha(e2.name))
+            ends = self._ends[j]
+            residue = {
+                i: line.residue(self.alpha(self.edges[i].name))
+                for x in ends
+                for i in self._star_at[x]
+                if i != j
+            }
+            for y, z in (ends, ends[::-1]):
+                at_z = [i for i in self._star_at[z] if i != j]
+                table[(j, z)] = tuple(
+                    (
+                        i,
+                        sum(1 << k for k in at_z if residue[k] is None or residue[k] == residue[i]),
+                    )
+                    for i in self._star_at[y]
+                    if i != j
+                )
+        return table
 
     def edge(self, name: str) -> Edge:
         return self._edge_by_name[name]
@@ -172,8 +210,6 @@ class GraphReport:
     dimension: int | None
     rank: int | None
     violations: tuple[str, ...]
-    # the _plane_table the closure check ran on, for the searches that follow
-    planes: Mapping[tuple[int, int], tuple] = field(repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -183,39 +219,6 @@ def _collinear(a: Sequence[int], b: Sequence[int]) -> bool:
     """Whether a and b span at most a line: b[j] a[p] = a[j] b[p] at a pivot p of a."""
     p = next((i for i, x in enumerate(a) if x), None)
     return p is None or all(a[p] * y == x * b[p] for x, y in zip(a, b))
-
-
-def _plane_table(g: GkmGraph) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """For each edge e2 and end z: (e1, plane mask) per other edge e1 at the far end y.
-
-    Edges are positions.  The plane mask holds the edges at z other than e2
-    in the span of alpha_e1 and alpha_e2, and e1 runs through the star at y
-    in order.  The axial vectors at both ends of e2 are reduced once modulo
-    its line: e3 lies in the plane exactly when its residue is None or
-    equals the residue of e1.
-    """
-    table = {}
-    for j, e2 in enumerate(g.edges):
-        line = EchelonBasis(g.ambient_rank)
-        line.add(g.alpha(e2.name))
-        ends = g._ends[j]
-        residue = {
-            i: line.residue(g.alpha(g.edges[i].name))
-            for x in ends
-            for i in g._star_at[x]
-            if i != j
-        }
-        for y, z in (ends, ends[::-1]):
-            at_z = [i for i in g._star_at[z] if i != j]
-            table[(j, z)] = tuple(
-                (
-                    i,
-                    sum(1 << k for k in at_z if residue[k] is None or residue[k] == residue[i]),
-                )
-                for i in g._star_at[y]
-                if i != j
-            )
-    return table
 
 
 def validate_graph(g: GkmGraph) -> GraphReport:
@@ -257,13 +260,12 @@ def validate_graph(g: GkmGraph) -> GraphReport:
 
     # across every edge e2 from y to z, each other edge e1 at y needs an edge
     # at z other than e2 in the span of alpha_e1 and alpha_e2
-    planes = _plane_table(g)
     for j, ends in enumerate(g._ends):
         for z in ends[::-1]:
             violations.extend(
                 f"no edge at {g.vertices[z]!r} continues the span of "
                 f"{g.edges[i].name!r} and {g.edges[j].name!r}"
-                for i, plane in planes[(j, z)]
+                for i, plane in g._plane_table[(j, z)]
                 if not plane
             )
 
@@ -277,11 +279,14 @@ def validate_graph(g: GkmGraph) -> GraphReport:
             rank = None
             break
 
-    return GraphReport(not violations, dimension, rank, tuple(violations), planes)
+    return GraphReport(not violations, dimension, rank, tuple(violations))
 
 
 def require_valid(g: GkmGraph) -> GraphReport:
-    report = validate_graph(g)
+    """The graph's `validate_graph` report, run once and kept; InvalidGraph when it fails."""
+    if g._report is None:
+        g._report = validate_graph(g)
+    report = g._report
     if not report:
         raise InvalidGraph("; ".join(report.violations))
     return report
@@ -382,16 +387,12 @@ def canonical_connection(g: GkmGraph) -> Connection:
     dependent axial values at a vertex break uniqueness and raise, and so
     does a span-compatible map that fails `validate_connection`.
     """
-    return _canonical_connection(g, require_valid(g))
-
-
-def _canonical_connection(g: GkmGraph, report: GraphReport) -> Connection:
-    """`canonical_connection` of a graph already validated into `report`."""
+    require_valid(g)
     maps: dict[tuple[str, object], dict[str, str]] = {}
     for j, e in enumerate(g.edges):
         for tail, head in zip((e.u, e.v), g._ends[j][::-1]):
             mapping = {e.name: e.name}
-            for i, plane in report.planes[(j, head)]:
+            for i, plane in g._plane_table[(j, head)]:
                 f = g.edges[i].name
                 if plane.bit_count() != 1:
                     raise ConnectionNotCanonical(
@@ -449,7 +450,7 @@ def subgraph_degree(g: GkmGraph, h: GkmSubgraph) -> int:
     return sum(1 for name in g.star(x) if name in h.edges)
 
 
-def _grown_stars(g: GkmGraph, planes, d: int, x: int, stars: dict, z: int):
+def _grown_stars(g: GkmGraph, d: int, x: int, stars: dict, z: int):
     """`stars` extended by each d-edge star at z that a face grown from x allows.
 
     Vertices are positions and stars are edge masks.  An edge to a placed
@@ -476,6 +477,7 @@ def _grown_stars(g: GkmGraph, planes, d: int, x: int, stars: dict, z: int):
     kept = sum(1 << e for e in across)
     allowed = -1  # edges at z whose planes across every kept edge close at the far end
     needs = []  # plane masks at z that the star there must meet
+    planes = g._planes  # built when the graph was validated; read without the property call
     for e in across:
         a, b = g._ends[e]
         w = b if a == z else a
@@ -494,11 +496,6 @@ def _grown_stars(g: GkmGraph, planes, d: int, x: int, stars: dict, z: int):
             yield {**stars, z: star}
 
 
-def _check_cap(cap: int) -> None:
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-
-
 def enumerate_face_subgraphs(g: GkmGraph, cap: int = DEFAULT_CAP) -> list[GkmSubgraph]:
     """All faces as subgraphs, canonically sorted.
 
@@ -506,18 +503,13 @@ def enumerate_face_subgraphs(g: GkmGraph, cap: int = DEFAULT_CAP) -> list[GkmSub
     vertex_key) with a d-edge star there, then at each reached vertex, in
     the order reached, through every star `_grown_stars` allows.  Each seed
     and branch counts as one search state; more than `cap` of them raise
-    EnumerationCapExceeded.
+    EnumerationCapExceeded.  The search runs on vertex and edge positions;
+    each face is found as its reached vertices and the OR of its stars'
+    edge masks.
     """
-    _check_cap(cap)
-    return _face_subgraphs(g, require_valid(g), cap)
-
-
-def _face_subgraphs(g: GkmGraph, report: GraphReport, cap: int) -> list[GkmSubgraph]:
-    """`enumerate_face_subgraphs` of a graph already validated into `report`.
-
-    The search runs on vertex and edge positions; each face is found as
-    its reached vertices and the OR of its stars' edge masks.
-    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    report = require_valid(g)
     n = len(g.vertices)
     found = [((x,), 0) for x in range(n)]
     # (degree, first vertex, edge-mask stars of the placed vertices, vertices reached)
@@ -532,7 +524,7 @@ def _face_subgraphs(g: GkmGraph, report: GraphReport, cap: int) -> list[GkmSubgr
             found.append((order, edges))
             continue
         z = order[len(stars)]
-        for grown in _grown_stars(g, report.planes, d, x, stars, z):
+        for grown in _grown_stars(g, d, x, stars, z):
             states += 1
             if states > cap:
                 raise EnumerationCapExceeded(
@@ -640,27 +632,28 @@ def enumerate_tg_faces(
     A `theta` that fails the connection axioms raises InvalidGraph; a derived
     map that fails them raises ConnectionNotCanonical.
     """
-    _check_cap(cap)
     faces = _tg_face_subgraphs(g, theta, cap)
     return _face_poset(g, faces, [_flat(g, h).dim for h in faces])
 
 
 def _tg_face_subgraphs(g: GkmGraph, theta: Connection | None, cap: int) -> list[GkmSubgraph]:
-    """Faces closed under `theta`, canonically sorted.
+    """Faces closed under `theta`, or under the canonical connection when it is None, sorted.
 
     A supplied `theta` is checked first and raises InvalidGraph when it
-    fails the connection axioms.  The graph is then validated once; when
-    `theta` is None the canonical connection is derived from that report,
-    and the face search runs on it too.
+    fails the connection axioms; the graph is checked next.  Under the
+    canonical connection every face is totally geodesic, so the result is
+    all the faces: the canonical image of a star edge f across a face
+    edge e is the one edge at the far end in the plane of f and e, and
+    two-plane closure puts that edge in the face whenever f is in it.
     """
     if theta is not None:
         check = validate_connection(g, theta)
         if not check:
             raise InvalidGraph("supplied connection is invalid: " + "; ".join(check.violations))
-    report = require_valid(g)
+    require_valid(g)
     if theta is None:
-        theta = _canonical_connection(g, report)
-    return [h for h in _face_subgraphs(g, report, cap) if is_totally_geodesic(g, theta, h)]
+        theta = canonical_connection(g)
+    return [h for h in enumerate_face_subgraphs(g, cap) if is_totally_geodesic(g, theta, h)]
 
 
 # ----------------------------------------------------------------------

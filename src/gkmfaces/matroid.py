@@ -12,12 +12,15 @@ residues are its parent's reduced by the one new row, one row operation
 each instead of an elimination against a whole basis.  The cost is
 governed by the number of flats and classes, not by 2^n subsets (the
 subset scans and the pairwise cover scan are kept as test oracles).  The
-independence degree is read off the flats lattice's labels.
+independence degree is read off the flats lattice's labels.  A
+simplicial complex keeps its faces once listed, for its f- and h-vectors
+and its homology alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -90,22 +93,23 @@ class SimplicialComplex:
     vertices: tuple[int, ...]
     facets: tuple[frozenset[int], ...]
 
+    @cached_property
+    def _faces(self) -> list[list[tuple[int, ...]]]:
+        """Sorted faces of size j + 1 at index j, as vertex-index tuples; listed once and kept."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        facets = [tuple(sorted(index.setdefault(v, len(index)) for v in f)) for f in self.facets]
+        by_size: list[set] = [set() for _ in range(max(map(len, facets), default=0) + 1)]
+        for facet in facets:
+            by_size[len(facet)].add(facet)
+        # each size hands the faces of its simplices down to the next
+        for size in range(len(by_size) - 1, 1, -1):
+            for simplex in by_size[size]:
+                by_size[size - 1].update(combinations(simplex, size - 1))
+        return [sorted(level) for level in by_size[1:]]
+
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_{d-1}) with d the largest face cardinality."""
-        by_size = _faces_by_size([tuple(sorted(facet)) for facet in self.facets])
-        return (1, *map(len, by_size[1:]))
-
-
-def _faces_by_size(facets: list[tuple[int, ...]]) -> list[set[tuple[int, ...]]]:
-    """Faces of the given sorted-tuple facets: the set at index j holds those of size j >= 1."""
-    by_size: list[set] = [set() for _ in range(max(map(len, facets), default=0) + 1)]
-    for facet in facets:
-        by_size[len(facet)].add(facet)
-    # each size hands the faces of its simplices down to the next
-    for size in range(len(by_size) - 1, 1, -1):
-        for simplex in by_size[size]:
-            by_size[size - 1].update(combinations(simplex, size - 1))
-    return by_size
+        return (1, *map(len, self._faces))
 
 
 def closure(ws: WeightSystem, subset: Iterable[int]) -> Flat:
@@ -223,11 +227,7 @@ def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
     sizes = {len(f) for f in complex_.facets}
     if len(sizes) > 1:
         raise ValueError(f"complex is not pure: facet sizes {sorted(sizes)}")
-    return _h_numbers(complex_.f_vector(), sizes.pop() if sizes else 0)
-
-
-def _h_numbers(f: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """h_0..h_d from the f-vector (f_-1, f_0, ...) of a pure complex with facets of size d."""
+    f, d = complex_.f_vector(), sizes.pop() if sizes else 0
     return tuple(
         sum((-1) ** (j - i) * comb(d - i, j - i) * f[i] for i in range(j + 1))
         for j in range(d + 1)

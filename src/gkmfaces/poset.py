@@ -8,17 +8,17 @@ masks, shared with the face posets and the reconstruction: `_bits`
 walks the set bits of a mask, `_minimal` keeps the elements of a mask
 with nothing of it strictly below them, and `_cover_pairs` takes the
 covers within a mask as the minimal elements of each strict up-set.
-Rank and drk labellings are optional data.  Ranks are computed from the
-covers once per poset, on first use, and checked against the stored
-labels where present (`GradedPoset._grading`); every predicate and
-construction reads them there.  The geometric-lattice axioms are
-checked on the bitmasks of one up-set at a time, without building
-subposets: once for a lattice, and once per minimal element for the
-locally geometric check, since every upper ideal is an interval of the
-up-set of a minimal element and intervals of geometric lattices are
-geometric.  Each check scans the pairs of one up-set, with joins and
-meets found by dict lookup of bitmasks.  The subposet-building versions
-are kept as test oracles.
+Rank and drk labellings are optional data.  A poset keeps, from first
+use, its minimal and maximal elements (`_extremes`), the ranks its
+covers force, checked against stored labels (`_grading`), and the
+geometric-lattice verdict on the up-set of each minimal element
+(`_minimal_failures`); the predicates read them there.
+The axioms are checked on the bitmasks of one up-set, without building
+subposets: the bottom's for a lattice, each minimal element's for the
+locally geometric check, since every upper ideal is an interval of such
+an up-set and intervals of geometric lattices are geometric.  A scan
+visits the pairs of one up-set, with joins and meets found by dict
+lookup of bitmasks.  The subposet-building versions are test oracles.
 """
 
 from __future__ import annotations
@@ -175,11 +175,16 @@ class GradedPoset:
     def down_set(self, a: Element) -> list[Element]:
         return [self.elements[i] for i in _bits(self._down[self._index[a]])]
 
+    @cached_property
+    def _extremes(self) -> tuple[list[int], list[int]]:
+        """Indices of the minimal and of the maximal elements, computed on first read and kept."""
+        return _minimal(self._up, self._all), _minimal(self._down, self._all)
+
     def minimal_elements(self) -> list[Element]:
-        return [self.elements[i] for i in _minimal(self._up, self._all)]
+        return [self.elements[i] for i in self._extremes[0]]
 
     def maximal_elements(self) -> list[Element]:
-        return [self.elements[i] for i in _minimal(self._down, self._all)]
+        return [self.elements[i] for i in self._extremes[1]]
 
     def top(self) -> Element | None:
         maxima = self.maximal_elements()
@@ -210,7 +215,7 @@ class GradedPoset:
         """
         name, index = self.elements, self._index
         level: list = [None] * len(name)
-        for i in _minimal(self._up, self._all):
+        for i in self._extremes[0]:
             level[i] = 0
         pending = [(index[low], index[high]) for low, high in self.covers]
         while pending:
@@ -232,6 +237,11 @@ class GradedPoset:
                 stored = self.rank[e]
                 return None, f"stored rank {stored} of {e!r} disagrees with computed {computed}"
         return level, ""
+
+    @cached_property
+    def _minimal_failures(self) -> dict[int, str]:
+        """`_up_set_failure` of each minimal element index, kept; read only once graded."""
+        return {x: _up_set_failure(self, x) for x in self._extremes[0]}
 
     # ------------------------------------------------------------------
     # lattice operations
@@ -395,7 +405,7 @@ def is_geometric_lattice(p: GradedPoset) -> Verdict:
         return Verdict(False, "no unique bottom element")
     if top is None:
         return Verdict(False, "no unique top element")
-    failure = _up_set_failure(p, p._index[bottom])
+    failure = p._minimal_failures[p._index[bottom]]
     return Verdict(False, failure) if failure else graded
 
 
@@ -412,9 +422,10 @@ def is_locally_geometric(p: GradedPoset) -> Verdict:
         return Verdict(False, f"not graded: {graded.reason}")
     if p.top() is None:
         return Verdict(False, "no greatest element")
-    if any(_up_set_failure(p, x) for x in _minimal(p._up, p._all)):
+    failures = p._minimal_failures
+    if any(failures.values()):
         for s, element in enumerate(p.elements):
-            failure = _up_set_failure(p, s)
+            failure = failures[s] if s in failures else _up_set_failure(p, s)
             if failure:
                 return Verdict(
                     False, f"upper ideal at {element!r} is not a geometric lattice: {failure}"
@@ -454,15 +465,7 @@ def check_coherent(p: GradedPoset, d: Mapping[Element, int]) -> CoherenceResult:
     verdict = is_locally_geometric(p)
     if not verdict:
         raise NotLocallyGeometric(f"poset is not locally geometric: {verdict.reason}")
-    return _atom_sums(p, d)
-
-
-def _atom_sums(p: GradedPoset, d: Mapping[Element, int]) -> CoherenceResult:
-    """`check_coherent` on a poset already known to be locally geometric.
-
-    The atoms between x and s are the atoms in the up-set of x and the
-    down-set of s, one mask AND each.
-    """
+    # the atoms between x and s: those in the up-set of x and the down-set of s
     atoms = atoms_of(p)
     for a in atoms:
         if a not in d:
@@ -471,7 +474,7 @@ def _atom_sums(p: GradedPoset, d: Mapping[Element, int]) -> CoherenceResult:
             raise ValueError(f"atom weight for {a!r} must be positive")
     weight = {p._index[a]: d[a] for a in atoms}
     atom_mask = sum(1 << i for i in weight)
-    minima = _minimal(p._up, p._all)
+    minima = p._extremes[0]
     drk: dict[Element, int] = {}
     for s, element in enumerate(p.elements):
         below = p._down[s]
@@ -540,9 +543,13 @@ def projectivize(p: GradedPoset) -> GradedPoset:
     if max(ranks.values()) < 1:
         raise PreconditionFailed("cannot projectivize a rank-0 lattice")
     keep = [e for e in p.elements if e != bottom]
-    sub = p.induced(keep, rank={e: ranks[e] - 1 for e in keep})
+    name = p.elements
     return GradedPoset(
-        sub.elements, sub.covers, rank=sub.rank, payload=sub.payload, labels=sub.labels
+        keep,
+        [(name[i], name[j]) for i, j in _cover_pairs(p._up, p._all & ~(1 << p._index[bottom]))],
+        rank={e: ranks[e] - 1 for e in keep},
+        payload={e: p.payload[e] for e in keep if e in p.payload},
+        labels={e: p.labels[e] for e in keep if e in p.labels},
     )
 
 

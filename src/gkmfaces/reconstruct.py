@@ -31,7 +31,6 @@ from .gkm import (
     Connection,
     GkmGraph,
     GkmSubgraph,
-    _check_cap,
     _containers,
     _face_poset,
     _flat,
@@ -98,7 +97,6 @@ def reconstruct_face_poset(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "tg":
-        _check_cap(cap)
         candidates = _tg_face_subgraphs(g, connection, cap)
     else:
         candidates = enumerate_face_subgraphs(g, cap=cap)
@@ -166,9 +164,10 @@ def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
     """Check the insertion laws between all faces and surviving faces.
 
     `report` is the reconstruction of `g` to check.  For every enumerated
-    face h: the projection of h contains h.  For every surviving face:
-    projecting its own subgraph returns it.  Both the projection and the
-    inclusion must be monotone.
+    face h: the projection of h is defined and contains h.  For every
+    surviving face: projecting its own subgraph returns it.  Both the
+    projection and the inclusion must be monotone.  A face whose
+    projection is undefined fails once and is left out of the later laws.
     """
     if report.diagnostics:
         return GaloisReport(
@@ -179,22 +178,27 @@ def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
         )
     failures: list[str] = []
     candidates = report.candidates
-    projection = [pi_map(report, h) for h in candidates]
-    for h, image in zip(candidates, projection):
-        if not report.subgraph(image).contains(h):
-            failures.append(
-                f"projection of a face on vertices "
-                f"{[str(x) for x in sorted(h.vertices, key=g.vertex_key)]} "
-                "does not contain it"
-            )
+    projection = []  # None where the projection is undefined
+    for h in candidates:
+        try:
+            image = pi_map(report, h)
+            failure = "" if report.subgraph(image).contains(h) else "does not contain it"
+        except ReconstructionAmbiguous as exc:
+            image, failure = None, f"is undefined: {exc}"
+        if failure:
+            listed = [str(x) for x in sorted(h.vertices, key=g.vertex_key)]
+            failures.append(f"projection of a face on vertices {listed} {failure}")
+        projection.append(image)
     position = {h: i for i, h in enumerate(candidates)}
     for e in report.faces.elements:
         i = position.get(report.subgraph(e))
-        if i is not None and projection[i] != e:
+        if i is not None and projection[i] not in (e, None):
             failures.append(f"projection does not fix surviving face {e}")
     # monotone on the covers of the inclusion order, so on every nested pair
     for i, j in _cover_pairs(_containers(candidates), (1 << len(candidates)) - 1):
-        if not report.faces.leq(projection[i], projection[j]):
+        if None not in (projection[i], projection[j]) and not report.faces.leq(
+            projection[i], projection[j]
+        ):
             failures.append("projection is not monotone on a nested pair of faces")
     for e in report.faces.elements:
         if report.subgraph(e) not in position:

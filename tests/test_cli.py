@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -503,3 +504,33 @@ def test_check_commands_grade_one_poset_once(monkeypatch, argv):
     graded = graded_posets(monkeypatch)
     run_cli(argv[0], argv[1], path(argv[2]), *argv[3:])
     assert len(graded) == 1
+
+
+def test_cli_reads_no_private_name_of_the_package():
+    from gkmfaces import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if node.module is None
+    }
+    assert modules >= {"gkm", "poset"}
+    private = [
+        f"{node.value.id}.{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    private += [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or "gkmfaces" in (node.module or ""))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

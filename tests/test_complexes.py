@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from gkmfaces.complexes import order_complex, reduced_betti, verify_wedge_prediction
 from gkmfaces.errors import EmptyComplex, GkmFacesError, PreconditionFailed
-from gkmfaces.matroid import SimplicialComplex, WeightSystem, flats_lattice, independence_complex
+from gkmfaces.matroid import (
+    SimplicialComplex,
+    WeightSystem,
+    flats_lattice,
+    h_vector,
+    independence_complex,
+)
 from gkmfaces.poset import GradedPoset, grading_of
 
 from helpers import BASIS2, COLLINEAR, UNIFORM23, weight_corpus
@@ -255,3 +261,20 @@ def test_strict_upper_interval_acyclicity():
             betti = reduced_betti(complex_)
             degree = k - ranks[s] - 2
             assert all(b == 0 for d, b in betti.items() if d != degree)
+
+
+def test_faces_of_a_simplicial_complex_are_listed_once(monkeypatch):
+    from gkmfaces import matroid
+
+    listed = []
+    combinations_ = matroid.combinations
+    monkeypatch.setattr(
+        matroid, "combinations", lambda *args: listed.append(args) or combinations_(*args)
+    )
+    complex_ = independence_complex(UNIFORM23)
+    assert h_vector(complex_) == (1, 1, 1)
+    once = len(listed)
+    assert once > 0
+    assert reduced_betti(complex_) == {-1: 0, 0: 0, 1: 1}
+    assert complex_.f_vector() == (1, 3, 3)
+    assert len(listed) == once

@@ -5,10 +5,13 @@ edge positions and membership masks; `tests/oracles.py` keeps the
 versions that span one plane per pair of edges and scan all pairs of
 faces.  They are compared on scrambled Q2, Q3, CP2xS2, Fl(3) and
 CP2xCP2, and the plane table also on graphs made invalid by a collinear
-star or an extra parallel edge.
+star or an extra parallel edge.  On graphs without a connection of their
+own, the faces closed under the canonical connection are all the faces.
 """
 
+import io
 import random
+from contextlib import redirect_stdout
 from unittest import mock
 
 import pytest
@@ -16,15 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkmfaces.reconstruct as reconstruct_module
+from gkmfaces import cli
 from gkmfaces.errors import EnumerationCapExceeded
 from gkmfaces.gkm import (
     GkmGraph,
-    _plane_table,
     enumerate_face_subgraphs,
     enumerate_faces,
     enumerate_tg_faces,
     validate_graph,
 )
+from gkmfaces.formats import format_graph
 from gkmfaces.reconstruct import reconstruct_face_poset, verify_galois
 
 from helpers import (
@@ -35,6 +39,7 @@ from helpers import (
     hypercube_graph,
     scrambled,
     sphere_graph,
+    square_graph,
 )
 from oracles import face_poset_oracle, non_monotone_pairs_oracle, plane_table_oracle
 
@@ -95,7 +100,7 @@ def by_name(g: GkmGraph) -> dict:
         (g.edges[i].name, g.edges[j].name, g.vertices[z]): tuple(
             e for e in g.star(g.vertices[z]) if plane >> g.edge_key(e) & 1
         )
-        for (j, z), row in _plane_table(g).items()
+        for (j, z), row in g._plane_table.items()
         for i, plane in row
     }
 
@@ -154,6 +159,39 @@ def test_tg_face_posets_match_the_all_pairs_oracle():
         poset = enumerate_tg_faces(g, theta)
         faces = [poset.payload[e] for e in poset.elements]
         same_poset(poset, face_poset_oracle(g, faces))
+
+
+# graphs with a canonical connection (Fl(3) and Fl(4) have none)
+CANONICAL = {
+    "q3": lambda: hypercube_graph(3),
+    "q4": lambda: hypercube_graph(4),
+    "cp2xs2": lambda: graph_product(cp2_graph(), sphere_graph()),
+    "cp2xcp2": lambda: graph_product(cp2_graph(), cp2_graph()),
+}
+canonical_graphs = st.one_of(
+    st.builds(
+        lambda name, seed: scrambled(random.Random(seed), CANONICAL[name]()),
+        st.sampled_from(sorted(CANONICAL)),
+        st.integers(0, 10**6),
+    ),
+    st.sampled_from([square_graph, cp2_graph]).map(lambda make: make(signed=True)),
+)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(canonical_graphs)
+def test_tg_faces_without_a_file_connection_are_all_faces(tmp_path_factory, g):
+    same_poset(enumerate_tg_faces(g), enumerate_faces(g))
+    path = tmp_path_factory.getbasetemp() / "canonical.gkm"
+    path.write_text(format_graph(g))
+    runs = []
+    for mode in ("faces", "tg"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["gkm", "reconstruct", str(path), "--mode", mode, "--verify-galois"])
+        runs.append((code, out.getvalue()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

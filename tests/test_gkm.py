@@ -449,3 +449,19 @@ def test_faces_poset_rank_labels_are_not_a_grading_certificate():
     g, _ = corpus_graph("g6.gkm")
     poset = enumerate_faces(g)
     assert not is_graded(poset)
+
+
+def test_one_graph_is_validated_once(monkeypatch):
+    from gkmfaces import gkm
+
+    validated = []
+    validate = gkm.validate_graph
+    monkeypatch.setattr(gkm, "validate_graph", lambda g: validated.append(g) or validate(g))
+    g = cp2_graph()
+    canonical_connection(g)
+    enumerate_faces(g)
+    enumerate_tg_faces(g)
+    for mode in ("faces", "tg"):
+        reconstruct_face_poset(g, mode)
+    assert validated == [g]
+    assert g._plane_table is g._plane_table  # built once and kept

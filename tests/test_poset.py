@@ -241,6 +241,20 @@ def test_projectivize_u23_count():
     assert len(projectivize(flats_lattice(UNIFORM23)).elements) == 4
 
 
+def test_projectivize_builds_its_result_once(monkeypatch):
+    lattice = flats_lattice(UNIFORM23)
+    built = []
+    init = GradedPoset.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedPoset, "__init__", counted)
+    p = projectivize(lattice)
+    assert built == [p]
+
+
 def test_projectivize_rank_zero_rejected():
     p = GradedPoset(["x"], [])
     with pytest.raises(ValueError):
@@ -589,3 +603,19 @@ def test_check_gkm_coherent_grades_the_poset_once(monkeypatch):
     graded = graded_posets(monkeypatch)
     check_gkm_coherent(p)
     assert graded == [p]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: corpus_poset("glued.poset"), lambda: flats_lattice(UNIFORM23)], ids=["glued", "u23"]
+)
+def test_check_coherent_after_the_check_scans_no_up_set(monkeypatch, make):
+    from gkmfaces import poset
+
+    p = make()
+    assert is_locally_geometric(p)
+    scans = []
+    scan = poset._up_set_failure
+    monkeypatch.setattr(poset, "_up_set_failure", lambda q, s: scans.append(s) or scan(q, s))
+    check_coherent(p, dict.fromkeys(poset.atoms_of(p), 1))
+    check_gkm_coherent(p)
+    assert scans == []

@@ -291,3 +291,41 @@ def test_verify_galois_reports_a_survivor_missing_from_the_face_list():
     result = verify_galois(g, broken)
     assert not result.ok
     assert result.failures == ("surviving face X is missing from the full face list",)
+
+
+def test_verify_galois_reports_a_face_that_no_survivor_contains():
+    # drop the top survivor: the whole graph, a candidate, then projects nowhere
+    g, report = _cp2_report()
+    faces = report.faces
+    top = faces.top()
+    elements = [e for e in faces.elements if e != top]
+    covers = [pair for pair in faces.covers if top not in pair]
+    broken = _with_faces(report, elements, covers, {e: faces.payload[e] for e in elements})
+    with pytest.raises(ReconstructionAmbiguous):
+        pi_map(broken, report.subgraph(top))
+    result = verify_galois(g, broken)
+    assert result.failures == (
+        "projection of a face on vertices ['A', 'B', 'C'] is undefined: "
+        "no surviving face contains the given subgraph (internal inconsistency)",
+    )
+
+
+def test_verify_galois_reports_a_face_with_two_minimal_survivors():
+    # an incomparable copy X of a rank-1 survivor: that edge's subgraph then
+    # has two minimal surviving containers
+    g, report = _cp2_report()
+    faces = report.faces
+    edge = next(e for e in faces.elements if faces.rank[e] == 1)
+    elements = (*faces.elements, "X")
+    below = [low for low, high in faces.covers if high == edge]
+    covers = [*faces.covers, *((low, "X") for low in below), ("X", faces.top())]
+    payload = {**faces.payload, "X": report.subgraph(edge)}
+    broken = _with_faces(report, elements, covers, payload)
+    with pytest.raises(ReconstructionAmbiguous):
+        pi_map(broken, report.subgraph(edge))
+    listed = [str(x) for x in sorted(report.subgraph(edge).vertices, key=g.vertex_key)]
+    result = verify_galois(g, broken)
+    assert result.failures == (
+        f"projection of a face on vertices {listed} is undefined: "
+        "2 minimal surviving faces contain the subgraph",
+    )
