@@ -69,7 +69,12 @@ class Edge:
 
 
 class GkmGraph:
-    """Multigraph with axial vectors; GKM axioms are checked by validate_graph."""
+    """Multigraph with axial vectors; GKM axioms are checked by validate_graph.
+
+    `axial` is a plain dict that must not be changed once the graph is in
+    use: the plane table and the validation report it keeps are not
+    recomputed.
+    """
 
     def __init__(
         self,

@@ -9,7 +9,9 @@ origin), and the flats covering a flat F are found by grouping the
 classes outside F whose residues modulo span(F) are equal.  Both
 searches here (flats and bases) carry those residues down: a child's
 residues are its parent's reduced by the one new row, one row operation
-each instead of an elimination against a whole basis.  The cost is
+each instead of an elimination against a whole basis.  The flats search
+stops at the coatoms, whose only cover is the top, and runs on member
+bitmasks and numbered flats until its final sort.  The cost is
 governed by the number of flats and classes, not by 2^n subsets (the
 subset scans and the pairwise cover scan are kept as test oracles).  The
 independence degree is read off the flats lattice's labels.  A
@@ -26,7 +28,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, PreconditionFailed, ZeroWeight
-from .poset import GradedPoset
+from .poset import GradedPoset, _bits
 from .ratlinalg import EchelonBasis, IntVector, Subspace, _carry_residues, as_vector
 
 
@@ -82,9 +84,6 @@ class Flat:
     def multiplicity(self) -> int:
         return len(self.members)
 
-    def sort_key(self) -> tuple:
-        return (self.rank, sorted(self.members))
-
 
 @dataclass(frozen=True)
 class SimplicialComplex:
@@ -126,40 +125,58 @@ def _residues(ws: WeightSystem) -> list[tuple[int, IntVector]]:
     return [(i, origin.residue(w)) for i, w in enumerate(ws.weights, start=1)]
 
 
-def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[Flat, Flat]]]:
-    """Every flat sorted by (rank, members), and every cover pair in that order.
+def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, int]]]:
+    """Every flat sorted by (rank, members), and the covers as sorted pairs of positions there.
 
     The flats covering F are the closures of F plus one parallel class
     outside F, and two such classes give the same cover exactly when
     their residues modulo span(F) are equal.  Each frontier flat carries
     the residues of the classes outside it; a new cover takes them over,
     reduced by the residue of a class it absorbed, and the classes whose
-    residues vanish are the ones it absorbed.
+    residues vanish are the ones it absorbed.  With r the rank of the
+    system, a flat of rank r - 1 has the top as its only cover, so it
+    joins no frontier and carries nothing.  Until the final sort a flat
+    is a number, its members a bitmask (bit i for weight i) and a cover
+    a pair of numbers; one `Flat` per flat is built after it.
     """
-    parallel: dict[IntVector, list[int]] = {}
+    r = ws.rank()
+    masks, ranks, covers = [0], [0], []  # by flat number: the bottom is 0, the top 1
+    if r:
+        masks.append(sum(1 << i for i in ws.indices))
+        ranks.append(r)
+    if r == 1:
+        covers.append((0, 1))
+    parallel: dict[IntVector, int] = {}
     for i, residue in _residues(ws):
-        parallel.setdefault(residue, []).append(i)
-    classes = [frozenset(members) for members in parallel.values()]
-    bottom = Flat(frozenset(), 0)
-    found = {bottom.members: bottom}
-    covers: list[tuple[Flat, Flat]] = []
-    frontier = [(bottom, list(enumerate(parallel)))]
+        parallel[residue] = parallel.get(residue, 0) | 1 << i
+    classes = list(parallel.values())
+    number = {0: 0}  # members -> flat number
+    frontier = [(0, list(enumerate(parallel)))] if r > 1 else []
     while frontier:
-        flat, outside = frontier.pop()
-        by_residue: dict[IntVector, list[int]] = {}
+        low, outside = frontier.pop()
+        rank = ranks[low] + 1
+        by_residue: dict[IntVector, int] = {}
         for c, residue in outside:
-            by_residue.setdefault(residue, []).append(c)
-        for residue, group in by_residue.items():
-            members = flat.members.union(*(classes[c] for c in group))
-            bigger = found.get(members)
-            if bigger is None:
-                bigger = found[members] = Flat(members, flat.rank + 1)
-                frontier.append((bigger, _carry_residues(residue, outside)))
-            covers.append((flat, bigger))
-    flats = sorted(found.values(), key=Flat.sort_key)
-    position = {flat: i for i, flat in enumerate(flats)}
-    covers.sort(key=lambda pair: (position[pair[0]], position[pair[1]]))
-    return flats, covers
+            by_residue[residue] = by_residue.get(residue, 0) | classes[c]
+        for residue, absorbed in by_residue.items():
+            members = masks[low] | absorbed
+            high = number.get(members)
+            if high is None:
+                high = number[members] = len(masks)
+                masks.append(members)
+                ranks.append(rank)
+                if rank < r - 1:
+                    frontier.append((high, _carry_residues(residue, outside)))
+                else:
+                    covers.append((high, 1))
+            covers.append((low, high))
+    ids = [tuple(_bits(m)) for m in masks]
+    order = sorted(range(len(masks)), key=lambda f: (ranks[f], ids[f]))
+    position = [0] * len(order)
+    for at, f in enumerate(order):
+        position[f] = at
+    flats = [Flat(frozenset(ids[f]), ranks[f]) for f in order]
+    return flats, sorted((position[low], position[high]) for low, high in covers)
 
 
 def all_flats(ws: WeightSystem) -> list[Flat]:
@@ -179,14 +196,14 @@ def flats_lattice(ws: WeightSystem) -> GradedPoset:
     are listed by the position of the lower flat, then of the upper one.
     """
     flats, covers = _flats_with_covers(ws)
-    ids = {f: flat_id(f) for f in flats}
+    ids = [flat_id(f) for f in flats]
     return GradedPoset(
-        ids.values(),
+        ids,
         [(ids[low], ids[high]) for low, high in covers],
-        rank={ids[f]: f.rank for f in flats},
-        drk={ids[f]: f.multiplicity for f in flats},
-        payload={ids[f]: f for f in flats},
-        labels={ids[f]: "{" + ",".join(map(str, ids[f])) + "}" for f in flats},
+        rank={e: f.rank for e, f in zip(ids, flats)},
+        drk={e: f.multiplicity for e, f in zip(ids, flats)},
+        payload=dict(zip(ids, flats)),
+        labels={e: "{" + ",".join(map(str, e)) + "}" for e in ids},
     )
 
 

@@ -16,15 +16,17 @@ geometric-lattice verdict on the up-set of each minimal element
 The axioms are checked on the bitmasks of one up-set, without building
 subposets: the bottom's for a lattice, each minimal element's for the
 locally geometric check, since every upper ideal is an interval of such
-an up-set and intervals of geometric lattices are geometric.  A scan
-visits the pairs of one up-set, with joins and meets found by dict
-lookup of bitmasks.  The subposet-building versions are test oracles.
+an up-set and intervals of geometric lattices are geometric.  A test on
+covers decides an up-set: every element the join of the atoms below it,
+and any two elements covering one element joined two levels above it.
+Only when it fails does a scan visit all pairs of the up-set, to name
+the first failure, with joins and meets found by dict lookup of
+bitmasks.  The subposet-building versions are test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -95,7 +97,12 @@ class CoherenceResult:
 
 
 class GradedPoset:
-    """Immutable finite poset with optional rank/drk/payload labellings."""
+    """Immutable finite poset with optional rank/drk/payload labellings.
+
+    `rank` and `drk` are plain dicts that must not be changed once the
+    poset is in use: what it keeps (the grading, checked against `rank`,
+    and the verdicts) is not recomputed.
+    """
 
     def __init__(
         self,
@@ -128,6 +135,8 @@ class GradedPoset:
         self.labels = dict(labels) if labels is not None else {}
         self._up, self._down = self._closure()
         self._all = (1 << len(self.elements)) - 1  # the mask of every element
+        # kept on first use as plain attributes: cached_property reads `__dict__`, which slows reads
+        self._minmax = self._graded = self._failures = None
 
     # ------------------------------------------------------------------
     # order core
@@ -175,10 +184,12 @@ class GradedPoset:
     def down_set(self, a: Element) -> list[Element]:
         return [self.elements[i] for i in _bits(self._down[self._index[a]])]
 
-    @cached_property
+    @property
     def _extremes(self) -> tuple[list[int], list[int]]:
         """Indices of the minimal and of the maximal elements, computed on first read and kept."""
-        return _minimal(self._up, self._all), _minimal(self._down, self._all)
+        if self._minmax is None:
+            self._minmax = _minimal(self._up, self._all), _minimal(self._down, self._all)
+        return self._minmax
 
     def minimal_elements(self) -> list[Element]:
         return [self.elements[i] for i in self._extremes[0]]
@@ -203,15 +214,21 @@ class GradedPoset:
         name = self.elements
         return [(name[i], name[j]) for i, j in _cover_pairs(self._up, self._all)]
 
-    @cached_property
+    @property
     def _grading(self) -> tuple[list[int] | None, str]:
+        """`_grade`, computed on first read and kept."""
+        if self._graded is None:
+            self._graded = self._grade()
+        return self._graded
+
+    def _grade(self) -> tuple[list[int] | None, str]:
         """Rank of each element index forced by the covers, or None and why.
 
-        Computed on first read and kept.  Each cover is looked at once,
-        when its lower end has been ranked, and its upper end must then
-        sit one rank higher.  The covers are acyclic, so every pass ranks
-        something and every cover gets its look.  Stored rank labels,
-        when present, must agree with the computed ranks.
+        Each cover is looked at once, when its lower end has been ranked,
+        and its upper end must then sit one rank higher.  The covers are
+        acyclic, so every pass ranks something and every cover gets its
+        look.  Stored rank labels, when present, must agree with the
+        computed ranks.
         """
         name, index = self.elements, self._index
         level: list = [None] * len(name)
@@ -238,10 +255,12 @@ class GradedPoset:
                 return None, f"stored rank {stored} of {e!r} disagrees with computed {computed}"
         return level, ""
 
-    @cached_property
+    @property
     def _minimal_failures(self) -> dict[int, str]:
         """`_up_set_failure` of each minimal element index, kept; read only once graded."""
-        return {x: _up_set_failure(self, x) for x in self._extremes[0]}
+        if self._failures is None:
+            self._failures = {x: _up_set_failure(self, x) for x in self._extremes[0]}
+        return self._failures
 
     # ------------------------------------------------------------------
     # lattice operations
@@ -363,14 +382,58 @@ def _not_atomistic(p: GradedPoset, s: int) -> int | None:
 def _up_set_failure(p: GradedPoset, s: int) -> str:
     """Why the up-set of element index s is not a geometric lattice, or "".
 
-    The caller has checked that p is graded.  All pairs are scanned in
-    element order and the first failure is named: a missing join or meet
-    first, then an element that is not the join of the atoms below it,
-    then a pair that breaks rank submodularity.  The common upper bounds of a and b are the up-set of
-    their join when it exists, and their common lower bounds above s are
-    the down-set of their meet within the up-set, so each is one dict
-    lookup of a bitmask.  Every pair check is symmetric, so only pairs
-    with a before b are visited.
+    The caller has checked that p is graded.  A test on covers decides;
+    only when it fails does `_first_failure` scan all pairs, to name the
+    first failure.  The test passes when every element is the join of
+    the atoms below it (`_not_atomistic`) and, for every z, any two
+    elements covering z have a join two levels above z.
+
+    It is exact; x v y is the join of x and y.  The level step alone
+    gives every element y a join with every atom a, one that covers y
+    when a is not below y, so element-atom joins need no step of their
+    own.  By induction on the level of y: take y' covered by y; then
+    w = y' v a covers y', so y and w have a join j one level above y,
+    and every upper bound of y and a lies above y' and a, so above w and
+    y, so above j.  With every element the join of its atoms, the upper
+    bounds of x and y are those of x and of the atoms below y, so x v y
+    is x joined with those atoms one at a time.  In a finite poset with
+    a bottom, joins give meets: the meet of x and y is the join of their
+    common lower bounds.  So the up-set is an atomistic lattice.  Two
+    elements covering z meet at z, and a finite lattice is rank
+    submodular exactly when any two elements covering their meet have a
+    join covering both (Stanley, Enumerative Combinatorics I, Prop.
+    3.3.2): that is the level step.  A join is one dict lookup, since
+    the common upper bounds of x and y are the up-set of their join when
+    it exists.
+    """
+    if _not_atomistic(p, s) is not None:
+        return _first_failure(p, s)
+    up, level = p._up, p._grading[0]
+    members = _bits(up[s])
+    level_of = {up[i]: level[i] for i in members}  # by up-set
+    rows: dict[int, int] = {}  # level -> mask of the up-set's elements there
+    for i in members:
+        rows[level[i]] = rows.get(level[i], 0) | 1 << i
+    for z in members:
+        covers = [up[c] for c in _bits(up[z] & rows.get(level[z] + 1, 0))]
+        for t, up_x in enumerate(covers):
+            for up_y in covers[t + 1 :]:
+                if level_of.get(up_x & up_y) != level[z] + 2:
+                    return _first_failure(p, s)
+    return ""
+
+
+def _first_failure(p: GradedPoset, s: int) -> str:
+    """The first reason, in element order, that the up-set of s is not a geometric lattice.
+
+    All pairs are scanned in element order and the first failure is
+    named: a missing join or meet first, then an element that is not the
+    join of the atoms below it, then a pair that breaks rank
+    submodularity; "" when there is none.  The common upper bounds of a
+    and b are the up-set of their join when it exists, and their common
+    lower bounds above s are the down-set of their meet within the
+    up-set, so each is one dict lookup of a bitmask.  Every pair check
+    is symmetric, so only pairs with a before b are visited.
     """
     up, down, name, level = p._up, p._down, p.elements, p._grading[0]
     region = up[s]

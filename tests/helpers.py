@@ -48,25 +48,21 @@ def corpus_poset(name: str):
 
 
 def graded_posets(monkeypatch) -> list:
-    """Every poset whose `_grading` is evaluated from now on, once per evaluation.
+    """Every poset whose grading is computed from now on, once per computation.
 
     The list holds the posets themselves, so none is freed and its id
     reused while the list is alive.
     """
-    from functools import cached_property
-
     from gkmfaces.poset import GradedPoset
 
     graded = []
-    compute = GradedPoset.__dict__["_grading"].func
+    compute = GradedPoset._grade
 
     def counted(p):
         graded.append(p)
         return compute(p)
 
-    grading = cached_property(counted)
-    grading.__set_name__(GradedPoset, "_grading")
-    monkeypatch.setattr(GradedPoset, "_grading", grading)
+    monkeypatch.setattr(GradedPoset, "_grade", counted)
     return graded
 
 

@@ -92,9 +92,9 @@ def flats_lattice_oracle(weights):
 def flats_with_covers_oracle(ws):
     """(flats, covers) as `matroid._flats_with_covers` gives them, from full eliminations.
 
-    Each frontier flat keeps the weights that span it and builds an
-    `EchelonBasis` from them; every class outside it is reduced against
-    that whole basis.
+    Covers are pairs of positions in the sorted flat list.  Each frontier
+    flat keeps the weights that span it and builds an `EchelonBasis` from
+    them; every class outside it is reduced against that whole basis.
     """
     from gkmfaces.matroid import Flat
     from gkmfaces.ratlinalg import EchelonBasis
@@ -127,10 +127,9 @@ def flats_with_covers_oracle(ws):
                 rest = [c for c in outside if c not in group]
                 frontier.append((bigger, spanning + [classes[group[0]][0]], rest))
             covers.append((flat, bigger))
-    flats = sorted(found.values(), key=Flat.sort_key)
+    flats = sorted(found.values(), key=lambda f: (f.rank, sorted(f.members)))
     position = {flat: i for i, flat in enumerate(flats)}
-    covers.sort(key=lambda pair: (position[pair[0]], position[pair[1]]))
-    return flats, covers
+    return flats, sorted((position[low], position[high]) for low, high in covers)
 
 
 def independence_complex_oracle(weights):

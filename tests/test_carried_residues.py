@@ -7,11 +7,14 @@ residues built.  `tests/oracles.py` keeps the flats search that reduces
 every class against the whole basis of its flat, the full-rank subset
 scan for bases and face counts, and the subset scan for the independence
 degree.  They are compared on random weight systems built to hold
-parallel, negated, scaled and repeated weights.  The flats lattice is
-also checked to be invariant under permuting, scaling and negating the
-weights.
+parallel, negated, scaled and repeated weights, and on the edge cases of
+the flats search: no weights, and ranks 1 and 2, where the bottom or the
+atoms are the coatoms.  The flats search carries residues only below
+the coatoms.  The flats lattice is also checked to be invariant under
+permuting, scaling and negating the weights.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +79,38 @@ def test_f_and_h_vectors_count_the_independent_sets(ws):
 @given(weight_systems())
 def test_independence_degree_matches_the_subset_scan(ws):
     assert independence_degree(flats_lattice(ws)) == independence_degree_oracle(ws)
+
+
+EDGE_SYSTEMS = {
+    "no weights": WeightSystem(2, []),
+    "all parallel, rank 1": WeightSystem(2, [(1, 2), (-1, -2), (3, 6), (2, 4)]),
+    "rank 2": WeightSystem(3, [(1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 0, 2), (0, -1, 0)]),
+    "repeated, negated and scaled": WeightSystem(
+        3, [(1, 2, 0), (-1, -2, 0), (2, 4, 0), (0, 1, 1), (0, 1, 1), (0, -3, -3), (1, 0, 0)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SYSTEMS))
+def test_flats_and_covers_match_the_oracle_on_edge_cases(name):
+    ws = EDGE_SYSTEMS[name]
+    assert _flats_with_covers(ws) == flats_with_covers_oracle(ws)
+
+
+@pytest.mark.parametrize(
+    "ws", [WeightSystem(n, type_a_roots(n)) for n in (3, 4)] + list(EDGE_SYSTEMS.values())
+)
+def test_residues_are_carried_once_per_flat_below_the_coatoms(monkeypatch, ws):
+    """On A3 that is once per rank-1 flat: 6 carries."""
+    from gkmfaces import matroid
+
+    calls = []
+    carry = matroid._carry_residues
+    monkeypatch.setattr(
+        matroid, "_carry_residues", lambda row, entries: calls.append(row) or carry(row, entries)
+    )
+    flats, _ = _flats_with_covers(ws)
+    assert len(calls) == sum(1 <= f.rank <= ws.rank() - 2 for f in flats)
 
 
 def test_searches_match_the_oracles_on_type_a():

@@ -14,6 +14,8 @@ from gkmfaces.errors import (
 from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import (
     GradedPoset,
+    _first_failure,
+    _up_set_failure,
     are_isomorphic,
     check_coherent,
     check_gkm_coherent,
@@ -31,9 +33,11 @@ from helpers import (
     BASIS2,
     COLLINEAR,
     UNIFORM23,
+    corpus_matroid,
     corpus_poset,
     graded_posets,
     random_weight_system,
+    type_a_roots,
     weight_corpus,
 )
 from oracles import (
@@ -386,6 +390,25 @@ NAMED_POSETS = {
         "upper ideal at ('R', '0') is not a geometric lattice: "
         "element ('R', 'd') is not the join of the atoms below it",
     ),
+    # below: the cases the cover test in `_up_set_failure` must not pass
+    "chain": (
+        poset_of(["0", "a", "b"], "0<a a<b"),
+        "element 'b' is not the join of the atoms below it",
+    ),
+    # one atom, so every element-atom join exists; x and y have two minimal upper bounds
+    "bowtie over one atom": (
+        poset_of(["0", "a", "x", "y", "u", "v", "1"], "0<a a<x a<y x<u x<v y<u y<v u<1 v<1"),
+        "join of 'x' and 'y' does not exist",
+    ),
+    # any two atoms are joined by a line, but the lines ac and cd through c only by the top
+    "semimodular at the atoms only": (
+        poset_of(
+            ["0", "a", "b", "c", "d", "ab", "ac", "ad", "bc", "bd", "cd", "abc", "abd", "bcd", "1"],
+            "0<a 0<b 0<c 0<d a<ab b<ab a<ac c<ac a<ad d<ad b<bc c<bc b<bd d<bd c<cd d<cd "
+            "ab<abc ac<abc bc<abc ab<abd ad<abd bd<abd bc<bcd bd<bcd cd<bcd abc<1 abd<1 bcd<1",
+        ),
+        "rank submodularity fails for 'a', 'cd'",
+    ),
     "glued": (corpus_poset("glued.poset"), ""),
     "compactified u23": (compactify(flats_lattice(UNIFORM23)), ""),
     "compactified coll": (compactify(flats_lattice(COLLINEAR)), ""),
@@ -405,6 +428,26 @@ def test_named_posets_match_the_oracles(name):
     assert expected in locally.reason
     if name.startswith("compactified") or name == "glued":
         assert locally and len(p.minimal_elements()) == 2
+
+
+def test_passing_posets_scan_no_pairs(monkeypatch):
+    """The cover test passes every geometric up-set without the all-pairs scan."""
+    from gkmfaces import poset
+
+    passing = [
+        corpus_poset("glued.poset"),
+        *(flats_lattice(corpus_matroid(name)) for name in ("b2.wt", "u23.wt", "coll.wt")),
+        *(flats_lattice(WeightSystem(n, type_a_roots(n))) for n in (2, 3, 4)),
+        *(compactify(flats_lattice(ws)) for ws in (UNIFORM23, COLLINEAR)),
+        *(flats_lattice(ws) for ws in weight_corpus(seed=17, count=20, max_n=6)),
+    ]
+    scans = []
+    monkeypatch.setattr(poset, "_first_failure", lambda p, s: scans.append(s))
+    for p in passing:
+        assert is_locally_geometric(p)
+        if p.bottom() is not None:
+            assert is_geometric_lattice(p)
+    assert scans == []
 
 
 @st.composite
@@ -490,6 +533,9 @@ def flats_based_posets(draw):
 def test_lattice_predicates_match_the_oracles(p):
     assert same_verdict(is_geometric_lattice(p), is_geometric_lattice_oracle(p))
     assert same_verdict(is_locally_geometric(p), is_locally_geometric_oracle(p))
+    if is_graded(p):  # the cover test sends exactly the failing up-sets to the scan
+        for s in range(len(p.elements)):
+            assert _up_set_failure(p, s) == _first_failure(p, s)
     for s in p.elements:
         for t in p.up_set(s):
             assert mobius(p, s, t) == mobius_oracle(p.leq, list(p.elements), s, t)
