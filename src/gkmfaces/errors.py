@@ -50,17 +50,16 @@ class ConnectionNotCanonical(GkmFacesError, ValueError):
 
 
 class EnumerationCapExceeded(GkmFacesError, RuntimeError):
-    """Face enumeration reached more search states than the cap allows.
+    """An enumeration reached, or would reach, more than its cap allows.
 
-    `reached` is the number of states counted when the search stopped and
-    `context` says what it was enumerating at that moment.
+    Face enumeration counts its search states as it goes and stops at
+    the cap; an order complex counts its chains before listing any.
+    `reached` is the count when it stopped, and the message names what
+    was counted and what was being enumerated at that moment.
     """
 
-    def __init__(self, cap: int, reached: int, context: str):
-        super().__init__(
-            f"enumeration cap of {cap} candidate subgraphs exceeded: "
-            f"{reached} seed and branch states reached while {context}"
-        )
+    def __init__(self, cap: int, reached: int, message: str):
+        super().__init__(message)
         self.cap = cap
         self.reached = reached
 

@@ -535,8 +535,9 @@ def enumerate_face_subgraphs(g: GkmGraph, cap: int = DEFAULT_CAP) -> list[GkmSub
                 raise EnumerationCapExceeded(
                     cap,
                     states,
-                    f"growing faces of degree {d} from vertex {g.vertices[x]!r}, "
-                    f"with {len(found) - n} faces of positive degree found",
+                    f"enumeration cap of {cap} candidate subgraphs exceeded: {states} seed and "
+                    f"branch states reached while growing faces of degree {d} from vertex "
+                    f"{g.vertices[x]!r}, with {len(found) - n} faces of positive degree found",
                 )
             kept = grown[z]
             ends = dict.fromkeys(

@@ -15,15 +15,14 @@ bitmasks and numbered flats until its final sort.  The cost is
 governed by the number of flats and classes, not by 2^n subsets (the
 subset scans and the pairwise cover scan are kept as test oracles).  The
 independence degree is read off the flats lattice's labels.  A
-simplicial complex keeps its faces once listed, for its f- and h-vectors
-and its homology alike.
+simplicial complex lists its faces once, as bitmasks each with the mask
+of the vertices that can join it, for its f- and h-vectors and its
+homology alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Sequence
 
@@ -91,24 +90,41 @@ class SimplicialComplex:
 
     vertices: tuple[int, ...]
     facets: tuple[frozenset[int], ...]
+    # set on first read of `_faces`; a plain attribute, since cached_property reads `__dict__`
+    _levels: list | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def _faces(self) -> list[list[tuple[int, ...]]]:
-        """Sorted faces of size j + 1 at index j, as vertex-index tuples; listed once and kept."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        facets = [tuple(sorted(index.setdefault(v, len(index)) for v in f)) for f in self.facets]
-        by_size: list[set] = [set() for _ in range(max(map(len, facets), default=0) + 1)]
-        for facet in facets:
-            by_size[len(facet)].add(facet)
-        # each size hands the faces of its simplices down to the next
-        for size in range(len(by_size) - 1, 1, -1):
-            for simplex in by_size[size]:
-                by_size[size - 1].update(combinations(simplex, size - 1))
-        return [sorted(level) for level in by_size[1:]]
+    @property
+    def _faces(self) -> list[list[tuple[int, int]]]:
+        """(face, insertable mask) pairs of size j + 1 at index j; listed once and kept."""
+        if self._levels is None:
+            object.__setattr__(self, "_levels", _face_levels(self.vertices, self.facets))
+        return self._levels
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_{d-1}) with d the largest face cardinality."""
         return (1, *map(len, self._faces))
+
+
+def _face_levels(vertices, facets) -> list[list[tuple[int, int]]]:
+    """Faces by size, ascending as bitmasks, each with the mask of the vertices that can join it.
+
+    Bit i stands for vertices[i]; a facet's vertex missing there is
+    numbered after them.  Each size hands its faces down to the size
+    below, and a face dropping vertex v gets v as insertable.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    masks = [sum(1 << index.setdefault(v, len(index)) for v in f) for f in facets]
+    top = max(map(int.bit_count, masks), default=0)
+    by_size: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    for mask in masks:
+        by_size[mask.bit_count()].setdefault(mask, 0)
+    for size in range(len(by_size) - 1, 1, -1):
+        lower = by_size[size - 1]
+        for face in by_size[size]:
+            for v in _bits(face):
+                bit = 1 << v
+                lower[face ^ bit] = lower.get(face ^ bit, 0) | bit
+    return [sorted(level.items()) for level in by_size[1:]]
 
 
 def closure(ws: WeightSystem, subset: Iterable[int]) -> Flat:

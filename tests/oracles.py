@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: rank comes from plain
 Gaussian elimination over fractions.Fraction, closures from a subset scan,
 flat lists from the full 2^n sweep, reduced Betti numbers from
-eliminating every boundary matrix, and GKM faces from checking every edge
+eliminating every boundary matrix (or from sympy's ranks of the dense
+ones), and GKM faces from checking every edge
 subset.  The GKM plane table spans one plane per pair of edges, the face
 poset and the Galois monotonicity check scan all pairs of faces.  Slow
 and obvious on purpose.  Bases are the full-rank subsets of that size, the
@@ -385,6 +386,21 @@ def reduced_betti_oracle(complex_):
     levels = simplices_oracle(complex_.facets)
     ranks = [1 if levels else 0]
     ranks += [sparse_rank_oracle(boundary_columns(levels, dim)) for dim in range(1, len(levels))]
+    return betti_from_ranks([len(level) for level in levels], ranks)
+
+
+def sympy_betti(complex_):
+    """Reduced Betti numbers from sympy ranks of dense boundary matrices."""
+    import sympy
+
+    levels = simplices_oracle(complex_.facets)
+    ranks = [1 if levels else 0]
+    for dim in range(1, len(levels)):
+        matrix = sympy.zeros(len(levels[dim - 1]), len(levels[dim]))
+        for j, col in enumerate(boundary_columns(levels, dim)):
+            for i, v in col.items():
+                matrix[i, j] = v
+        ranks.append(matrix.rank())
     return betti_from_ranks([len(level) for level in levels], ranks)
 
 

@@ -1,30 +1,44 @@
 """Order complexes listed from the order masks, against brute force.
 
 `order_complex` numbers a poset's elements over a linear extension and
-keeps each one's strict up-set as a mask; `_simplices_by_dim` lists the
-chains from those masks by extension.  Both are compared with
-`chains_oracle`, every subset that the order makes a chain, on random
-posets: redundant declared covers, non-graded shapes, several minima and
+keeps each one's strict up- and down-sets as masks; `_simplices_by_dim`
+lists the chains from those masks by extension, each as a vertex mask
+with the mask of the vertices that can be inserted into it.  Both are
+compared with `chains_oracle`, every subset that the order makes a
+chain, on random posets: redundant declared covers, non-graded shapes, several minima and
 maxima, single elements, and element orders that are not linear
 extensions.  The Betti numbers are compared with the boundary-matrix
 oracle on the complex of those chains.  Homology of an order complex
 and the wedge check never walk the maximal chains; the wedge's top
 h-number is the independence complex's.
+
+The reduction builds a coboundary column only where two columns meet
+at one pivot: never on shuffled flats lattices or on independence
+complexes, and where columns do meet, the Betti numbers are those of
+the boundary-matrix oracle and of sympy's ranks.  No element order
+changes them.  An order complex with more than `CHAIN_CAP` chains is
+refused, with the count, before any chain is listed.
 """
 
+import random
+from math import factorial
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkmfaces import cli
+from gkmfaces import cli, complexes
 from gkmfaces.complexes import (
+    CHAIN_CAP,
     OrderComplex,
+    _chain_count,
     _simplices_by_dim,
     order_complex,
     reduced_betti,
     verify_wedge_prediction,
 )
-from gkmfaces.formats import format_poset
+from gkmfaces.formats import format_matroid, format_poset, parse_poset
 from gkmfaces.matroid import (
     SimplicialComplex,
     WeightSystem,
@@ -34,8 +48,14 @@ from gkmfaces.matroid import (
 )
 from gkmfaces.poset import GradedPoset, _bits
 
-from helpers import type_a_roots
-from oracles import chains_oracle, reduced_betti_oracle
+from helpers import (
+    disguised,
+    flats_lattice_text,
+    partition_lattice_text,
+    type_a_roots,
+    weight_corpus,
+)
+from oracles import chains_oracle, reduced_betti_oracle, sympy_betti
 
 
 @st.composite
@@ -53,16 +73,30 @@ def posets(draw, max_n=8):
 def test_chains_match_the_subset_scan(p):
     oc = order_complex(p)
     assert sorted(oc.vertices, key=p.elements.index) == list(p.elements)
-    for v, mask in enumerate(oc.above):
+    for v, (mask, down) in enumerate(zip(oc.above, oc.below)):
         above = {oc.vertices[w] for w in _bits(mask)}
         assert above == {e for e in p.elements if p.lt(oc.vertices[v], e)}
+        assert {oc.vertices[w] for w in _bits(down)} == {
+            e for e in p.elements if p.lt(e, oc.vertices[v])
+        }
         assert mask & ((2 << v) - 1) == 0  # a linear extension: everything above comes later
     levels = _simplices_by_dim(oc)
     expected = chains_oracle(p)
     assert len(levels) == len(expected)
-    for level, chains in zip(levels, expected):
-        assert level == sorted(set(level))
-        assert {frozenset(oc.vertices[v] for v in chain) for chain in level} == chains
+    assert _chain_count(oc.above) == sum(map(len, levels))
+
+    def names(mask):
+        return frozenset(oc.vertices[v] for v in _bits(mask))
+
+    for dim, (level, chains) in enumerate(zip(levels, expected)):
+        assert len({chain for chain, _ in level}) == len(level)
+        assert {names(chain) for chain, _ in level} == chains
+        longer = expected[dim + 1] if dim + 1 < len(expected) else set()
+        for chain, insertable in level:
+            assert chain & insertable == 0
+            assert {names(chain | 1 << v) for v in _bits(insertable)} == {
+                c for c in longer if names(chain) < c
+            }
     all_chains = SimplicialComplex(p.elements, tuple(c for level in expected for c in level))
     assert reduced_betti(oc) == reduced_betti_oracle(all_chains)
 
@@ -111,3 +145,90 @@ def test_wedge_never_walks_the_maximal_chains(facets_forbidden):
 def test_wedge_top_h_is_the_independence_complex_top_h(case):
     ws = WeightSystem(*case)
     assert verify_wedge_prediction(ws).top_h == h_vector(independence_complex(ws))[-1]
+
+
+@pytest.fixture
+def columns_built(monkeypatch):
+    """The (face, insertable) arguments of every coboundary column the reduction builds."""
+    built = []
+    column = complexes._column
+    monkeypatch.setattr(complexes, "_column", lambda *args: built.append(args) or column(*args))
+    return built
+
+
+def test_flats_lattices_and_independence_complexes_build_no_column(columns_built):
+    """The lowest coface of every column reached is a new pivot, whatever the element order."""
+    rng = random.Random(15)
+    for n in (3, 4, 5):  # the partition lattice of n + 1 blocks, as a shuffled file
+        proper = parse_poset(partition_lattice_text(rng, n)).proper_part()
+        assert reduced_betti(order_complex(proper))[n - 2] == factorial(n)
+    for ws in weight_corpus(seed=15, count=40, max_n=6):
+        lattice = parse_poset(flats_lattice_text(rng, ws))
+        if len(lattice.elements) > 2:
+            reduced_betti(order_complex(lattice.proper_part()))
+        reduced_betti(independence_complex(disguised(rng, ws)))
+    assert columns_built == []
+
+
+# a < b < c beside d < c, numbered d, a, b, c: the columns of a and b meet at {a, b}
+MEETING = GradedPoset(["d", "a", "b", "c"], [("b", "c"), ("a", "b"), ("d", "c")])
+
+
+def test_columns_meet_and_an_emergent_column_is_built_on_demand(columns_built):
+    oc = order_complex(MEETING)
+    assert oc.vertices == ("d", "a", "b", "c")
+    betti = reduced_betti(oc)
+    # vertex b's lowest coface {a, b} is vertex a's emergent pivot, so both columns are built
+    assert [face for face, _ in columns_built] == [0b0100, 0b0010]
+    all_chains = SimplicialComplex(MEETING.elements, oc.facets)
+    assert betti == reduced_betti_oracle(all_chains) == sympy_betti(all_chains)
+    assert betti == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(posets())
+def test_betti_where_columns_meet_match_the_oracles(p):
+    column = complexes._column
+    built = []
+    with mock.patch.object(complexes, "_column", lambda *a: built.append(a) or column(*a)):
+        betti = reduced_betti(order_complex(p))
+    assume(built)
+    all_chains = SimplicialComplex(
+        p.elements, tuple(c for level in chains_oracle(p) for c in level)
+    )
+    assert betti == reduced_betti_oracle(all_chains) == sympy_betti(all_chains)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(posets(), st.randoms(use_true_random=False))
+def test_element_order_leaves_the_betti_numbers_unchanged(p, rng):
+    shuffled = list(p.elements)
+    rng.shuffle(shuffled)
+    again = GradedPoset(shuffled, p.covers)
+    assert reduced_betti(order_complex(again)) == reduced_betti(order_complex(p))
+
+
+def chain_cap_message(vertices: int, chains: int, cap: int = CHAIN_CAP) -> str:
+    return (
+        f"error: enumeration cap of {cap} order-complex chains exceeded: the order complex "
+        f"on {vertices} vertices has {chains} chains, counted before listing any\n"
+    )
+
+
+def test_a7_proper_part_is_refused_before_any_chain_is_listed(tmp_path, capsys):
+    path = tmp_path / "a7.poset"
+    path.write_text(partition_lattice_text(random.Random(7), 7))
+    assert cli.main(["poset", "homology", "--proper", str(path)]) == 1
+    assert capsys.readouterr() == ("", chain_cap_message(4138, 10_270_695))
+
+
+def test_chain_cap_counts_every_chain(monkeypatch, tmp_path, capsys):
+    """The proper part of the A3 partition lattice: 6 atoms, 7 coatoms and 18 edges."""
+    path = tmp_path / "a3.wt"
+    path.write_text(format_matroid(WeightSystem(3, type_a_roots(3))))
+    monkeypatch.setattr(complexes, "CHAIN_CAP", 31)
+    assert cli.main(["matroid", "wedge", str(path)]) == 0
+    monkeypatch.setattr(complexes, "CHAIN_CAP", 30)
+    capsys.readouterr()
+    assert cli.main(["matroid", "wedge", str(path)]) == 1
+    assert capsys.readouterr() == ("", chain_cap_message(13, 31, cap=30))

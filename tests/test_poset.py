@@ -366,52 +366,53 @@ def poset_of(elements, relations):
 BOWTIE = poset_of(["0", "a", "b", "c", "d", "1"], "0<a 0<b a<c a<d b<c b<d c<1 d<1")
 BASIS3 = WeightSystem(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 NOT_ATOMISTIC = poset_of(["0", "a", "b", "c", "d", "1"], "0<a 0<b a<c b<c a<d c<1 d<1")
+# name -> (a builder, called by the test, so that a defect in it fails one case; expected reason)
 NAMED_POSETS = {
     # the pentagon: chains of lengths 2 and 3 between 0 and 1
-    "pentagon": (poset_of(["0", "a", "b", "c", "1"], "0<a a<b b<1 0<c c<1"), "not graded"),
-    "bowtie": (BOWTIE, "join of 'a' and 'b' does not exist"),
+    "pentagon": (lambda: poset_of(["0", "a", "b", "c", "1"], "0<a a<b b<1 0<c c<1"), "not graded"),
+    "bowtie": (lambda: BOWTIE, "join of 'a' and 'b' does not exist"),
     "bowtie, tops first": (
-        GradedPoset(["c", "d", "0", "a", "b", "1"], BOWTIE.covers),
+        lambda: GradedPoset(["c", "d", "0", "a", "b", "1"], BOWTIE.covers),
         "meet of 'c' and 'd' does not exist",
     ),
-    "not atomistic": (NOT_ATOMISTIC, "element 'd' is not the join of the atoms below it"),
+    "not atomistic": (lambda: NOT_ATOMISTIC, "element 'd' is not the join of the atoms below it"),
     "not submodular": (
-        poset_of(["0", "a", "b", "c", "d", "x", "y", "1"], "0<a 0<b 0<c 0<d a<x b<x c<y d<y x<1 y<1"),
+        lambda: poset_of(["0", "a", "b", "c", "d", "x", "y", "1"], "0<a 0<b 0<c 0<d a<x b<x c<y d<y x<1 y<1"),
         "rank submodularity fails for 'a', 'c'",
     ),
     # two minimal elements below s; the ideal at s is listed first and fails
     "two minima": (
-        poset_of(["s", "x1", "x2", "a", "b", "c", "d", "1"], "x1<s x2<s s<a s<b a<c a<d b<c b<d c<1 d<1"),
+        lambda: poset_of(["s", "x1", "x2", "a", "b", "c", "d", "1"], "x1<s x2<s s<a s<b a<c a<d b<c b<d c<1 d<1"),
         "upper ideal at 's' is not a geometric lattice: join of 'a' and 'b' does not exist",
     ),
     # the first minimal element passes, the second one fails
     "glued, right side fails": (
-        glue_top(flats_lattice(BASIS3), NOT_ATOMISTIC),
+        lambda: glue_top(flats_lattice(BASIS3), NOT_ATOMISTIC),
         "upper ideal at ('R', '0') is not a geometric lattice: "
         "element ('R', 'd') is not the join of the atoms below it",
     ),
     # below: the cases the cover test in `_up_set_failure` must not pass
     "chain": (
-        poset_of(["0", "a", "b"], "0<a a<b"),
+        lambda: poset_of(["0", "a", "b"], "0<a a<b"),
         "element 'b' is not the join of the atoms below it",
     ),
     # one atom, so every element-atom join exists; x and y have two minimal upper bounds
     "bowtie over one atom": (
-        poset_of(["0", "a", "x", "y", "u", "v", "1"], "0<a a<x a<y x<u x<v y<u y<v u<1 v<1"),
+        lambda: poset_of(["0", "a", "x", "y", "u", "v", "1"], "0<a a<x a<y x<u x<v y<u y<v u<1 v<1"),
         "join of 'x' and 'y' does not exist",
     ),
     # any two atoms are joined by a line, but the lines ac and cd through c only by the top
     "semimodular at the atoms only": (
-        poset_of(
+        lambda: poset_of(
             ["0", "a", "b", "c", "d", "ab", "ac", "ad", "bc", "bd", "cd", "abc", "abd", "bcd", "1"],
             "0<a 0<b 0<c 0<d a<ab b<ab a<ac c<ac a<ad d<ad b<bc c<bc b<bd d<bd c<cd d<cd "
             "ab<abc ac<abc bc<abc ab<abd ad<abd bd<abd bc<bcd bd<bcd cd<bcd abc<1 abd<1 bcd<1",
         ),
         "rank submodularity fails for 'a', 'cd'",
     ),
-    "glued": (corpus_poset("glued.poset"), ""),
-    "compactified u23": (compactify(flats_lattice(UNIFORM23)), ""),
-    "compactified coll": (compactify(flats_lattice(COLLINEAR)), ""),
+    "glued": (lambda: corpus_poset("glued.poset"), ""),
+    "compactified u23": (lambda: compactify(flats_lattice(UNIFORM23)), ""),
+    "compactified coll": (lambda: compactify(flats_lattice(COLLINEAR)), ""),
 }
 
 
@@ -421,7 +422,8 @@ def same_verdict(fast, oracle):
 
 @pytest.mark.parametrize("name", sorted(NAMED_POSETS))
 def test_named_posets_match_the_oracles(name):
-    p, expected = NAMED_POSETS[name]
+    build, expected = NAMED_POSETS[name]
+    p = build()
     geometric, locally = is_geometric_lattice(p), is_locally_geometric(p)
     assert same_verdict(geometric, is_geometric_lattice_oracle(p))
     assert same_verdict(locally, is_locally_geometric_oracle(p))
