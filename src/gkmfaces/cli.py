@@ -324,9 +324,6 @@ def _enum_flags(sub):
     sub.add_argument(
         "--cap", type=_positive_int, default=gkm.DEFAULT_CAP, help="face search state cap"
     )
-    sub.add_argument(
-        "--workers", type=_positive_int, default=1, help="accepted for compatibility; no effect"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,9 +6,10 @@ the vertices that can join it to make a simplex one larger.  A chain of
 an order complex grows by a vertex w above its top t, and the chain it
 makes carries `gap & ~above[t] | above[t] & below[w] | above[w]`: what
 could go below t still can, and w opens what lies between t and w and
-above w.  A simplicial complex lists its faces once, top size down,
-each size reading its insertable masks off the size above
-(`matroid.SimplicialComplex`).
+above w.  An independence complex is listed once, bottom up, off the
+flats lattice (`matroid.independence_complex`); a complex given by its
+facets lists its faces once, top size down, each size reading its
+insertable masks off the size above (`matroid.SimplicialComplex`).
 
 Betti numbers come from exact ranks of the coboundary maps delta^d,
 whose ranks are those of the boundary maps, reduced from low degree
@@ -261,7 +262,7 @@ def verify_wedge_prediction(ws: WeightSystem) -> WedgeReport:
         skipped = False
     else:
         proper_betti, proper_ok, skipped = None, False, True
-    independence = independence_complex(ws)  # faces listed once, for both calls
+    independence = independence_complex(ws)  # off the same lattice; faces kept for both calls
     top_h = h_vector(independence)[-1]
     complex_betti = reduced_betti(independence)
     complex_ok = _concentrated(complex_betti, rank - 1, top_h)

@@ -6,18 +6,18 @@ distinct matroid elements.  Flats are index sets closed under rational
 span.  They are grown bottom-up together with their covers: the weights
 are first grouped into parallel classes (the same line through the
 origin), and the flats covering a flat F are found by grouping the
-classes outside F whose residues modulo span(F) are equal.  Both
-searches here (flats and bases) carry those residues down: a child's
-residues are its parent's reduced by the one new row, one row operation
-each instead of an elimination against a whole basis.  The flats search
-stops at the coatoms, whose only cover is the top, and runs on member
-bitmasks and numbered flats until its final sort.  The cost is
-governed by the number of flats and classes, not by 2^n subsets (the
-subset scans and the pairwise cover scan are kept as test oracles).  The
-independence degree is read off the flats lattice's labels.  A
-simplicial complex lists its faces once, as bitmasks each with the mask
-of the vertices that can join it, for its f- and h-vectors and its
-homology alike.
+classes outside F whose residues modulo span(F) are equal.  That search
+carries the residues down: a child's residues are its parent's reduced
+by the one new row, one row operation each instead of an elimination
+against a whole basis.  It stops at the coatoms, whose only cover is the
+top, and runs on member bitmasks and numbered flats until its final
+sort.  The cost is governed by the number of flats and classes, not by
+2^n subsets (the subset scans and the pairwise cover scan are kept as
+test oracles).  It is the one search over a weight system, which keeps
+its result: the independence complex and the independence degree are
+read off the flats lattice.  A simplicial complex lists its faces once,
+as bitmasks each with the mask of the vertices that can join it, for its
+f- and h-vectors and its homology alike.
 """
 
 from __future__ import annotations
@@ -26,9 +26,12 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, PreconditionFailed, ZeroWeight
+from .errors import DimensionMismatch, EnumerationCapExceeded, PreconditionFailed, ZeroWeight
 from .poset import GradedPoset, _bits
 from .ratlinalg import EchelonBasis, IntVector, Subspace, _carry_residues, as_vector
+
+# more nonempty independent sets than this are not listed; A7 has 561 947
+INDEPENDENT_SET_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,8 @@ class WeightSystem:
 
     ambient_rank: int
     weights: tuple[IntVector, ...]
+    # set on first read of `_lattice`; a plain attribute, since cached_property reads `__dict__`
+    _flats: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, ambient_rank: int, weights: Iterable[Sequence[int]]):
         if ambient_rank < 1:
@@ -71,6 +76,13 @@ class WeightSystem:
     def rank(self) -> int:
         return self.span_of(self.indices).dim
 
+    @property
+    def _lattice(self) -> tuple[list[Flat], list[tuple[int, int]]]:
+        """The flats and covers of `_flats_with_covers`, searched on first read and kept."""
+        if self._flats is None:
+            object.__setattr__(self, "_flats", _flats_with_covers(self))
+        return self._flats
+
 
 @dataclass(frozen=True)
 class Flat:
@@ -90,7 +102,7 @@ class SimplicialComplex:
 
     vertices: tuple[int, ...]
     facets: tuple[frozenset[int], ...]
-    # set on first read of `_faces`; a plain attribute, since cached_property reads `__dict__`
+    # set by `independence_complex` or on first read of `_faces`; a plain attribute, like `_flats`
     _levels: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -108,9 +120,9 @@ class SimplicialComplex:
 def _face_levels(vertices, facets) -> list[list[tuple[int, int]]]:
     """Faces by size, ascending as bitmasks, each with the mask of the vertices that can join it.
 
-    Bit i stands for vertices[i]; a facet's vertex missing there is
-    numbered after them.  Each size hands its faces down to the size
-    below, and a face dropping vertex v gets v as insertable.
+    For a complex given by facets: bit i stands for vertices[i], a facet's
+    vertex missing there is numbered after them, each size hands its faces
+    down to the size below, and a face dropping v gets v as insertable.
     """
     index = {v: i for i, v in enumerate(vertices)}
     masks = [sum(1 << index.setdefault(v, len(index)) for v in f) for f in facets]
@@ -135,12 +147,6 @@ def closure(ws: WeightSystem, subset: Iterable[int]) -> Flat:
     return Flat(members, span.dim)
 
 
-def _residues(ws: WeightSystem) -> list[tuple[int, IntVector]]:
-    """(index, residue modulo the zero span) for every weight: its primitive direction."""
-    origin = EchelonBasis(ws.ambient_rank)
-    return [(i, origin.residue(w)) for i, w in enumerate(ws.weights, start=1)]
-
-
 def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, int]]]:
     """Every flat sorted by (rank, members), and the covers as sorted pairs of positions there.
 
@@ -162,8 +168,8 @@ def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, in
         ranks.append(r)
     if r == 1:
         covers.append((0, 1))
-    parallel: dict[IntVector, int] = {}
-    for i, residue in _residues(ws):
+    parallel: dict[IntVector, int] = {}  # primitive direction -> class members
+    for i, residue in enumerate(map(EchelonBasis(ws.ambient_rank).residue, ws.weights), 1):
         parallel[residue] = parallel.get(residue, 0) | 1 << i
     classes = list(parallel.values())
     number = {0: 0}  # members -> flat number
@@ -197,7 +203,7 @@ def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, in
 
 def all_flats(ws: WeightSystem) -> list[Flat]:
     """Every flat exactly once, sorted by (rank, members)."""
-    return _flats_with_covers(ws)[0]
+    return list(ws._lattice[0])
 
 
 def flat_id(flat: Flat) -> tuple[int, ...]:
@@ -211,7 +217,7 @@ def flats_lattice(ws: WeightSystem) -> GradedPoset:
     drk labels count the weights in the flat with multiplicity.  Covers
     are listed by the position of the lower flat, then of the upper one.
     """
-    flats, covers = _flats_with_covers(ws)
+    flats, covers = ws._lattice
     ids = [flat_id(f) for f in flats]
     return GradedPoset(
         ids,
@@ -226,30 +232,45 @@ def flats_lattice(ws: WeightSystem) -> GradedPoset:
 def independence_complex(ws: WeightSystem) -> SimplicialComplex:
     """Faces are the linearly independent index sets; facets are the bases.
 
-    The bases are grown in increasing index order, so they come out
-    sorted.  Each independent set carries the residues of the weights
-    after it modulo its span, without those that vanished (the dependent
-    ones).  One weight short of a basis, every carried weight completes
-    it; two short, the pairs with different residues do.
+    Read off the flats lattice (Bjorner, The homology and shellability of
+    matroids and geometric lattices, 1992): an independent set with
+    closure F takes exactly the weights outside F, and adding weight v
+    moves its closure up to the flat covering F that holds v.  A face
+    grows by the weights outside its flat above its highest one, so every
+    face is listed once, each size in lexicographic order, with the
+    complement of its flat as its insertable mask; the bases are the top
+    size.  Each size is counted before it is listed, and more than
+    INDEPENDENT_SET_CAP nonempty faces raise EnumerationCapExceeded.
     """
-    rank = ws.rank()
-    bases: list[frozenset[int]] = []
-
-    def extend(chosen: tuple[int, ...], later: list[tuple[int, IntVector]]) -> None:
-        short = rank - len(chosen)
-        for t in range(len(later) - short + 1):
-            i, row = later[t]
-            if short == 1:
-                bases.append(frozenset((*chosen, i)))
-            elif short == 2:
-                bases.extend(frozenset((*chosen, i, j)) for j, r in later[t + 1 :] if r != row)
-            else:
-                extend((*chosen, i), _carry_residues(row, later[t + 1 :]))
-
-    if rank == 0:
-        return SimplicialComplex(tuple(), tuple())
-    extend((), _residues(ws))
-    return SimplicialComplex(tuple(ws.indices), tuple(bases))
+    flats, covers = ws._lattice
+    full = (1 << ws.size) - 1
+    outside = [full ^ sum(1 << i - 1 for i in f.members) for f in flats]  # bit i - 1: weight i
+    up: list[dict[int, int]] = [{} for _ in flats]  # up[F][v]: the flat covering F that holds v
+    for low, high in covers:
+        for v in _bits(outside[low] ^ outside[high]):
+            up[low][v] = high
+    levels, count = [[(0, 0)]], 0  # (face, flat) pairs by size; flat 0 is the bottom
+    while levels[-1]:
+        grow = [  # each face, its flat, and the weights outside the flat above the face's top
+            (face, f, outside[f] >> face.bit_length() << face.bit_length())
+            for face, f in levels[-1]
+        ]
+        count += sum(g.bit_count() for _, _, g in grow)
+        if count > INDEPENDENT_SET_CAP:
+            raise EnumerationCapExceeded(
+                INDEPENDENT_SET_CAP,
+                count,
+                f"enumeration cap of {INDEPENDENT_SET_CAP} independent sets exceeded: the "
+                f"{ws.size} weights have {count} nonempty independent sets of at most "
+                f"{len(levels)} weights, counted before listing them",
+            )
+        levels.append([(face | 1 << v, up[f][v]) for face, f, g in grow for v in _bits(g)])
+    levels = levels[1:-1]
+    facets = tuple(frozenset(_bits(face << 1)) for face, _ in levels[-1]) if levels else ()
+    complex_ = SimplicialComplex(tuple(ws.indices), facets)
+    faces = [sorted((face, outside[f]) for face, f in level) for level in levels]
+    object.__setattr__(complex_, "_levels", faces)
+    return complex_
 
 
 def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:

@@ -1,18 +1,22 @@
-"""The searches that carry residues against the oracles that eliminate.
+"""The residue-carrying flats search and what is read off it, against eliminating oracles.
 
-`matroid._flats_with_covers`, `independence_complex` and `h_vector`
-reduce each weight's residue by one row per search step, and
-`independence_degree` reads its answer off the flats lattice those
-residues built.  `tests/oracles.py` keeps the flats search that reduces
-every class against the whole basis of its flat, the full-rank subset
-scan for bases and face counts, and the subset scan for the independence
-degree.  They are compared on random weight systems built to hold
-parallel, negated, scaled and repeated weights, and on the edge cases of
-the flats search: no weights, and ranks 1 and 2, where the bottom or the
-atoms are the coatoms.  The flats search carries residues only below
-the coatoms.  The flats lattice is also checked to be invariant under
+`matroid._flats_with_covers` reduces each weight's residue by one row
+per search step.  `independence_complex` walks the covers of the flats
+lattice it built, and `h_vector` and `independence_degree` read their
+answers off the complex and the lattice.  `tests/oracles.py` keeps the
+flats search that reduces every class against the whole basis of its
+flat, the full-rank subset scan for bases and face counts, and the
+subset scan for the independence degree.  They are compared on random
+weight systems built to hold parallel, negated, scaled and repeated
+weights, and on the edge cases of the flats search: no weights, and
+ranks 1 and 2, where the bottom or the atoms are the coatoms.  The flats
+search carries residues only below the coatoms.  The walk's faces and
+insertable masks are those that `matroid._face_levels` hands down from
+its bases.  The flats lattice is also checked to be invariant under
 permuting, scaling and negating the weights.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 
 from gkmfaces.matroid import (
     WeightSystem,
+    _face_levels,
     _flats_with_covers,
     flats_lattice,
     h_vector,
@@ -27,7 +32,7 @@ from gkmfaces.matroid import (
     independence_degree,
 )
 
-from helpers import type_a_roots
+from helpers import disguised, type_a_roots
 from oracles import (
     flats_with_covers_oracle,
     independence_complex_oracle,
@@ -61,6 +66,23 @@ def test_flats_and_covers_match_the_full_elimination_oracle(ws):
 def test_bases_match_the_full_rank_subset_scan(ws):
     facets = independence_complex(ws).facets
     assert [tuple(sorted(f)) for f in facets] == independence_complex_oracle(list(ws.weights))
+
+
+def assert_walk_hands_down_like_the_bases(ws):
+    complex_ = independence_complex(ws)
+    assert complex_._faces == _face_levels(ws.indices, complex_.facets)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weight_systems())
+def test_walk_lists_the_faces_the_bases_hand_down(ws):
+    assert_walk_hands_down_like_the_bases(ws)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_walk_lists_the_faces_the_bases_hand_down_on_disguised_type_a(n):
+    ws = disguised(random.Random(n), WeightSystem(n, type_a_roots(n)))
+    assert_walk_hands_down_like_the_bases(ws)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

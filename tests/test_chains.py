@@ -17,7 +17,9 @@ at one pivot: never on shuffled flats lattices or on independence
 complexes, and where columns do meet, the Betti numbers are those of
 the boundary-matrix oracle and of sympy's ranks.  No element order
 changes them.  An order complex with more than `CHAIN_CAP` chains is
-refused, with the count, before any chain is listed.
+refused, with the count, before any chain is listed, and so is an
+independence complex with more than `matroid.INDEPENDENT_SET_CAP`
+nonempty faces.
 """
 
 import random
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkmfaces import cli, complexes
+from gkmfaces import cli, complexes, matroid
 from gkmfaces.complexes import (
     CHAIN_CAP,
     OrderComplex,
@@ -232,3 +234,19 @@ def test_chain_cap_counts_every_chain(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["matroid", "wedge", str(path)]) == 1
     assert capsys.readouterr() == ("", chain_cap_message(13, 31, cap=30))
+
+
+def test_independent_set_cap_counts_every_nonempty_independent_set(monkeypatch, tmp_path, capsys):
+    """A3 has 6 + 15 + 16 = 37 nonempty independent sets, counted size by size."""
+    path = tmp_path / "a3.wt"
+    path.write_text(format_matroid(WeightSystem(3, type_a_roots(3))))
+    monkeypatch.setattr(matroid, "INDEPENDENT_SET_CAP", 37)
+    assert cli.main(["matroid", "wedge", str(path)]) == 0
+    monkeypatch.setattr(matroid, "INDEPENDENT_SET_CAP", 36)
+    capsys.readouterr()
+    assert cli.main(["matroid", "wedge", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: enumeration cap of 36 independent sets exceeded: the 6 weights have 37 "
+        "nonempty independent sets of at most 3 weights, counted before listing them\n",
+    )

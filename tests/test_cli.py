@@ -226,12 +226,19 @@ def test_gkm_reconstruct_failing_the_galois_check_exits_1(monkeypatch):
     assert run_cli(*argv, "--json") == (1, formats.dump_json(expected))
 
 
-@pytest.mark.parametrize("flag", [("--workers", "0"), ("--workers", "-3"), ("--cap", "-1")])
+@pytest.mark.parametrize("flag", [("--cap", "-1")])
 def test_enumeration_flags_below_one_are_usage_errors(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli("gkm", "faces", path("g6.gkm"), *flag)
     assert exit_info.value.code == 2
     assert f"argument {flag[0]}: must be at least 1" in capsys.readouterr().err
+
+
+def test_the_removed_workers_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("gkm", "reconstruct", path("g6.gkm"), "--workers", "1")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -308,13 +315,6 @@ def test_cli_outputs_are_deterministic(command):
     first = run_cli(*argv)
     second = run_cli(*argv)
     assert first == second
-
-
-def test_worker_flag_does_not_change_bytes():
-    for name in ("cp2.gkm", "g6.gkm"):
-        base = run_cli("gkm", "reconstruct", path(name), "--workers", "1")
-        four = run_cli("gkm", "reconstruct", path(name), "--workers", "4")
-        assert base == four
 
 
 def test_main_dispatches_to_the_handler_bound_now(monkeypatch):

@@ -244,16 +244,28 @@ def test_strict_upper_interval_acyclicity():
 
 
 def test_faces_of_a_simplicial_complex_are_listed_once(monkeypatch):
+    """By facets, the faces are handed down once; an independence complex comes with its own."""
     from gkmfaces import matroid
 
-    listed = []
-    face_levels = matroid._face_levels
+    listed, searched = [], []
+    face_levels, search = matroid._face_levels, matroid._flats_with_covers
     monkeypatch.setattr(
         matroid, "_face_levels", lambda *args: listed.append(args) or face_levels(*args)
     )
-    complex_ = independence_complex(UNIFORM23)
-    assert h_vector(complex_) == (1, 1, 1)
+    monkeypatch.setattr(matroid, "_flats_with_covers", lambda ws: searched.append(ws) or search(ws))
+    rp2 = SimplicialComplex(RP2.vertices, RP2.facets)
+    assert rp2.f_vector() == (1, 6, 15, 10)
+    assert reduced_betti(rp2) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert len(listed) == 1
+
+    complex_ = independence_complex(WeightSystem(2, UNIFORM23.weights))
+    levels = complex_._faces
+    assert h_vector(complex_) == (1, 1, 1)
     assert reduced_betti(complex_) == {-1: 0, 0: 0, 1: 1}
     assert complex_.f_vector() == (1, 3, 3)
-    assert len(listed) == 1
+    assert complex_._faces is levels and len(listed) == 1
+
+    ws = WeightSystem(4, type_a(3).weights)
+    assert verify_wedge_prediction(ws).ok
+    assert len(flats_lattice(ws).elements) == 15 and len(independence_complex(ws).facets) == 16
+    assert searched == [WeightSystem(2, UNIFORM23.weights), ws] and len(listed) == 1
