@@ -42,7 +42,8 @@ shuffled lattices).  Without the numbering, columns meet some 18 000
 times on the A6 partition lattice.  Other posets can meet too, and the
 elimination keeps the ranks exact.  An order complex counts its chains
 from the `above` masks before listing any, and more than CHAIN_CAP of
-them raise EnumerationCapExceeded.  Only homology over Q is computed:
+them raise EnumerationCapExceeded; its facets, the maximal chains, are
+read off that listing.  Only homology over Q is computed:
 the spaces verified here are predicted wedges of spheres, where
 rational Betti numbers decide the claim.
 """
@@ -50,7 +51,6 @@ rational Betti numbers decide the claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .errors import EmptyComplex, EnumerationCapExceeded, PreconditionFailed
@@ -70,15 +70,11 @@ class OrderComplex:
     above: tuple[int, ...]  # above[v]: mask of the vertices strictly above vertex v
     below: tuple[int, ...]  # below[v]: mask of the vertices strictly below vertex v
 
-    @cached_property
+    @property
     def facets(self) -> tuple[tuple, ...]:
         """Maximal chains, elements in increasing order, by length and then element positions."""
-        up = [mask | 1 << v for v, mask in enumerate(self.above)]
-        uppers = [_minimal(up, mask) for mask in self.above]  # the upper covers
-        chains, facets = [(v,) for v in _minimal(up, (1 << len(up)) - 1)], []
-        while chains:  # saturated chains from a minimal vertex, one cover longer each round
-            facets += [chain for chain in chains if not uppers[chain[-1]]]
-            chains = [chain + (w,) for chain in chains for w in uppers[chain[-1]]]
+        # the listed chains nothing can be inserted into, so CHAIN_CAP holds for them too
+        facets = [_bits(chain) for level in _chains(self) for chain, gap in level if not gap]
         facets.sort(key=lambda chain: (len(chain), [self.positions[v] for v in chain]))
         return tuple(tuple(self.vertices[v] for v in chain) for chain in facets)
 
@@ -117,14 +113,17 @@ def _chain_count(above: tuple[int, ...]) -> int:
 
 
 def _simplices_by_dim(complex_) -> list[list[tuple[int, int]]]:
-    """(simplex, insertable mask) pairs of each dimension i, as vertex bitmasks.
+    """(simplex, insertable mask) pairs of each dimension i, as vertex bitmasks: chains or faces."""
+    return _chains(complex_) if isinstance(complex_, OrderComplex) else complex_._faces
+
+
+def _chains(complex_: OrderComplex) -> list[list[tuple[int, int]]]:
+    """The chains by dimension, each with its insertable mask.
 
     A chain extends by every vertex strictly above its top, which lists
-    each chain once; other complexes keep their faces.  The chains are
-    counted first, and more than CHAIN_CAP of them are refused unlisted.
+    each chain once.  The chains are counted first, and more than
+    CHAIN_CAP of them are refused unlisted.
     """
-    if not isinstance(complex_, OrderComplex):
-        return complex_._faces
     above, below = complex_.above, complex_.below
     count = _chain_count(above)
     if count > CHAIN_CAP:
@@ -203,11 +202,12 @@ def _reduce(faces: list[tuple[int, int]], cleared) -> dict[int, int | dict[int, 
 def reduced_betti(complex_) -> dict[int, int]:
     """Reduced rational Betti numbers, degrees -1 through dim.
 
-    Accepts an order complex, or anything with `vertices` and nonempty `facets`.
+    Accepts an `OrderComplex` or a `matroid.SimplicialComplex`; a
+    simplicial complex without facets, not even the empty one, is refused.
     """
-    if not isinstance(complex_, OrderComplex) and not complex_.facets:
-        raise EmptyComplex("cannot take homology of an empty complex")
     levels = _simplices_by_dim(complex_)
+    if not levels and not complex_.facets:
+        raise EmptyComplex("cannot take homology of an empty complex")
     # the empty face's coboundary sums the vertices: rank 1, pivot at the lowest vertex
     ranks, cleared = ([1], {levels[0][0][0]}) if levels else ([0], ())
     for faces in levels[:-1]:

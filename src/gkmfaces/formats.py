@@ -251,7 +251,7 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
     connection_rows: list[tuple[int, str, str, str, str]] = []
     for lineno, line in _lines(text):
         tokens = line.split()
-        if tokens[0] == "ambient_rank" or tokens[0].startswith("ambient_rank"):
+        if tokens[0].startswith("ambient_rank"):
             if ambient is not None:
                 raise ParseError("ambient_rank given twice", lineno, 1)
             ambient = _ambient_rank(line.strip(), lineno)

@@ -646,11 +646,11 @@ def _tg_face_subgraphs(g: GkmGraph, theta: Connection | None, cap: int) -> list[
     """Faces closed under `theta`, or under the canonical connection when it is None, sorted.
 
     A supplied `theta` is checked first and raises InvalidGraph when it
-    fails the connection axioms; the graph is checked next.  Under the
-    canonical connection every face is totally geodesic, so the result is
-    all the faces: the canonical image of a star edge f across a face
-    edge e is the one edge at the far end in the plane of f and e, and
-    two-plane closure puts that edge in the face whenever f is in it.
+    fails the connection axioms; the graph is checked next.  Every face
+    is closed under the canonical connection, so that is derived only for
+    its errors and the face list is returned: its image of a star edge f
+    across a face edge e is the one edge at the far end in the plane of f
+    and e, which two-plane closure puts in the face whenever f is in it.
     """
     if theta is not None:
         check = validate_connection(g, theta)
@@ -658,7 +658,8 @@ def _tg_face_subgraphs(g: GkmGraph, theta: Connection | None, cap: int) -> list[
             raise InvalidGraph("supplied connection is invalid: " + "; ".join(check.violations))
     require_valid(g)
     if theta is None:
-        theta = canonical_connection(g)
+        canonical_connection(g)
+        return enumerate_face_subgraphs(g, cap)
     return [h for h in enumerate_face_subgraphs(g, cap) if is_totally_geodesic(g, theta, h)]
 
 

@@ -8,11 +8,11 @@ masks, shared with the face posets and the reconstruction: `_bits`
 walks the set bits of a mask, `_minimal` keeps the elements of a mask
 with nothing of it strictly below them, and `_cover_pairs` takes the
 covers within a mask as the minimal elements of each strict up-set.
-Rank and drk labellings are optional data.  A poset keeps, from first
-use, its minimal and maximal elements (`_extremes`), the ranks its
-covers force, checked against stored labels (`_grading`), and the
-geometric-lattice verdict on the up-set of each minimal element
-(`_minimal_failures`); the predicates read them there.
+Rank and drk labellings are optional data.  A poset keeps its minimal
+and maximal elements (`_minima`, `_maxima`) from construction, and from
+first use the ranks its covers force, checked against stored labels
+(`_grading`), and the geometric-lattice verdict on the up-set of each
+minimal element (`_minimal_failures`); the predicates read them there.
 The axioms are checked on the bitmasks of one up-set, without building
 subposets: the bottom's for a lattice, each minimal element's for the
 locally geometric check, since every upper ideal is an interval of such
@@ -133,15 +133,16 @@ class GradedPoset:
             raise ValueError("drk labelling must cover exactly the elements")
         self.payload = dict(payload) if payload is not None else {}
         self.labels = dict(labels) if labels is not None else {}
-        self._up, self._down = self._closure()
+        self._up, self._down, self._minima, self._maxima = self._closure()
         self._all = (1 << len(self.elements)) - 1  # the mask of every element
         # kept on first use as plain attributes: cached_property reads `__dict__`, which slows reads
-        self._minmax = self._graded = self._failures = None
+        self._graded = self._failures = None
 
     # ------------------------------------------------------------------
     # order core
 
-    def _closure(self) -> tuple[list[int], list[int]]:
+    def _closure(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Up- and down-set masks, then the minimal and the maximal element indices, ascending."""
         n = len(self.elements)
         above = [[] for _ in range(n)]
         indeg = [0] * n
@@ -150,6 +151,7 @@ class GradedPoset:
             indeg[self._index[high]] += 1
         # Kahn topological order doubles as the acyclicity check
         order = [i for i in range(n) if indeg[i] == 0]
+        minima = list(order)
         seen = 0
         queue = list(order)
         while queue:
@@ -170,7 +172,7 @@ class GradedPoset:
         for i in order:
             for j in above[i]:
                 down[j] |= down[i]
-        return up, down
+        return up, down, minima, [i for i in range(n) if not above[i]]
 
     def leq(self, a: Element, b: Element) -> bool:
         return bool(self._up[self._index[a]] & (1 << self._index[b]))
@@ -184,18 +186,11 @@ class GradedPoset:
     def down_set(self, a: Element) -> list[Element]:
         return [self.elements[i] for i in _bits(self._down[self._index[a]])]
 
-    @property
-    def _extremes(self) -> tuple[list[int], list[int]]:
-        """Indices of the minimal and of the maximal elements, computed on first read and kept."""
-        if self._minmax is None:
-            self._minmax = _minimal(self._up, self._all), _minimal(self._down, self._all)
-        return self._minmax
-
     def minimal_elements(self) -> list[Element]:
-        return [self.elements[i] for i in self._extremes[0]]
+        return [self.elements[i] for i in self._minima]
 
     def maximal_elements(self) -> list[Element]:
-        return [self.elements[i] for i in self._extremes[1]]
+        return [self.elements[i] for i in self._maxima]
 
     def top(self) -> Element | None:
         maxima = self.maximal_elements()
@@ -232,7 +227,7 @@ class GradedPoset:
         """
         name, index = self.elements, self._index
         level: list = [None] * len(name)
-        for i in self._extremes[0]:
+        for i in self._minima:
             level[i] = 0
         pending = [(index[low], index[high]) for low, high in self.covers]
         while pending:
@@ -259,7 +254,7 @@ class GradedPoset:
     def _minimal_failures(self) -> dict[int, str]:
         """`_up_set_failure` of each minimal element index, kept; read only once graded."""
         if self._failures is None:
-            self._failures = {x: _up_set_failure(self, x) for x in self._extremes[0]}
+            self._failures = {x: _up_set_failure(self, x) for x in self._minima}
         return self._failures
 
     # ------------------------------------------------------------------
@@ -537,7 +532,7 @@ def check_coherent(p: GradedPoset, d: Mapping[Element, int]) -> CoherenceResult:
             raise ValueError(f"atom weight for {a!r} must be positive")
     weight = {p._index[a]: d[a] for a in atoms}
     atom_mask = sum(1 << i for i in weight)
-    minima = p._extremes[0]
+    minima = p._minima
     drk: dict[Element, int] = {}
     for s, element in enumerate(p.elements):
         below = p._down[s]
@@ -573,7 +568,7 @@ def check_gkm_coherent(p: GradedPoset) -> CoherenceResult:
 
 def _fresh_id(p: GradedPoset, base: str) -> str:
     candidate = base
-    while candidate in set(p.elements):
+    while candidate in p._index:
         candidate += "'"
     return candidate
 

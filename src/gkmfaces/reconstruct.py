@@ -11,13 +11,15 @@ taken from `gkm._tg_face_subgraphs` with the supplied connection or the
 canonical one.
 
 Each candidate's span is computed once and gives the survivors their
-ranks.  Groups are bitmasks over the candidate list, and a member is a
-maximum of its group when the candidates containing it meet the group in
-itself alone.  The projection to surviving faces and the Galois check
-take containment from membership masks too: the projection is the one
-minimal container, `poset._minimal`, and monotonicity is checked on the
-covers of the inclusion order, `poset._cover_pairs`, which implies it on
-every nested pair.
+ranks.  A candidate survives when no other candidate with its span
+contains it: one containing h holds every vertex of h, so h is then a
+maximum of each of its (vertex, span) groups, and the groups, built over
+the survivors for the diagnostics, hold exactly their maxima.  The
+projection to surviving faces and the Galois check take containment
+from membership masks too: the projection is the one minimal container,
+`poset._minimal`, and monotonicity is checked on the covers of the
+inclusion order, `poset._cover_pairs`, which implies it on every nested
+pair.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .gkm import (
     enumerate_face_subgraphs,
     subgraph_sort_key,
 )
-from .poset import GradedPoset, _bits, _cover_pairs, _minimal
+from .poset import GradedPoset, _cover_pairs, _minimal
 from .ratlinalg import Subspace
 
 MODES = ("faces", "tg")
@@ -102,26 +104,22 @@ def reconstruct_face_poset(
         candidates = enumerate_face_subgraphs(g, cap=cap)
 
     flats = [_flat(g, h) for h in candidates]
-    # (vertex key, span) -> bitmask of the candidates in that group
-    groups: dict[tuple[int, Subspace], int] = {}
-    for i, (h, flat) in enumerate(zip(candidates, flats)):
-        for x in h.vertices:
-            key = (g.vertex_key(x), flat)
-            groups[key] = groups.get(key, 0) | 1 << i
-
+    same_span: dict[Subspace, int] = {}  # span -> bitmask of the candidates with it
+    for i, flat in enumerate(flats):
+        same_span[flat] = same_span.get(flat, 0) | 1 << i
     containers = _containers(candidates)
-    keep = (1 << len(candidates)) - 1
-    diagnostics = []
-    for (vertex_key, flat), group in groups.items():
-        # the members inside no other member of their group
-        maxima = [i for i in _bits(group) if containers[i] & group == 1 << i]
-        if len(maxima) > 1:
-            by_key = sorted((candidates[i] for i in maxima), key=lambda h: subgraph_sort_key(g, h))
-            diagnostics.append(Diagnostic(g.vertices[vertex_key], flat, tuple(by_key)))
-        keep &= ~group | sum(1 << i for i in maxima)
+    survivors = [i for i, flat in enumerate(flats) if containers[i] & same_span[flat] == 1 << i]
+    # (vertex key, span) -> the survivors in that group, which are its maxima
+    groups: dict[tuple[int, Subspace], list[GkmSubgraph]] = {}
+    for i in survivors:
+        for x in candidates[i].vertices:
+            groups.setdefault((g.vertex_key(x), flats[i]), []).append(candidates[i])
+    diagnostics = [
+        Diagnostic(g.vertices[key], flat, tuple(sorted(hs, key=lambda h: subgraph_sort_key(g, h))))
+        for (key, flat), hs in groups.items()
+        if len(hs) > 1
+    ]
     diagnostics.sort(key=lambda d: (g.vertex_key(d.vertex), d.flat.sort_key()))
-
-    survivors = _bits(keep)
     return FaceReport(
         mode=mode,
         faces=_face_poset(

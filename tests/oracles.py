@@ -19,7 +19,9 @@ when called, so importing this module does not (bench/workloads.py
 imports it before the package).  Covers within a mask come from the
 pairwise scan for an element strictly between, and minimal elements
 from a scan for an element strictly below.  The chains of a poset are
-the subsets it orders totally, found among all subsets.
+the subsets it orders totally, found among all subsets.  The face
+reconstruction's selection groups the candidates by (vertex, span) and
+keeps the members of each group that no other member contains.
 """
 
 from fractions import Fraction
@@ -548,3 +550,35 @@ def non_monotone_pairs_oracle(report, projection):
         for h2 in report.candidates
         if h2.contains(h1) and not report.faces.leq(projection[h1], projection[h2])
     ]
+
+
+def face_selection_oracle(graph, candidates):
+    """The maxima of each (vertex, span) group of candidates, by all-pairs `contains` per group.
+
+    Returns the candidates that are a maximum of every group they lie in,
+    in candidate order, and (vertex, span, maxima) for each group with
+    more than one maximum, maxima by `subgraph_sort_key`, groups by vertex
+    position and then span.
+    """
+    from gkmfaces.gkm import subgraph_flat, subgraph_sort_key
+
+    groups = {}
+    for i, h in enumerate(candidates):
+        flat = subgraph_flat(graph, h, min(h.vertices, key=graph.vertex_key))
+        for x in h.vertices:
+            groups.setdefault((graph.vertex_key(x), flat), []).append(i)
+    dropped, diagnostics = set(), []
+    for (key, flat), members in groups.items():
+        maxima = [
+            i
+            for i in members
+            if not any(j != i and candidates[j].contains(candidates[i]) for j in members)
+        ]
+        dropped.update(set(members) - set(maxima))
+        if len(maxima) > 1:
+            ordered = sorted(
+                (candidates[i] for i in maxima), key=lambda h: subgraph_sort_key(graph, h)
+            )
+            diagnostics.append((graph.vertices[key], flat, tuple(ordered)))
+    diagnostics.sort(key=lambda d: (graph.vertex_key(d[0]), d[1].sort_key()))
+    return [h for i, h in enumerate(candidates) if i not in dropped], diagnostics

@@ -17,7 +17,8 @@ at one pivot: never on shuffled flats lattices or on independence
 complexes, and where columns do meet, the Betti numbers are those of
 the boundary-matrix oracle and of sympy's ranks.  No element order
 changes them.  An order complex with more than `CHAIN_CAP` chains is
-refused, with the count, before any chain is listed, and so is an
+refused, with the count, before any chain is listed, for its homology
+and for its facets alike, and so is an
 independence complex with more than `matroid.INDEPENDENT_SET_CAP`
 nonempty faces.
 """
@@ -40,6 +41,7 @@ from gkmfaces.complexes import (
     reduced_betti,
     verify_wedge_prediction,
 )
+from gkmfaces.errors import EnumerationCapExceeded
 from gkmfaces.formats import format_matroid, format_poset, parse_poset
 from gkmfaces.matroid import (
     SimplicialComplex,
@@ -222,6 +224,18 @@ def test_a7_proper_part_is_refused_before_any_chain_is_listed(tmp_path, capsys):
     path.write_text(partition_lattice_text(random.Random(7), 7))
     assert cli.main(["poset", "homology", "--proper", str(path)]) == 1
     assert capsys.readouterr() == ("", chain_cap_message(4138, 10_270_695))
+
+
+def test_facets_are_listed_under_the_chain_cap(monkeypatch):
+    """The A3 proper part has 31 chains, and its facets are read off their listing."""
+    proper = flats_lattice(WeightSystem(3, type_a_roots(3))).proper_part()
+    monkeypatch.setattr(complexes, "CHAIN_CAP", 31)
+    assert len(order_complex(proper).facets) == 18
+    monkeypatch.setattr(complexes, "CHAIN_CAP", 30)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        order_complex(proper).facets
+    assert (err.value.cap, err.value.reached) == (30, 31)
+    assert f"error: {err.value}\n" == chain_cap_message(13, 31, cap=30)
 
 
 def test_chain_cap_counts_every_chain(monkeypatch, tmp_path, capsys):

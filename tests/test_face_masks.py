@@ -6,7 +6,10 @@ versions that span one plane per pair of edges and scan all pairs of
 faces.  They are compared on scrambled Q2, Q3, CP2xS2, Fl(3) and
 CP2xCP2, and the plane table also on graphs made invalid by a collinear
 star or an extra parallel edge.  On graphs without a connection of their
-own, the faces closed under the canonical connection are all the faces.
+own, the faces closed under the canonical connection are all the faces,
+and no face is tested against that connection.  The reconstruction's
+span rule keeps what the per-(vertex, span) maxima selection of
+`tests/oracles.py` keeps.
 """
 
 import io
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gkmfaces.gkm as gkm_module
 import gkmfaces.reconstruct as reconstruct_module
 from gkmfaces import cli
 from gkmfaces.errors import EnumerationCapExceeded
@@ -41,7 +45,12 @@ from helpers import (
     sphere_graph,
     square_graph,
 )
-from oracles import face_poset_oracle, non_monotone_pairs_oracle, plane_table_oracle
+from oracles import (
+    face_poset_oracle,
+    face_selection_oracle,
+    non_monotone_pairs_oracle,
+    plane_table_oracle,
+)
 
 BASES = {
     "q2": lambda: hypercube_graph(2),
@@ -153,6 +162,15 @@ def test_face_posets_match_the_all_pairs_oracle(g):
     same_poset(report.faces, face_poset_oracle(g, survivors, prefix="F"))
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(graphs)
+def test_span_rule_keeps_the_maxima_of_every_vertex_span_group(g):
+    report = reconstruct_face_poset(g, "faces")
+    survivors, diagnostics = face_selection_oracle(g, list(report.candidates))
+    assert [report.subgraph(e) for e in report.faces.elements] == survivors
+    assert [(d.vertex, d.flat, d.maxima) for d in report.diagnostics] == diagnostics
+
+
 def test_tg_face_posets_match_the_all_pairs_oracle():
     for name, make in BASES.items():
         g, theta = (make(), None) if name != "fl3" else corpus_graph("g6.gkm")
@@ -192,6 +210,27 @@ def test_tg_faces_without_a_file_connection_are_all_faces(tmp_path_factory, g):
         runs.append((code, out.getvalue()))
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
+
+
+def test_canonical_tg_faces_never_test_total_geodesy(tmp_path):
+    def tested(*args):
+        raise AssertionError("a face was tested against the canonical connection")
+
+    with mock.patch.object(gkm_module, "is_totally_geodesic", tested):
+        for name in ("q3", "cp2xs2"):
+            path = tmp_path / f"{name}.gkm"
+            path.write_text(format_graph(CANONICAL[name]()))
+            for command in (["tg-faces"], ["reconstruct", "--mode", "tg", "--verify-galois"]):
+                with redirect_stdout(io.StringIO()):
+                    assert cli.main(["gkm", *command, str(path)]) == 0
+
+
+def test_a_file_connection_still_filters_the_faces():
+    g, theta = corpus_graph("g6.gkm")
+    tested = mock.Mock(wraps=gkm_module.is_totally_geodesic)
+    with mock.patch.object(gkm_module, "is_totally_geodesic", tested):
+        poset = enumerate_tg_faces(g, theta)
+    assert (len(poset.elements), tested.call_count) == (19, 31)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ from gkmfaces.complexes import order_complex, reduced_betti
 from gkmfaces.reconstruct import pi_map, reconstruct_face_poset, verify_galois
 
 from helpers import GKM_CORPUS, corpus_graph, square_graph
+from oracles import face_selection_oracle
 
 
 def reconstruct(name, mode):
@@ -209,6 +210,9 @@ def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch):
         for x in ("v00", "v00", "v10", "v01")
     ]
     assert list(report.faces.payload.values()) == [h1, h2, h3, h4]
+    survivors, diagnostics = face_selection_oracle(g, candidates)
+    assert survivors == [h1, h2, h3, h4]
+    assert [(d.vertex, d.flat, d.maxima) for d in report.diagnostics] == diagnostics
     galois = verify_galois(g, report)
     assert not galois.ok
     assert galois.failures == tuple(d.describe() for d in report.diagnostics)
