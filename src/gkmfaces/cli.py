@@ -172,8 +172,9 @@ def cmd_poset_glue(args, out: list[str]) -> int:
 def cmd_poset_homology(args, out: list[str]) -> int:
     p = formats.parse_poset(_read(args.file))
     if args.proper:
-        p = p.proper_part()
-    betti = complexes.reduced_betti(complexes.order_complex(p))
+        betti = complexes.proper_betti(p)
+    else:
+        betti = complexes.reduced_betti(complexes.order_complex(p))
     if args.json:
         payload = {"kind": "betti", "reduced_betti": {str(d): b for d, b in betti.items()}}
         out.append(formats.dump_json(payload).rstrip("\n"))

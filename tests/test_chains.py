@@ -20,7 +20,9 @@ changes them.  An order complex with more than `CHAIN_CAP` chains is
 refused, with the count, before any chain is listed, for its homology
 and for its facets alike, and so is an
 independence complex with more than `matroid.INDEPENDENT_SET_CAP`
-nonempty faces.
+nonempty faces.  The proper parts of flats lattices list no chain at
+all (`proper_betti`), so A7 passes `poset homology --proper` and
+every A_n passes it with the cap at 0.
 """
 
 import random
@@ -219,11 +221,28 @@ def chain_cap_message(vertices: int, chains: int, cap: int = CHAIN_CAP) -> str:
     )
 
 
-def test_a7_proper_part_is_refused_before_any_chain_is_listed(tmp_path, capsys):
-    path = tmp_path / "a7.poset"
+@pytest.fixture(scope="module")
+def a7_poset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("a7") / "a7.poset"
     path.write_text(partition_lattice_text(random.Random(7), 7))
-    assert cli.main(["poset", "homology", "--proper", str(path)]) == 1
-    assert capsys.readouterr() == ("", chain_cap_message(4138, 10_270_695))
+    return path
+
+
+def test_a7_proper_part_homology_lists_no_chain(a7_poset, capsys):
+    assert cli.main(["poset", "homology", "--proper", str(a7_poset)]) == 0
+    assert capsys.readouterr() == ("".join(f"b~{d} = 0\n" for d in range(-1, 5)) + "b~5 = 5040\n", "")
+
+
+def test_a7_proper_part_is_refused_by_the_chain_engine_before_any_chain_is_listed(a7_poset):
+    proper = parse_poset(a7_poset.read_text()).proper_part()
+    with pytest.raises(EnumerationCapExceeded) as err:
+        reduced_betti(order_complex(proper))
+    assert f"error: {err.value}\n" == chain_cap_message(4138, 10_270_695)
+
+
+def test_a7_homology_without_proper_is_refused_before_any_chain_is_listed(a7_poset, capsys):
+    assert cli.main(["poset", "homology", str(a7_poset)]) == 1
+    assert capsys.readouterr() == ("", chain_cap_message(4140, 41_082_783))
 
 
 def test_facets_are_listed_under_the_chain_cap(monkeypatch):
@@ -238,16 +257,28 @@ def test_facets_are_listed_under_the_chain_cap(monkeypatch):
     assert f"error: {err.value}\n" == chain_cap_message(13, 31, cap=30)
 
 
-def test_chain_cap_counts_every_chain(monkeypatch, tmp_path, capsys):
+def test_chain_cap_counts_every_chain(monkeypatch):
     """The proper part of the A3 partition lattice: 6 atoms, 7 coatoms and 18 edges."""
-    path = tmp_path / "a3.wt"
-    path.write_text(format_matroid(WeightSystem(3, type_a_roots(3))))
+    proper = flats_lattice(WeightSystem(3, type_a_roots(3))).proper_part()
     monkeypatch.setattr(complexes, "CHAIN_CAP", 31)
-    assert cli.main(["matroid", "wedge", str(path)]) == 0
+    assert reduced_betti(order_complex(proper))[1] == 6
     monkeypatch.setattr(complexes, "CHAIN_CAP", 30)
-    capsys.readouterr()
-    assert cli.main(["matroid", "wedge", str(path)]) == 1
-    assert capsys.readouterr() == ("", chain_cap_message(13, 31, cap=30))
+    with pytest.raises(EnumerationCapExceeded) as err:
+        reduced_betti(order_complex(proper))
+    assert f"error: {err.value}\n" == chain_cap_message(13, 31, cap=30)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lattice_homology_lists_no_chain(n, monkeypatch, tmp_path, capsys):
+    """With no chain allowed, `matroid wedge` and `poset homology --proper` still pass on A_n."""
+    weights, lattice = tmp_path / "a.wt", tmp_path / "a.poset"
+    weights.write_text(format_matroid(WeightSystem(n, type_a_roots(n))))
+    lattice.write_text(partition_lattice_text(random.Random(n), n))
+    monkeypatch.setattr(complexes, "CHAIN_CAP", 0)
+    assert cli.main(["matroid", "wedge", str(weights)]) == 0
+    assert capsys.readouterr().out.endswith("wedge prediction: pass\n")
+    assert cli.main(["poset", "homology", "--proper", str(lattice)]) == 0
+    assert capsys.readouterr().out.endswith(f"b~{n - 2} = {factorial(n)}\n")
 
 
 def test_independent_set_cap_counts_every_nonempty_independent_set(monkeypatch, tmp_path, capsys):
