@@ -47,14 +47,15 @@ read off that listing.  Only homology over Q is computed: the spaces
 verified here are predicted wedges of spheres, where rational Betti
 numbers decide the claim.
 
-Proper parts of lattices have a second engine, `proper_betti`, with no
-chains (A7's proper part has 10 270 695).  If the complements b of an
-element of a bounded lattice form an antichain, its proper part is
+Proper parts of geometric lattices have a second engine, `proper_betti`,
+with no chains (A7's proper part has 10 270 695).  If the complements b
+of an element of a bounded lattice form an antichain, its proper part is
 homotopy equivalent to the wedge of the suspensions of (0, b) * (b, 1)
 (Bjorner and Walker, A homotopy complementation formula for partially
 ordered sets, European J. Combin. 4, 1983): b~_k sums b~_i(0, b)
 b~_j(b, 1) over b and i + j = k - 2, b~_-1 = 1 on an empty interval.
-Other posets, and lattices where no atom serves, go to the chains.
+In a geometric lattice the complements of an atom are the coatoms not
+above it.  Every other poset goes to the chains.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from math import gcd
 
 from .errors import EmptyComplex, EnumerationCapExceeded, PreconditionFailed
 from .matroid import WeightSystem, flats_lattice, h_vector, independence_complex
-from .poset import GradedPoset, _bits, _minimal, mobius
+from .poset import GradedPoset, _bits, _geometric_by_covers, _minimal, mobius
 
 # more chains than this are not listed; the A6 proper part has 262 759, A7's 10 270 695
 CHAIN_CAP = 1_000_000
@@ -233,52 +234,39 @@ def reduced_betti(complex_) -> dict[int, int]:
 def proper_betti(p: GradedPoset) -> dict[int, int]:
     """Reduced Betti numbers of the proper part of p, degrees -1 through its dimension.
 
-    Any element with complements in an antichain gives the formula, so one
-    atom per interval serves; the chain engine, exact on any poset, does the rest.
+    On a geometric lattice, recognised by the cover test, every interval
+    [lo, hi] is geometric, and the complements of an atom a there are
+    the coatoms not above it: such a coatom b meets a at lo, and a v b
+    lies strictly above b, so is hi; a complement b has r(b) >= r(hi) +
+    r(lo) - r(a) = r(hi) - 1 by submodularity.  Coatoms form an
+    antichain, so any atom serves.  Any other poset goes to the chain
+    engine, exact on every poset.
     """
     if len(p._minima) != 1 or len(p._maxima) != 1 or len(p.elements) < 3:
         p.proper_part()  # raises: no bottom or no top, or nothing between them
     (bottom,), (top,) = p._minima, p._maxima
     up, down, level = p._up, p._down, p._grading[0]
-    geometric = level is not None and not p._minimal_failures[bottom]
-    ups = set(up)  # a lattice: the upper bounds of any two elements are the up-set of one
-    lattice = geometric or all(up[a] & up[b] in ups for a in range(len(up)) for b in range(a))
+    if level is None or not _geometric_by_covers(p, bottom):
+        return reduced_betti(order_complex(p.proper_part()))
     rows: dict[int, int] = {}  # level -> mask of the elements there
-    for i, r in enumerate(level if geometric else ()):
+    for i, r in enumerate(level):
         rows[r] = rows.get(r, 0) | 1 << i
 
     @cache
-    def betti(lo: int, hi: int) -> dict[int, int] | None:  # None: no atom's complements serve
+    def betti(lo: int, hi: int) -> dict[int, int]:
         inside = up[lo] & down[hi]
         if inside == 1 << lo | 1 << hi:
             return {-1: 1}
-        if geometric:  # the atoms one level up; complements among the coatoms, one level down
-            atoms, candidates = _bits(inside & rows[level[lo] + 1]), inside & rows[level[hi] - 1]
-        else:
-            atoms, candidates = _minimal(up, inside ^ 1 << lo), inside
-        for a in atoms:
-            complements = [b for b in _bits(candidates & ~up[a]) if up[a] & up[b] & inside == 1 << hi]
-            if _minimal(up, sum(1 << b for b in complements)) == complements:  # an antichain
-                break
-        else:
-            return None
+        atoms = inside & rows[level[lo] + 1]
+        a = (atoms & -atoms).bit_length() - 1
         total: dict[int, int] = {}
-        for b in complements:
-            below, above = betti(lo, b), betti(b, hi)
-            if below is None or above is None:
-                return None
-            for i, x in below.items():
-                for j, y in above.items():
+        for b in _bits(inside & rows[level[hi] - 1] & ~up[a]):
+            for i, x in betti(lo, b).items():
+                for j, y in betti(b, hi).items():
                     total[i + j + 2] = total.get(i + j + 2, 0) + x * y
         return total
 
-    total = betti(bottom, top) if lattice else None
-    if total is None:
-        return reduced_betti(order_complex(p.proper_part()))
-    if level is None:  # not graded: the longest chain up to each element, below before above
-        level = [0] * len(up)
-        for i in sorted(range(len(up)), key=lambda i: down[i].bit_count()):
-            level[i] = max((level[j] + 1 for j in _bits(down[i] ^ 1 << i)), default=0)
+    total = betti(bottom, top)
     return {d: total.get(d, 0) for d in range(-1, level[top] - 1)}
 
 

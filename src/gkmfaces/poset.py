@@ -377,11 +377,19 @@ def _not_atomistic(p: GradedPoset, s: int) -> int | None:
 def _up_set_failure(p: GradedPoset, s: int) -> str:
     """Why the up-set of element index s is not a geometric lattice, or "".
 
-    The caller has checked that p is graded.  A test on covers decides;
-    only when it fails does `_first_failure` scan all pairs, to name the
-    first failure.  The test passes when every element is the join of
-    the atoms below it (`_not_atomistic`) and, for every z, any two
-    elements covering z have a join two levels above z.
+    The caller has checked that p is graded.  `_geometric_by_covers`
+    decides; only when it fails does `_first_failure` scan all pairs, to
+    name the first failure.
+    """
+    return "" if _geometric_by_covers(p, s) else _first_failure(p, s)
+
+
+def _geometric_by_covers(p: GradedPoset, s: int) -> bool:
+    """Whether the up-set of element index s is a geometric lattice, p graded.
+
+    The test passes when every element is the join of the atoms below
+    it (`_not_atomistic`) and, for every z, any two elements covering z
+    have a join two levels above z.
 
     It is exact; x v y is the join of x and y.  The level step alone
     gives every element y a join with every atom a, one that covers y
@@ -402,7 +410,7 @@ def _up_set_failure(p: GradedPoset, s: int) -> str:
     it exists.
     """
     if _not_atomistic(p, s) is not None:
-        return _first_failure(p, s)
+        return False
     up, level = p._up, p._grading[0]
     members = _bits(up[s])
     level_of = {up[i]: level[i] for i in members}  # by up-set
@@ -414,8 +422,8 @@ def _up_set_failure(p: GradedPoset, s: int) -> str:
         for t, up_x in enumerate(covers):
             for up_y in covers[t + 1 :]:
                 if level_of.get(up_x & up_y) != level[z] + 2:
-                    return _first_failure(p, s)
-    return ""
+                    return False
+    return True
 
 
 def _first_failure(p: GradedPoset, s: int) -> str:
