@@ -23,14 +23,27 @@ the one path to them.
 
 A graph keeps what it derives: vertex and edge positions, and from first
 use its plane table and its `validate_graph` report, which every
-question needing a valid graph reads through `require_valid`.  The face
-search holds stars as edge masks.  The plane table reduces the axial
-vectors at both ends of each edge once modulo that edge's line, so two
-edges span the same plane with it exactly when their residues agree,
-and it stores each plane as a mask of edges; the closure test is one
-AND.  Inclusion between faces is the AND of one membership mask per
-vertex and per edge.  Those masks are the up-sets of the face poset,
-whose covers come from the order core, `poset._cover_pairs`.
+question needing a valid graph reads through `require_valid`.
+
+Axial vectors are the tangent weights at the fixed points, so few lines
+carry many edges (d lines for the d 2^(d-1) edges of Q_d).  The graph
+indexes each edge by its line, the primitive vector with positive lead,
+and its integer scale, alpha = scale * line, and keeps two memos by
+line: one line reduced modulo another, as a residue and a factor, and
+the span of a set of lines.  Each elimination is then done once per
+pair or set of lines, however many edges share them.  Two axial vectors
+are dependent exactly when they share a line; the vertex and face spans
+come from the span memo; an edge e3 lies in the plane of e1 and e2
+exactly when its residue modulo e2's line is None or equals e1's; and a
+connection's image differs from its source by a multiple of the edge
+exactly when their residues agree and so do scale * factor, with the
+orientation sign on signed graphs and up to sign otherwise.
+
+The face search holds stars as edge masks.  The plane table stores each
+plane as a mask of edges, so the closure test is one AND.  Inclusion
+between faces is the AND of one membership mask per vertex and per edge.
+Those masks are the up-sets of the face poset, whose covers come from
+the order core, `poset._cover_pairs`.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from .errors import (
 )
 from .matroid import WeightSystem, flats_lattice
 from .poset import GradedPoset, _bits, _cover_pairs
-from .ratlinalg import EchelonBasis, IntVector, Subspace, as_vector
+from .ratlinalg import IntVector, Subspace, _line_residue, _primitive, as_vector
 
 DEFAULT_CAP = 10**6
 
@@ -71,9 +84,9 @@ class Edge:
 class GkmGraph:
     """Multigraph with axial vectors; GKM axioms are checked by validate_graph.
 
-    `axial` is a plain dict that must not be changed once the graph is in
-    use: the plane table and the validation report it keeps are not
-    recomputed.
+    `axial` is a plain dict that must not be changed once the graph is
+    built: the line index, the plane table and the validation report it
+    keeps are not recomputed.
     """
 
     def __init__(
@@ -128,8 +141,38 @@ class GkmGraph:
         self._star = {
             x: tuple(self.edges[i].name for i in at) for x, at in zip(self.vertices, self._star_at)
         }
+        # the line index: each edge's line, as a position in `_lines`, and the
+        # integer scale with alpha = scale * line
+        lines: dict[IntVector, int] = {}
+        self._line: list[int] = []
+        self._scale: list[int] = []
+        for e in self.edges:
+            w = self.axial[e.name]
+            line = _primitive(w)
+            self._line.append(lines.setdefault(line, len(lines)))
+            self._scale.append(next(a // b for a, b in zip(w, line) if b))
+        self._lines = list(lines)
+        # memos by line: one line modulo another, and the span of a set of lines
+        self._residues: dict[tuple[int, int], tuple[IntVector | None, int]] = {}
+        self._spans: dict[frozenset[int], Subspace] = {}
         # kept on first use as plain attributes: cached_property reads `__dict__`, which slows reads
         self._planes = self._report = None
+
+    def _residue(self, a: int, b: int) -> tuple[IntVector | None, int]:
+        """Line a modulo line b as `_line_residue` gives it, computed once per pair."""
+        found = self._residues.get((a, b))
+        if found is None:
+            found = self._residues[(a, b)] = _line_residue(self._lines[a], self._lines[b])
+        return found
+
+    def _span(self, lines: frozenset[int]) -> Subspace:
+        """The span of a set of lines, computed once per set."""
+        found = self._spans.get(lines)
+        if found is None:
+            found = self._spans[lines] = Subspace.span(
+                [self._lines[i] for i in lines], self.ambient_rank
+            )
+        return found
 
     @property
     def _plane_table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
@@ -137,19 +180,17 @@ class GkmGraph:
 
         Edges are positions.  The plane mask holds the edges at z other than e2
         in the span of alpha_e1 and alpha_e2, and e1 runs through the star at y
-        in order.  The axial vectors at both ends of e2 are reduced once modulo
-        its line: e3 lies in the plane exactly when its residue is None or
-        equals the residue of e1.  Built on first read and kept.
+        in order.  e3 lies in the plane exactly when the residue of its line
+        modulo e2's is None or equals the residue of e1's line.  Built on first
+        read and kept.
         """
         if self._planes is not None:
             return self._planes
         table = self._planes = {}
-        for j, e2 in enumerate(self.edges):
-            line = EchelonBasis(self.ambient_rank)
-            line.add(self.alpha(e2.name))
-            ends = self._ends[j]
+        line = self._line
+        for j, ends in enumerate(self._ends):
             residue = {
-                i: line.residue(self.alpha(self.edges[i].name))
+                i: self._residue(line[i], line[j])[0]
                 for x in ends
                 for i in self._star_at[x]
                 if i != j
@@ -220,12 +261,6 @@ class GraphReport:
         return self.ok
 
 
-def _collinear(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether a and b span at most a line: b[j] a[p] = a[j] b[p] at a pivot p of a."""
-    p = next((i for i, x in enumerate(a) if x), None)
-    return p is None or all(a[p] * y == x * b[p] for x, y in zip(a, b))
-
-
 def validate_graph(g: GkmGraph) -> GraphReport:
     """Check the GKM-graph axioms, reporting every violation."""
     violations: list[str] = []
@@ -253,28 +288,29 @@ def validate_graph(g: GkmGraph) -> GraphReport:
         )
         dimension = None
 
-    for x in g.vertices:
-        star = g.star(x)
-        for i in range(len(star)):
-            for j in range(i + 1, len(star)):
-                if _collinear(g.alpha(star[i]), g.alpha(star[j])):
-                    violations.append(
-                        f"edges {star[i]!r} and {star[j]!r} at vertex {x!r} "
-                        "have dependent axial vectors"
-                    )
+    # two nonzero vectors are dependent exactly when they share a line
+    line = g._line
+    for x, at in zip(g.vertices, g._star_at):
+        for i, j in combinations(at, 2):
+            if line[i] == line[j]:
+                violations.append(
+                    f"edges {g.edges[i].name!r} and {g.edges[j].name!r} at vertex {x!r} "
+                    "have dependent axial vectors"
+                )
 
     # across every edge e2 from y to z, each other edge e1 at y needs an edge
     # at z other than e2 in the span of alpha_e1 and alpha_e2
+    planes = g._plane_table
     for j, ends in enumerate(g._ends):
         for z in ends[::-1]:
             violations.extend(
                 f"no edge at {g.vertices[z]!r} continues the span of "
                 f"{g.edges[i].name!r} and {g.edges[j].name!r}"
-                for i, plane in g._plane_table[(j, z)]
+                for i, plane in planes[(j, z)]
                 if not plane
             )
 
-    spans = [Subspace.span([g.alpha(name) for name in g.star(x)], g.ambient_rank) for x in g.vertices]
+    spans = [g._span(frozenset(line[i] for i in at)) for at in g._star_at]
     rank = spans[0].dim
     for x, span in zip(g.vertices, spans):
         if span != spans[0]:
@@ -360,23 +396,31 @@ def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
                             f"maps along {e.name!r} are not mutually inverse at {f!r}"
                         )
                         break
-    for e in g.edges:
-        for tail in (e.u, e.v):
+    # alpha = scale * line and a line modulo e's is factor * residue, so the
+    # difference lies on e's line exactly when the residues agree and so do
+    # scale * factor, signed by orientation (or up to sign, unsigned)
+    line, scale, residue, position = g._line, g._scale, g._residue, g._edge_pos
+    for j, e in enumerate(g.edges):
+        b = line[j]
+        for tail, head in ((e.u, e.v), (e.v, e.u)):
             key = (e.name, tail)
             if key not in theta.maps:
                 continue
-            head = e.other(tail)
             for f, image in theta.maps[key].items():
                 if f not in stars[tail] or image not in stars[head]:
                     continue
-                if g.signed:
-                    a_f, a_image, signs = g.alpha_from(f, tail), g.alpha_from(image, head), (1,)
-                else:
-                    a_f, a_image, signs = g.alpha(f), g.alpha(image), (1, -1)
-                if not any(
-                    _collinear(g.alpha(e.name), [p - s * q for p, q in zip(a_image, a_f)])
-                    for s in signs
-                ):
+                i, k = position[f], position[image]
+                r_f, c_f = residue(line[i], b)
+                r_image, c_image = residue(line[k], b)
+                a_f, a_image = scale[i] * c_f, scale[k] * c_image
+                if not g.signed:
+                    a_f, a_image = abs(a_f), abs(a_image)
+                else:  # alpha_from negates the stored value out of the second endpoint
+                    if tail != g.edges[i].u:
+                        a_f = -a_f
+                    if head != g.edges[k].u:
+                        a_image = -a_image
+                if r_f != r_image or a_f != a_image:
                     out.append(
                         f"difference of axial values of {image!r} and {f!r} is not "
                         f"collinear to the edge {e.name!r}"
@@ -394,10 +438,11 @@ def canonical_connection(g: GkmGraph) -> Connection:
     """
     require_valid(g)
     maps: dict[tuple[str, object], dict[str, str]] = {}
+    planes = g._plane_table
     for j, e in enumerate(g.edges):
         for tail, head in zip((e.u, e.v), g._ends[j][::-1]):
             mapping = {e.name: e.name}
-            for i, plane in g._plane_table[(j, head)]:
+            for i, plane in planes[(j, head)]:
                 f = g.edges[i].name
                 if plane.bit_count() != 1:
                     raise ConnectionNotCanonical(
@@ -446,8 +491,8 @@ def subgraph_flat(g: GkmGraph, h: GkmSubgraph, x) -> Subspace:
     """Span of the axial vectors of h-edges at x."""
     if x not in h.vertices:
         raise ValueError(f"vertex {x!r} does not belong to the subgraph")
-    at_x = [g.alpha(name) for name in g.star(x) if name in h.edges]
-    return Subspace.span(at_x, g.ambient_rank)
+    at_x = g._star_at[g._vertex_pos[x]]
+    return g._span(frozenset(g._line[i] for i in at_x if g.edges[i].name in h.edges))
 
 
 def subgraph_degree(g: GkmGraph, h: GkmSubgraph) -> int:

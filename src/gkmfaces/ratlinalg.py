@@ -47,6 +47,24 @@ def _primitive(row: list[int]) -> tuple[int, ...] | None:
     return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
+def _line_residue(v: Sequence[int], line: IntVector) -> tuple[IntVector | None, int]:
+    """v modulo a primitive `line` with positive lead: (residue, factor), or (None, 0).
+
+    The reduction v -> line[p] v - v[p] line, at the lead p of `line`, is
+    linear with kernel the line and equals factor * residue, where the
+    residue is what `EchelonBasis.residue` gives modulo the line.  So an
+    integer combination of vectors lies on the line exactly when the same
+    combination of their factor * residue vanishes.
+    """
+    pivot = next(i for i, x in enumerate(line) if x)
+    p, c = line[pivot], v[pivot]
+    work = [p * a - c * b for a, b in zip(v, line)]
+    residue = _primitive(work)
+    if residue is None:
+        return None, 0
+    return residue, next(a // r for a, r in zip(work, residue) if r)
+
+
 def _eliminate(row: Sequence[int], basis: list[tuple[int, IntVector]]) -> tuple[int, ...] | None:
     """Reduce `row` against echelon `basis` rows; primitive remainder or None."""
     work = list(row)

@@ -15,16 +15,17 @@ ranks.  A candidate survives when no other candidate with its span
 contains it: one containing h holds every vertex of h, so h is then a
 maximum of each of its (vertex, span) groups, and the groups, built over
 the survivors for the diagnostics, hold exactly their maxima.  The
-projection to surviving faces and the Galois check take containment
+candidates' container masks are computed once and kept on the report.
+The projection to surviving faces and the Galois check take containment
 from membership masks too: the projection is the one minimal container,
 `poset._minimal`, and monotonicity is checked on the covers of the
-inclusion order, `poset._cover_pairs`, which implies it on every nested
-pair.
+inclusion order among the candidates, `poset._cover_pairs` on the kept
+masks, which implies it on every nested pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ReconstructionAmbiguous
@@ -70,6 +71,8 @@ class FaceReport:
     faces: GradedPoset  # payload maps ids to GkmSubgraph witnesses
     candidates: tuple[GkmSubgraph, ...]  # the full enumerated face list
     diagnostics: tuple[Diagnostic, ...]
+    # per candidate, the mask of the candidates containing it; None when not given
+    _candidate_containers: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def subgraph(self, element) -> GkmSubgraph:
         return self.faces.payload[element]
@@ -127,6 +130,7 @@ def reconstruct_face_poset(
         ),
         candidates=tuple(candidates),
         diagnostics=tuple(diagnostics),
+        _candidate_containers=tuple(containers),
     )
 
 
@@ -193,7 +197,10 @@ def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
         if i is not None and projection[i] not in (e, None):
             failures.append(f"projection does not fix surviving face {e}")
     # monotone on the covers of the inclusion order, so on every nested pair
-    for i, j in _cover_pairs(_containers(candidates), (1 << len(candidates)) - 1):
+    containers = report._candidate_containers
+    if containers is None:
+        containers = _containers(candidates)
+    for i, j in _cover_pairs(containers, (1 << len(candidates)) - 1):
         if None not in (projection[i], projection[j]) and not report.faces.leq(
             projection[i], projection[j]
         ):

@@ -6,7 +6,9 @@ flat lists from the full 2^n sweep, reduced Betti numbers from
 eliminating every boundary matrix (or from sympy's ranks of the dense
 ones), and GKM faces from checking every edge
 subset.  The GKM plane table spans one plane per pair of edges, the face
-poset and the Galois monotonicity check scan all pairs of faces.  Slow
+poset and the Galois monotonicity check scan all pairs of faces.  The
+graph and connection reports test collinearity and spans on the raw
+axial vectors, pair by pair.  Slow
 and obvious on purpose.  Bases are the full-rank subsets of that size, the
 faces of a complex are all subsets of its facets, and the
 independence degree comes from scanning subsets by size.  The flats
@@ -53,6 +55,12 @@ def rank_oracle(vectors):
 
 def in_span_oracle(v, vectors):
     return rank_oracle(list(vectors) + [v]) == rank_oracle(list(vectors))
+
+
+def collinear_oracle(a, b):
+    """Whether a and b span at most a line: b[j] a[p] = a[j] b[p] at a pivot p of a."""
+    p = next((i for i, x in enumerate(a) if x), None)
+    return p is None or all(a[p] * y == x * b[p] for x, y in zip(a, b))
 
 
 def closure_oracle(weights, subset):
@@ -508,6 +516,114 @@ def plane_table_oracle(graph):
                     if e3 != e2.name and planes[pair].contains(graph.alpha(e3))
                 )
     return table
+
+
+def graph_report_oracle(graph):
+    """`validate_graph`'s (ok, dimension, rank, violations) from the raw axial vectors.
+
+    Stars are read off the edge list; dependent pairs come from
+    `collinear_oracle`, the closure from `plane_table_oracle`, and two
+    stars span the same space exactly when each has the rank of both.
+    """
+    vertices, edges = graph.vertices, graph.edges
+    star = {x: [e.name for e in edges if x in (e.u, e.v)] for x in vertices}
+    vectors = {x: [graph.alpha(name) for name in star[x]] for x in vertices}
+    violations = []
+    seen, frontier = {vertices[0]}, [vertices[0]]
+    while frontier:
+        x = frontier.pop()
+        for e in edges:
+            if x in (e.u, e.v):
+                y = e.v if e.u == x else e.u
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    missing = [x for x in vertices if x not in seen]
+    if missing:
+        violations.append(f"graph is disconnected: vertex {missing[0]!r} unreachable")
+    order = sorted(range(len(vertices)), key=lambda i: (len(star[vertices[i]]), i))
+    low, high = vertices[order[0]], vertices[order[-1]]
+    dimension = len(star[vertices[0]])
+    if len(star[low]) != len(star[high]):
+        violations.append(
+            f"graph is not regular: vertex {low!r} has degree {len(star[low])}, "
+            f"vertex {high!r} has degree {len(star[high])}"
+        )
+        dimension = None
+    for x in vertices:
+        for f1, f2 in combinations(star[x], 2):
+            if collinear_oracle(graph.alpha(f1), graph.alpha(f2)):
+                violations.append(
+                    f"edges {f1!r} and {f2!r} at vertex {x!r} have dependent axial vectors"
+                )
+    table = plane_table_oracle(graph)
+    violations.extend(
+        f"no edge at {z!r} continues the span of {e1!r} and {e2.name!r}"
+        for e2 in edges
+        for y, z in ((e2.u, e2.v), (e2.v, e2.u))
+        for e1 in star[y]
+        if e1 != e2.name and not table[(e1, e2.name, z)]
+    )
+    first = vectors[vertices[0]]
+    rank = rank_oracle(first)
+    for x in vertices:
+        both = rank_oracle(first + vectors[x])
+        if both != rank or both != rank_oracle(vectors[x]):
+            violations.append(
+                f"axial span at vertex {x!r} differs from the span at {vertices[0]!r}"
+            )
+            rank = None
+            break
+    return not violations, dimension, rank, tuple(violations)
+
+
+def connection_violations_oracle(graph, theta):
+    """`validate_connection`'s violations, the translation rule on the raw vectors.
+
+    The image's axial value minus the source's must be collinear to the
+    edge's by `collinear_oracle`: with the values out of each endpoint
+    from `alpha_from` on signed graphs, and with either sign of the
+    source's value on unsigned ones.
+    """
+    star = {x: {e.name for e in graph.edges if x in (e.u, e.v)} for x in graph.vertices}
+    out = []
+    for e in graph.edges:
+        for tail, head in ((e.u, e.v), (e.v, e.u)):
+            mapping = theta.maps.get((e.name, tail))
+            if mapping is None:
+                out.append(f"no star map along edge {e.name!r} out of {tail!r}")
+            elif set(mapping) != star[tail] or set(mapping.values()) != star[head]:
+                out.append(
+                    f"map along {e.name!r} out of {tail!r} is not a bijection "
+                    "between the vertex stars"
+                )
+            elif mapping[e.name] != e.name:
+                out.append(f"map along {e.name!r} out of {tail!r} moves the edge itself")
+    for e in graph.edges:
+        mapping, inverse = theta.maps.get((e.name, e.u)), theta.maps.get((e.name, e.v))
+        if mapping is None or inverse is None:
+            continue
+        if set(mapping) == star[e.u] and set(mapping.values()) == star[e.v]:
+            wrong = [f for f, image in mapping.items() if inverse.get(image) != f]
+            if wrong:
+                out.append(f"maps along {e.name!r} are not mutually inverse at {wrong[0]!r}")
+    for e in graph.edges:
+        for tail, head in ((e.u, e.v), (e.v, e.u)):
+            for f, image in theta.maps.get((e.name, tail), {}).items():
+                if f not in star[tail] or image not in star[head]:
+                    continue
+                if graph.signed:
+                    a_f, a_image = graph.alpha_from(f, tail), graph.alpha_from(image, head)
+                    differences = [[p - q for p, q in zip(a_image, a_f)]]
+                else:
+                    a_f, a_image = graph.alpha(f), graph.alpha(image)
+                    differences = [[p - s * q for p, q in zip(a_image, a_f)] for s in (1, -1)]
+                if not any(collinear_oracle(graph.alpha(e.name), d) for d in differences):
+                    out.append(
+                        f"difference of axial values of {image!r} and {f!r} is not "
+                        f"collinear to the edge {e.name!r}"
+                    )
+    return tuple(out)
 
 
 def face_poset_oracle(graph, faces, prefix="H"):

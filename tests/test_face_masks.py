@@ -4,8 +4,11 @@ The plane table, the face poset and the Galois monotonicity check run on
 edge positions and membership masks; `tests/oracles.py` keeps the
 versions that span one plane per pair of edges and scan all pairs of
 faces.  They are compared on scrambled Q2, Q3, CP2xS2, Fl(3) and
-CP2xCP2, and the plane table also on graphs made invalid by a collinear
-star or an extra parallel edge.  On graphs without a connection of their
+CP2xCP2, and the plane table and the whole `validate_graph` report also
+on graphs made invalid by a collinear star or an extra parallel edge.
+Face spans are compared with spans of the raw axial vectors, and
+`validate_connection`'s report with the raw-vector rule on damaged
+canonical connections.  On graphs without a connection of their
 own, the faces closed under the canonical connection are all the faces,
 and no face is tested against that connection.  The reconstruction's
 span rule keeps what the per-(vertex, span) maxima selection of
@@ -26,13 +29,18 @@ import gkmfaces.reconstruct as reconstruct_module
 from gkmfaces import cli
 from gkmfaces.errors import EnumerationCapExceeded
 from gkmfaces.gkm import (
+    Connection,
     GkmGraph,
+    canonical_connection,
     enumerate_face_subgraphs,
     enumerate_faces,
     enumerate_tg_faces,
+    subgraph_flat,
+    validate_connection,
     validate_graph,
 )
 from gkmfaces.formats import format_graph
+from gkmfaces.ratlinalg import Subspace
 from gkmfaces.reconstruct import reconstruct_face_poset, verify_galois
 
 from helpers import (
@@ -46,8 +54,10 @@ from helpers import (
     square_graph,
 )
 from oracles import (
+    connection_violations_oracle,
     face_poset_oracle,
     face_selection_oracle,
+    graph_report_oracle,
     non_monotone_pairs_oracle,
     plane_table_oracle,
 )
@@ -114,21 +124,10 @@ def by_name(g: GkmGraph) -> dict:
     }
 
 
-def closure_violations(g: GkmGraph, table) -> list[str]:
-    return [
-        f"no edge at {z!r} continues the span of {e1!r} and {e2.name!r}"
-        for e2 in g.edges
-        for y, z in ((e2.u, e2.v), (e2.v, e2.u))
-        for e1 in g.star(y)
-        if e1 != e2.name and not table[(e1, e2.name, z)]
-    ]
-
-
 def check_plane_table(g: GkmGraph) -> None:
-    table = plane_table_oracle(g)
-    assert by_name(g) == table
-    violations = [v for v in validate_graph(g).violations if v.startswith("no edge at")]
-    assert violations == closure_violations(g, table)
+    assert by_name(g) == plane_table_oracle(g)
+    report = validate_graph(g)
+    assert (report.ok, report.dimension, report.rank, report.violations) == graph_report_oracle(g)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -142,6 +141,15 @@ def test_plane_table_matches_the_pairwise_oracle(g):
 def test_plane_table_matches_the_oracle_on_invalid_graphs(g):
     check_plane_table(g)
     assert not validate_graph(g).ok
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(graphs)
+def test_face_spans_are_the_spans_of_the_raw_axial_vectors(g):
+    for h in enumerate_face_subgraphs(g):
+        for x in h.vertices:
+            raw = [g.alpha(name) for name in g.star(x) if name in h.edges]
+            assert subgraph_flat(g, h, x) == Subspace.span(raw, g.ambient_rank)
 
 
 def same_poset(got, expected) -> None:
@@ -194,6 +202,49 @@ canonical_graphs = st.one_of(
     ),
     st.sampled_from([square_graph, cp2_graph]).map(lambda make: make(signed=True)),
 )
+
+
+def swapped_images(g: GkmGraph, maps: dict, rng: random.Random) -> GkmGraph:
+    """Two images exchanged in one star map."""
+    mapping = maps[rng.choice(sorted(maps))]
+    f1, f2 = rng.sample(sorted(mapping), 2)
+    mapping[f1], mapping[f2] = mapping[f2], mapping[f1]
+    return g
+
+
+def moved_image(g: GkmGraph, maps: dict, rng: random.Random) -> GkmGraph:
+    """One image sent to another edge of the star at the head."""
+    key = rng.choice(sorted(maps))
+    mapping = maps[key]
+    f = rng.choice(sorted(mapping))
+    mapping[f] = rng.choice([e for e in g.star(g.edge(key[0]).other(key[1])) if e != mapping[f]])
+    return g
+
+
+def rescaled_axial(g: GkmGraph, maps: dict, rng: random.Random) -> GkmGraph:
+    """One axial vector rebuilt at x2, x-1 or x-3, with the maps kept."""
+    name = rng.choice(sorted(g.axial))
+    factor = rng.choice((2, -1, -3))
+    axial = {**g.axial, name: tuple(factor * a for a in g.alpha(name))}
+    edges = [(e.name, e.u, e.v) for e in g.edges]
+    return GkmGraph(g.ambient_rank, g.vertices, edges, axial, signed=g.signed)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    canonical_graphs,
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from([swapped_images, moved_image, rescaled_axial]), max_size=3),
+)
+def test_connection_violations_match_the_raw_vector_oracle(g, seed, damages):
+    rng = random.Random(seed)
+    maps = {key: dict(mapping) for key, mapping in canonical_connection(g).maps.items()}
+    for damage in damages:
+        g = damage(g, maps, rng)
+    theta = Connection(maps)
+    report = validate_connection(g, theta)
+    expected = connection_violations_oracle(g, theta)
+    assert (report.ok, report.violations) == (not expected, expected)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

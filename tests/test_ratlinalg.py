@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmfaces.errors import DimensionMismatch
-from gkmfaces.ratlinalg import EchelonBasis, Subspace, _carry_residues, in_span, rank_of, span_equal
+from gkmfaces.ratlinalg import (
+    EchelonBasis,
+    Subspace,
+    _carry_residues,
+    _line_residue,
+    _primitive,
+    in_span,
+    rank_of,
+    span_equal,
+)
 
 from oracles import in_span_oracle, rank_oracle
 
@@ -156,3 +165,20 @@ def test_carried_residues_are_the_echelon_residues(case):
         carried = _carry_residues(row, rest)
         expected = [(j, basis.residue(vectors[j])) for j, _ in rest]
         assert carried == [(j, r) for j, r in expected if r is not None]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vector_lists())
+def test_line_residue_is_the_echelon_residue_with_its_factor(case):
+    """Modulo a line: `EchelonBasis.residue`, and factor * residue = line[p] v - v[p] line."""
+    k, vectors = case
+    line = _primitive(vectors[0])
+    basis = EchelonBasis(k)
+    basis.add(line)
+    p = next(i for i, x in enumerate(line) if x)
+    for v in vectors:
+        residue, factor = _line_residue(v, line)
+        assert residue == basis.residue(v)
+        reduced = [line[p] * a - v[p] * b for a, b in zip(v, line)]
+        assert reduced == [factor * x for x in residue or (0,) * k]
+        assert (factor == 0) == (rank_oracle([line, v]) <= 1)

@@ -333,3 +333,20 @@ def test_verify_galois_reports_a_face_with_two_minimal_survivors():
         f"projection of a face on vertices {listed} is undefined: "
         "2 minimal surviving faces contain the subgraph",
     )
+
+
+@pytest.mark.parametrize("name", GKM_CORPUS)
+@pytest.mark.parametrize("mode", ["faces", "tg"])
+def test_verify_galois_reads_the_containers_kept_on_the_report(monkeypatch, name, mode):
+    g, report = reconstruct(name, mode)
+    computed = []
+    containers = reconstruct_module._containers
+    monkeypatch.setattr(
+        reconstruct_module, "_containers", lambda faces: computed.append(faces) or containers(faces)
+    )
+    kept = verify_galois(g, report)
+    assert computed == []
+    # a report built without the masks computes them and reaches the same verdict
+    assert verify_galois(g, replace(report, _candidate_containers=None)) == kept
+    assert computed == ([] if report.diagnostics else [report.candidates])
+    assert list(report._candidate_containers) == containers(report.candidates)
