@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EnumerationCapExceeded, PreconditionFailed, ZeroWeight
 from .poset import GradedPoset, _bits
-from .ratlinalg import EchelonBasis, IntVector, Subspace, _carry_residues, as_vector
+from .ratlinalg import IntVector, Subspace, _carry_residues, _primitive, as_vector
 
 # more nonempty independent sets than this are not listed; A7 has 561 947
 INDEPENDENT_SET_CAP = 1_000_000
@@ -169,7 +169,7 @@ def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, in
     if r == 1:
         covers.append((0, 1))
     parallel: dict[IntVector, int] = {}  # primitive direction -> class members
-    for i, residue in enumerate(map(EchelonBasis(ws.ambient_rank).residue, ws.weights), 1):
+    for i, residue in enumerate(map(_primitive, ws.weights), 1):
         parallel[residue] = parallel.get(residue, 0) | 1 << i
     classes = list(parallel.values())
     number = {0: 0}  # members -> flat number

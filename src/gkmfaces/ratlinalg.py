@@ -2,15 +2,17 @@
 
 Everything here is fraction-free: vectors stay integer tuples, elimination
 uses cross-multiplication followed by division by the row gcd, so no
-floating point and no rational type ever enters a rank decision.  A
-subspace is represented by its canonical reduced echelon basis (primitive
-integer rows, positive leading entry), which makes subspaces hashable and
-directly comparable.
+floating point and no rational type ever enters a rank decision.  The one
+span type is `Subspace`: its canonical reduced echelon basis (primitive
+integer rows, positive leading entry) makes it hashable and directly
+comparable, and `Subspace.residue` is the one reduction modulo a span.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -23,15 +25,9 @@ def as_vector(entries: Iterable[int]) -> IntVector:
     return tuple(int(e) for e in entries)
 
 
-def _check_lengths(vectors: Sequence[IntVector], ambient: int | None = None) -> int:
-    """Return the common length, raising DimensionMismatch on disagreement."""
-    k = ambient
-    for v in vectors:
-        if k is None:
-            k = len(v)
-        elif len(v) != k:
-            raise DimensionMismatch(f"vector of length {len(v)} mixed with length {k}")
-    return 0 if k is None else k
+def _check_length(v: Sequence[int], ambient: int) -> None:
+    if len(v) != ambient:
+        raise DimensionMismatch(f"vector of length {len(v)} in ambient rank {ambient}")
 
 
 def _primitive(row: list[int]) -> tuple[int, ...] | None:
@@ -52,7 +48,7 @@ def _line_residue(v: Sequence[int], line: IntVector) -> tuple[IntVector | None, 
 
     The reduction v -> line[p] v - v[p] line, at the lead p of `line`, is
     linear with kernel the line and equals factor * residue, where the
-    residue is what `EchelonBasis.residue` gives modulo the line.  So an
+    residue is what `Subspace.residue` gives modulo the line.  So an
     integer combination of vectors lies on the line exactly when the same
     combination of their factor * residue vanishes.
     """
@@ -83,7 +79,7 @@ def _carry_residues(
 
     `entries` are (index, residue) pairs and `row` a nonzero residue, all
     modulo the same span.  Clearing the new pivot with `row` gives exactly
-    what `EchelonBasis.residue` gives for the grown basis: both are the
+    what `Subspace.residue` gives for the grown span: both are the
     primitive vector with positive lead in Q(v + span) that vanishes on
     every pivot column.  Pairs whose residue vanishes (those equal to
     `row`) are dropped; the others keep their order.
@@ -101,112 +97,76 @@ def _carry_residues(
     return kept
 
 
-class EchelonBasis:
-    """Incrementally built integer echelon basis of a rational row space."""
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self._rows: list[tuple[int, IntVector]] = []  # (pivot column, primitive row)
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def add(self, v: Sequence[int]) -> bool:
-        """Insert v; True if it enlarged the span."""
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"vector of length {len(v)} in ambient rank {self.ambient}")
-        reduced = _eliminate(v, self._rows)
-        if reduced is None:
-            return False
-        pivot = next(i for i, x in enumerate(reduced) if x != 0)
-        self._rows.append((pivot, reduced))
-        self._rows.sort(key=lambda pr: pr[0])
-        return True
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return self.residue(v) is None
-
-    def residue(self, v: Sequence[int]) -> IntVector | None:
-        """v reduced against the basis, primitive with positive lead; None in the span.
-
-        Up to a nonzero factor the reduction is a linear map whose kernel
-        is the span, so two vectors outside the span have the same residue
-        exactly when each lies in the span of the basis and the other.
-        """
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"vector of length {len(v)} in ambient rank {self.ambient}")
-        return _eliminate(v, self._rows)
-
-    def canonical_rows(self) -> tuple[IntVector, ...]:
-        """Fully reduced form: pivots cleared above, rows primitive.
-
-        The reduced echelon form of a row space is unique, so this tuple is
-        a canonical key for the subspace.
-        """
-        rows = [list(r) for _, r in self._rows]
-        pivots = [p for p, _ in self._rows]
-        for j in range(len(rows) - 1, -1, -1):
-            pj = pivots[j]
-            for i in range(j):
-                c = rows[i][pj]
-                if c:
-                    p = rows[j][pj]
-                    rows[i] = [p * a - c * b for a, b in zip(rows[i], rows[j])]
-                    rows[i] = list(_primitive(rows[i]))  # nonzero: pivot column survives
-        return tuple(tuple(r) for r in rows)
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """A rational subspace of Q^k in canonical echelon form (hashable)."""
+    """A rational subspace of Q^k in canonical reduced echelon form (hashable)."""
 
     ambient: int
     basis: tuple[IntVector, ...]
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence[int]], ambient: int) -> "Subspace":
-        eb = EchelonBasis(ambient)
+        """The span of `vectors`, each of length `ambient`, read once.
+
+        Each vector is reduced against the echelon rows so far and what is
+        left goes in at its pivot column; then each pivot is cleared upward.
+        The reduced echelon form of a row space is unique, so the basis is
+        a canonical key for the subspace.
+        """
+        rows: list[tuple[int, IntVector]] = []  # (pivot column, primitive row), by pivot
         for v in vectors:
-            eb.add(v)
-        return cls(ambient, eb.canonical_rows())
+            _check_length(v, ambient)
+            reduced = _eliminate(v, rows)
+            if reduced is not None:
+                insort(rows, (next(i for i, x in enumerate(reduced) if x), reduced))
+        for j in range(len(rows) - 1, 0, -1):
+            pivot, row = rows[j]
+            for i in range(j):
+                c = rows[i][1][pivot]
+                if c:  # nonzero after: the pivot column of row i survives
+                    work = [row[pivot] * a - c * b for a, b in zip(rows[i][1], row)]
+                    rows[i] = rows[i][0], _primitive(work)
+        return cls(ambient, tuple(row for _, row in rows))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pivoted(self) -> list[tuple[int, IntVector]]:
+        return [(next(i for i, x in enumerate(r) if x), r) for r in self.basis]
+
+    def residue(self, v: Sequence[int]) -> IntVector | None:
+        """v reduced modulo the span, primitive with positive lead; None in the span.
+
+        Up to a nonzero factor the reduction is a linear map whose kernel
+        is the span, so two vectors outside the span have the same residue
+        exactly when each lies in the span of the basis and the other.
+        """
+        _check_length(v, self.ambient)
+        return _eliminate(v, self._pivoted)
+
     def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != self.ambient:
-            raise DimensionMismatch(f"vector of length {len(v)} in ambient rank {self.ambient}")
-        pivoted = [(next(i for i, x in enumerate(r) if x), r) for r in self.basis]
-        return _eliminate(v, pivoted) is None
+        return self.residue(v) is None
 
     def sort_key(self) -> tuple:
         return (self.dim, self.basis)
 
 
-def rank_of(vectors: Sequence[Sequence[int]]) -> int:
+def rank_of(vectors: Iterable[Sequence[int]]) -> int:
     """Rank of the rational span; 0 for empty input."""
-    k = _check_lengths([tuple(v) for v in vectors])
-    eb = EchelonBasis(k)
-    for v in vectors:
-        eb.add(v)
-    return eb.dim
+    vs = list(vectors)
+    return Subspace.span(vs, len(vs[0]) if vs else 0).dim
 
 
-def in_span(v: Sequence[int], vectors: Sequence[Sequence[int]]) -> bool:
+def in_span(v: Sequence[int], vectors: Iterable[Sequence[int]]) -> bool:
     """True iff v lies in the rational span of `vectors`."""
-    vs = [tuple(w) for w in vectors]
-    _check_lengths(vs, ambient=len(v))
-    eb = EchelonBasis(len(v))
-    for w in vs:
-        eb.add(w)
-    return eb.contains(tuple(v))
+    return Subspace.span(vectors, len(v)).contains(v)
 
 
-def span_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+def span_equal(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> bool:
     """True iff the two sequences span the same rational subspace."""
-    avs = [tuple(v) for v in a]
-    bvs = [tuple(v) for v in b]
-    k = _check_lengths(avs + bvs)
+    avs, bvs = list(a), list(b)
+    vs = avs + bvs
+    k = len(vs[0]) if vs else 0
     return Subspace.span(avs, k) == Subspace.span(bvs, k)

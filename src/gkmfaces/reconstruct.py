@@ -71,8 +71,8 @@ class FaceReport:
     faces: GradedPoset  # payload maps ids to GkmSubgraph witnesses
     candidates: tuple[GkmSubgraph, ...]  # the full enumerated face list
     diagnostics: tuple[Diagnostic, ...]
-    # per candidate, the mask of the candidates containing it; None when not given
-    _candidate_containers: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    # per candidate, the mask of the candidates containing it
+    _candidate_containers: tuple[int, ...] = field(repr=False, compare=False)
 
     def subgraph(self, element) -> GkmSubgraph:
         return self.faces.payload[element]
@@ -197,10 +197,7 @@ def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
         if i is not None and projection[i] not in (e, None):
             failures.append(f"projection does not fix surviving face {e}")
     # monotone on the covers of the inclusion order, so on every nested pair
-    containers = report._candidate_containers
-    if containers is None:
-        containers = _containers(candidates)
-    for i, j in _cover_pairs(containers, (1 << len(candidates)) - 1):
+    for i, j in _cover_pairs(report._candidate_containers, (1 << len(candidates)) - 1):
         if None not in (projection[i], projection[j]) and not report.faces.leq(
             projection[i], projection[j]
         ):

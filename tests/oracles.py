@@ -1,20 +1,21 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's code paths: rank comes from plain
-Gaussian elimination over fractions.Fraction, closures from a subset scan,
+Gaussian elimination over fractions.Fraction, reduced echelon bases from
+sympy's `rref`, closures from a subset scan,
 flat lists from the full 2^n sweep, reduced Betti numbers from
 eliminating every boundary matrix (or from sympy's ranks of the dense
 ones), and GKM faces from checking every edge
-subset.  The GKM plane table spans one plane per pair of edges, the face
+subset.  The GKM plane table spans one `Subspace` per pair of edges, the face
 poset and the Galois monotonicity check scan all pairs of faces.  The
 graph and connection reports test collinearity and spans on the raw
 axial vectors, pair by pair.  Slow
 and obvious on purpose.  Bases are the full-rank subsets of that size, the
 faces of a complex are all subsets of its facets, and the
 independence degree comes from scanning subsets by size.  The flats
-search that reduces every class against the whole basis of each flat is
-kept as the residue oracle.  Ranks come from repeated passes over the
-covers of a poset.  The lattice predicates scan all
+search that reduces every class by `Subspace.residue` against the whole
+span of each flat is kept as the residue oracle.  Ranks come from
+repeated passes over the covers of a poset.  The lattice predicates scan all
 pairs of elements through `GradedPoset.join`, `meet` and `leq`, and
 check every upper ideal as a poset of its own; they import gkmfaces
 when called, so importing this module does not (bench/workloads.py
@@ -28,7 +29,7 @@ keeps the members of each group that no other member contains.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 def rank_oracle(vectors):
@@ -104,21 +105,16 @@ def flats_with_covers_oracle(ws):
     """(flats, covers) as `matroid._flats_with_covers` gives them, from full eliminations.
 
     Covers are pairs of positions in the sorted flat list.  Each frontier
-    flat keeps the weights that span it and builds an `EchelonBasis` from
-    them; every class outside it is reduced against that whole basis.
+    flat keeps the weights that span it and builds their `Subspace`; every
+    class outside it is reduced by `Subspace.residue` against that span.
     """
     from gkmfaces.matroid import Flat
-    from gkmfaces.ratlinalg import EchelonBasis
+    from gkmfaces.ratlinalg import Subspace
 
-    def basis_of(vectors):
-        basis = EchelonBasis(ws.ambient_rank)
-        for v in vectors:
-            basis.add(v)
-        return basis
-
+    nothing = Subspace.span([], ws.ambient_rank)
     parallel = {}
     for i in ws.indices:
-        parallel.setdefault(basis_of([]).residue(ws.weight(i)), []).append(i)
+        parallel.setdefault(nothing.residue(ws.weight(i)), []).append(i)
     classes = [(ws.weight(members[0]), frozenset(members)) for members in parallel.values()]
     bottom = Flat(frozenset(), 0)
     found = {bottom.members: bottom}
@@ -126,10 +122,10 @@ def flats_with_covers_oracle(ws):
     frontier = [(bottom, [], range(len(classes)))]
     while frontier:
         flat, spanning, outside = frontier.pop()
-        basis = basis_of(spanning)
+        span = Subspace.span(spanning, ws.ambient_rank)
         by_residue = {}
         for c in outside:
-            by_residue.setdefault(basis.residue(classes[c][0]), []).append(c)
+            by_residue.setdefault(span.residue(classes[c][0]), []).append(c)
         for group in by_residue.values():
             members = flat.members.union(*(classes[c][1] for c in group))
             bigger = found.get(members)
@@ -399,6 +395,20 @@ def reduced_betti_oracle(complex_):
     return betti_from_ranks([len(level) for level in levels], ranks)
 
 
+def rref_oracle(vectors, k):
+    """sympy's reduced row echelon rows, each a primitive integer row with positive lead."""
+    import sympy
+
+    matrix, pivots = sympy.Matrix(len(vectors), k, [x for v in vectors for x in v]).rref()
+    rows = []
+    for r in range(len(pivots)):
+        fractions = [Fraction(int(x.p), int(x.q)) for x in matrix.row(r)]
+        scale = lcm(*(x.denominator for x in fractions))
+        ints = [int(x * scale) for x in fractions]
+        rows.append(tuple(x // gcd(*ints) for x in ints))
+    return tuple(rows)
+
+
 def sympy_betti(complex_):
     """Reduced Betti numbers from sympy ranks of dense boundary matrices."""
     import sympy
@@ -493,10 +503,10 @@ def plane_table_oracle(graph):
     """(e1, e2, z) -> edges at z other than e2 in the span of alpha_e1 and alpha_e2.
 
     Keyed for every edge e2 from y to z and every other edge e1 at y; each
-    plane is one EchelonBasis per pair of edges, each edge at z one
+    plane is one `Subspace` per pair of edges, each edge at z one
     membership test.
     """
-    from gkmfaces.ratlinalg import EchelonBasis
+    from gkmfaces.ratlinalg import Subspace
 
     planes = {}
     table = {}
@@ -507,9 +517,9 @@ def plane_table_oracle(graph):
                     continue
                 pair = frozenset((e1, e2.name))
                 if pair not in planes:
-                    planes[pair] = EchelonBasis(graph.ambient_rank)
-                    planes[pair].add(graph.alpha(e1))
-                    planes[pair].add(graph.alpha(e2.name))
+                    planes[pair] = Subspace.span(
+                        [graph.alpha(e1), graph.alpha(e2.name)], graph.ambient_rank
+                    )
                 table[(e1, e2.name, z)] = tuple(
                     e3
                     for e3 in graph.star(z)

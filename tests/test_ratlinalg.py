@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gkmfaces.errors import DimensionMismatch
 from gkmfaces.ratlinalg import (
-    EchelonBasis,
     Subspace,
     _carry_residues,
     _line_residue,
@@ -16,7 +15,7 @@ from gkmfaces.ratlinalg import (
     span_equal,
 )
 
-from oracles import in_span_oracle, rank_oracle
+from oracles import in_span_oracle, rank_oracle, rref_oracle
 
 
 def test_rank_empty():
@@ -136,13 +135,25 @@ def test_subspace_canonical_form_is_span_invariant():
 
 
 def test_echelon_basis_incremental_rank():
-    eb = EchelonBasis(3)
-    assert eb.add((1, 1, 0))
-    assert not eb.add((2, 2, 0))
-    assert eb.add((0, 1, 1))
-    assert eb.dim == 2
-    assert eb.contains((1, 0, -1))
-    assert not eb.contains((0, 0, 1))
+    vectors = [(1, 1, 0), (2, 2, 0), (0, 1, 1)]
+    assert [Subspace.span(vectors[:n], 3).dim for n in range(4)] == [0, 1, 1, 2]
+    span = Subspace.span(vectors, 3)
+    assert span.basis == ((1, 0, -1), (0, 1, 1))
+    assert span.contains((1, 0, -1))
+    assert not span.contains((0, 0, 1))
+    assert span.residue((0, 0, 1)) == (0, 0, 1)
+
+
+def test_one_shot_iterables_are_read_once():
+    vectors = [(1, 0, 2), (0, 1, 1), (1, 1, 3)]
+    assert rank_of(v for v in [(1, 0), (0, 1)]) == 2
+    assert rank_of(iter(vectors)) == 2
+    assert in_span((2, 3, 7), iter(vectors))
+    assert not in_span((0, 0, 1), iter(vectors))
+    assert span_equal(iter(vectors), (v for v in vectors[:2]))
+    assert not span_equal(iter(vectors), iter(vectors[:1]))
+    assert Subspace.span(iter(vectors), 3) == Subspace.span(vectors, 3)
+    assert Subspace.span(iter(vectors), 3).dim == 2
 
 
 @st.composite
@@ -155,30 +166,74 @@ def vector_lists(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(vector_lists())
 def test_carried_residues_are_the_echelon_residues(case):
-    """Each row step gives exactly `EchelonBasis.residue` modulo the grown basis."""
+    """Each row step gives exactly `Subspace.residue` modulo the grown span."""
     k, vectors = case
-    basis = EchelonBasis(k)
-    carried = [(i, basis.residue(v)) for i, v in enumerate(vectors)]
+    spanning = []
+    carried = [(i, Subspace.span(spanning, k).residue(v)) for i, v in enumerate(vectors)]
     while carried:
         (i, row), rest = carried[0], carried[1:]
-        basis.add(vectors[i])
+        spanning.append(vectors[i])
         carried = _carry_residues(row, rest)
-        expected = [(j, basis.residue(vectors[j])) for j, _ in rest]
+        span = Subspace.span(spanning, k)
+        expected = [(j, span.residue(vectors[j])) for j, _ in rest]
         assert carried == [(j, r) for j, r in expected if r is not None]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(vector_lists())
 def test_line_residue_is_the_echelon_residue_with_its_factor(case):
-    """Modulo a line: `EchelonBasis.residue`, and factor * residue = line[p] v - v[p] line."""
+    """Modulo a line: `Subspace.residue`, and factor * residue = line[p] v - v[p] line."""
     k, vectors = case
     line = _primitive(vectors[0])
-    basis = EchelonBasis(k)
-    basis.add(line)
+    span = Subspace.span([line], k)
     p = next(i for i, x in enumerate(line) if x)
     for v in vectors:
         residue, factor = _line_residue(v, line)
-        assert residue == basis.residue(v)
+        assert residue == span.residue(v)
         reduced = [line[p] * a - v[p] * b for a, b in zip(v, line)]
         assert reduced == [factor * x for x in residue or (0,) * k]
         assert (factor == 0) == (rank_oracle([line, v]) <= 1)
+
+
+@st.composite
+def spans_with_two_vectors(draw):
+    """(k, spanning vectors, u, w); zero vectors allowed, w often in span + <u>."""
+    k = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-4, 4)] * k)
+    spanning = draw(st.lists(vector, max_size=5))
+    u = draw(vector)
+    if draw(st.booleans()):
+        w = draw(vector)
+    else:
+        n = len(spanning) + 1
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        w = tuple(sum(c * v[i] for c, v in zip(coeffs, spanning + [u])) for i in range(k))
+    return k, spanning, u, w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spans_with_two_vectors())
+def test_span_basis_is_the_sympy_rref(case):
+    k, spanning, u, w = case
+    for vectors in (spanning, spanning + [u, w]):
+        assert Subspace.span(vectors, k).basis == rref_oracle(vectors, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spans_with_two_vectors())
+def test_residue_vanishes_exactly_when_the_rank_stays(case):
+    k, spanning, u, w = case
+    span, rank = Subspace.span(spanning, k), rank_oracle(spanning)
+    for v in (u, w):
+        assert (span.residue(v) is None) == (rank_oracle(spanning + [v]) == rank)
+        assert span.contains(v) == (span.residue(v) is None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spans_with_two_vectors())
+def test_residues_agree_exactly_when_both_raise_the_rank_by_one(case):
+    k, spanning, u, w = case
+    span, rank = Subspace.span(spanning, k), rank_oracle(spanning)
+    ru, rw = span.residue(u), span.residue(w)
+    if ru is not None and rw is not None:
+        assert (ru == rw) == (rank_oracle(spanning + [u, w]) == rank + 1)

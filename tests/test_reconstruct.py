@@ -344,9 +344,6 @@ def test_verify_galois_reads_the_containers_kept_on_the_report(monkeypatch, name
     monkeypatch.setattr(
         reconstruct_module, "_containers", lambda faces: computed.append(faces) or containers(faces)
     )
-    kept = verify_galois(g, report)
+    verify_galois(g, report)
     assert computed == []
-    # a report built without the masks computes them and reaches the same verdict
-    assert verify_galois(g, replace(report, _candidate_containers=None)) == kept
-    assert computed == ([] if report.diagnostics else [report.candidates])
     assert list(report._candidate_containers) == containers(report.candidates)
