@@ -22,9 +22,15 @@ from .matroid import flats_lattice, independence_degree
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise GkmFacesError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, numbered as the parsers number lines
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError("input is not UTF-8 text", line) from exc
 
 
 def _face_table(p) -> str:
@@ -297,11 +303,10 @@ def cmd_corpus(args, out: list[str]) -> int:
     if args.name is None:
         out.append(str(data))
         return 0
-    target = data / args.name
-    if not target.is_file():
-        names = ", ".join(sorted(p.name for p in data.iterdir() if p.is_file()))
-        raise GkmFacesError(f"no bundled file {args.name!r}; available: {names}")
-    out.append(target.read_text().rstrip("\n"))
+    names = sorted(p.name for p in data.iterdir() if p.is_file())
+    if args.name not in names:  # a path, even one that resolves into the data, is no name
+        raise GkmFacesError(f"no bundled file {args.name!r}; available: {', '.join(names)}")
+    out.append((data / args.name).read_text(encoding="utf-8").rstrip("\n"))
     return 0
 
 

@@ -66,7 +66,7 @@ from math import gcd
 
 from .errors import EmptyComplex, EnumerationCapExceeded, PreconditionFailed
 from .matroid import WeightSystem, flats_lattice, h_vector, independence_complex
-from .poset import GradedPoset, _bits, _geometric_by_covers, _minimal, mobius
+from .poset import GradedPoset, _bits, _minimal, mobius
 
 # more chains than this are not listed; the A6 proper part has 262 759, A7's 10 270 695
 CHAIN_CAP = 1_000_000
@@ -246,7 +246,7 @@ def proper_betti(p: GradedPoset) -> dict[int, int]:
         p.proper_part()  # raises: no bottom or no top, or nothing between them
     (bottom,), (top,) = p._minima, p._maxima
     up, down, level = p._up, p._down, p._grading[0]
-    if level is None or not _geometric_by_covers(p, bottom):
+    if level is None or not p._geometric_up_sets[bottom]:
         return reduced_betti(order_complex(p.proper_part()))
     rows: dict[int, int] = {}  # level -> mask of the elements there
     for i, r in enumerate(level):

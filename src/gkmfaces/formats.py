@@ -55,7 +55,20 @@ def _parse_vector(token: str, lineno: int, column: int) -> IntVector:
     return tuple(entries)
 
 
-def _ambient_rank(line: str, lineno: int) -> int:
+def _weight(token: str, what: str, ambient: int, lineno: int, column: int) -> IntVector:
+    """A nonzero vector of `ambient` entries; `what` names it in the messages."""
+    vector = _parse_vector(token, lineno, column)
+    if len(vector) != ambient:
+        raise ParseError(f"{what} has {len(vector)} entries, expected {ambient}", lineno, column)
+    if not any(vector):
+        raise ParseError("zero weight forbidden", lineno, column)
+    return vector
+
+
+def _ambient_rank(line: str, lineno: int, given: int | None) -> int:
+    """The rank an ambient_rank line declares; `given` is the one declared before, if any."""
+    if given is not None:
+        raise ParseError("ambient_rank given twice", lineno, 1)
     match = re.fullmatch(r"ambient_rank\s*:\s*(\d+)", line.strip())
     if not match:
         raise ParseError("expected 'ambient_rank: <k>'", lineno, 1)
@@ -75,9 +88,7 @@ def parse_matroid(text: str) -> WeightSystem:
     for lineno, line in _lines(text):
         stripped = line.strip()
         if stripped.startswith("ambient_rank"):
-            if ambient is not None:
-                raise ParseError("ambient_rank given twice", lineno, 1)
-            ambient = _ambient_rank(stripped, lineno)
+            ambient = _ambient_rank(stripped, lineno, ambient)
             continue
         match = re.fullmatch(r"w(\d+)\s*=\s*(\(.*\))", stripped)
         if not match:
@@ -88,14 +99,7 @@ def parse_matroid(text: str) -> WeightSystem:
         if ambient is None:
             raise ParseError("ambient_rank must come before the weights", lineno, 1)
         column = line.index("(") + 1
-        vector = _parse_vector(match.group(2), lineno, column)
-        if len(vector) != ambient:
-            raise ParseError(
-                f"weight w{index} has {len(vector)} entries, expected {ambient}", lineno, column
-            )
-        if not any(vector):
-            raise ParseError("zero weight forbidden", lineno, column)
-        weights.append(vector)
+        weights.append(_weight(match.group(2), f"weight w{index}", ambient, lineno, column))
     if ambient is None:
         raise ParseError("missing ambient_rank", 1, 1)
     return WeightSystem(ambient, weights)
@@ -252,9 +256,7 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
     for lineno, line in _lines(text):
         tokens = line.split()
         if tokens[0].startswith("ambient_rank"):
-            if ambient is not None:
-                raise ParseError("ambient_rank given twice", lineno, 1)
-            ambient = _ambient_rank(line.strip(), lineno)
+            ambient = _ambient_rank(line.strip(), lineno, ambient)
         elif tokens[0] == "signed":
             if len(tokens) != 1:
                 raise ParseError("'signed' takes no arguments", lineno, 1)
@@ -277,15 +279,8 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
             if ambient is None:
                 raise ParseError("ambient_rank must come before the edges", lineno, 1)
             column = line.index("(") + 1 if "(" in line else 1
-            vector = _parse_vector(tokens[5], lineno, column)
-            if len(vector) != ambient:
-                raise ParseError(
-                    f"edge weight has {len(vector)} entries, expected {ambient}", lineno, column
-                )
-            if not any(vector):
-                raise ParseError("zero weight forbidden", lineno, column)
+            axial[name] = _weight(tokens[5], "edge weight", ambient, lineno, column)
             edges.append((name, u, v))
-            axial[name] = vector
         elif tokens[0] == "connection":
             if len(tokens) != 8 or tokens[2] != "at" or tokens[4] != "->" or tokens[6] != "via":
                 raise ParseError(
@@ -302,10 +297,7 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
         graph = GkmGraph(ambient, vertices, edges, axial, signed=signed)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from exc
-    theta = None
-    if connection_rows:
-        theta = _assemble_connection(graph, connection_rows)
-    return graph, theta
+    return graph, _assemble_connection(graph, connection_rows) if connection_rows else None
 
 
 def _assemble_connection(graph: GkmGraph, rows) -> Connection:

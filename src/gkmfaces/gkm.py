@@ -366,47 +366,36 @@ def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
     the axial value of each image must differ from that of its source by a
     multiple of the edge's.  That last rule is exact on signed graphs; on
     unsigned graphs it accepts either sign of the source value, since
-    stored vectors are only defined up to sign.
+    stored vectors are only defined up to sign.  One walk over the edges
+    looks each map up once; the report lists the star violations, then the
+    inverse ones, then the translation ones, each in edge order.
     """
-    out: list[str] = []
+    shape: list[str] = []
+    inverse: list[str] = []
+    translation: list[str] = []
     stars = {x: set(g.star(x)) for x in g.vertices}
-    for e in g.edges:
-        for tail in (e.u, e.v):
-            key = (e.name, tail)
-            if key not in theta.maps:
-                out.append(f"no star map along edge {e.name!r} out of {tail!r}")
-                continue
-            mapping = theta.maps[key]
-            if set(mapping) != stars[tail] or set(mapping.values()) != stars[e.other(tail)]:
-                out.append(
-                    f"map along {e.name!r} out of {tail!r} is not a bijection "
-                    "between the vertex stars"
-                )
-                continue
-            if mapping[e.name] != e.name:
-                out.append(f"map along {e.name!r} out of {tail!r} moves the edge itself")
-    for e in g.edges:
-        fwd, back = (e.name, e.u), (e.name, e.v)
-        if fwd in theta.maps and back in theta.maps:
-            mapping, inverse = theta.maps[fwd], theta.maps[back]
-            if set(mapping) == stars[e.u] and set(mapping.values()) == stars[e.v]:
-                for f, image in mapping.items():
-                    if inverse.get(image) != f:
-                        out.append(
-                            f"maps along {e.name!r} are not mutually inverse at {f!r}"
-                        )
-                        break
     # alpha = scale * line and a line modulo e's is factor * residue, so the
     # difference lies on e's line exactly when the residues agree and so do
     # scale * factor, signed by orientation (or up to sign, unsigned)
     line, scale, residue, position = g._line, g._scale, g._residue, g._edge_pos
     for j, e in enumerate(g.edges):
         b = line[j]
+        forward = None  # the map out of e.u, once it is known to be a bijection
         for tail, head in ((e.u, e.v), (e.v, e.u)):
-            key = (e.name, tail)
-            if key not in theta.maps:
+            mapping = theta.maps.get((e.name, tail))
+            if mapping is None:
+                shape.append(f"no star map along edge {e.name!r} out of {tail!r}")
                 continue
-            for f, image in theta.maps[key].items():
+            if set(mapping) != stars[tail] or set(mapping.values()) != stars[head]:
+                shape.append(
+                    f"map along {e.name!r} out of {tail!r} is not a bijection "
+                    "between the vertex stars"
+                )
+            else:
+                forward = mapping if tail == e.u else forward
+                if mapping[e.name] != e.name:
+                    shape.append(f"map along {e.name!r} out of {tail!r} moves the edge itself")
+            for f, image in mapping.items():
                 if f not in stars[tail] or image not in stars[head]:
                     continue
                 i, k = position[f], position[image]
@@ -415,16 +404,19 @@ def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
                 a_f, a_image = scale[i] * c_f, scale[k] * c_image
                 if not g.signed:
                     a_f, a_image = abs(a_f), abs(a_image)
-                else:  # alpha_from negates the stored value out of the second endpoint
-                    if tail != g.edges[i].u:
-                        a_f = -a_f
-                    if head != g.edges[k].u:
-                        a_image = -a_image
+                elif (tail == g.edges[i].u) != (head == g.edges[k].u):
+                    a_f = -a_f  # alpha_from negates at second endpoints; two negations cancel
                 if r_f != r_image or a_f != a_image:
-                    out.append(
+                    translation.append(
                         f"difference of axial values of {image!r} and {f!r} is not "
                         f"collinear to the edge {e.name!r}"
                     )
+        if forward is not None and mapping is not None:  # mapping: the map out of e.v
+            for f, image in forward.items():
+                if mapping.get(image) != f:
+                    inverse.append(f"maps along {e.name!r} are not mutually inverse at {f!r}")
+                    break
+    out = shape + inverse + translation
     return ConnectionReport(not out, tuple(out))
 
 

@@ -11,8 +11,8 @@ covers within a mask as the minimal elements of each strict up-set.
 Rank and drk labellings are optional data.  A poset keeps its minimal
 and maximal elements (`_minima`, `_maxima`) from construction, and from
 first use the ranks its covers force, checked against stored labels
-(`_grading`), and the geometric-lattice verdict on the up-set of each
-minimal element (`_minimal_failures`); the predicates read them there.
+(`_grading`), and the cover test's verdict on the up-set of each
+minimal element (`_geometric_up_sets`); the predicates read them there.
 The axioms are checked on the bitmasks of one up-set, without building
 subposets: the bottom's for a lattice, each minimal element's for the
 locally geometric check, since every upper ideal is an interval of such
@@ -136,7 +136,7 @@ class GradedPoset:
         self._up, self._down, self._minima, self._maxima = self._closure()
         self._all = (1 << len(self.elements)) - 1  # the mask of every element
         # kept on first use as plain attributes: cached_property reads `__dict__`, which slows reads
-        self._graded = self._failures = None
+        self._graded = self._geometric = None
 
     # ------------------------------------------------------------------
     # order core
@@ -251,11 +251,11 @@ class GradedPoset:
         return level, ""
 
     @property
-    def _minimal_failures(self) -> dict[int, str]:
-        """`_up_set_failure` of each minimal element index, kept; read only once graded."""
-        if self._failures is None:
-            self._failures = {x: _up_set_failure(self, x) for x in self._minima}
-        return self._failures
+    def _geometric_up_sets(self) -> dict[int, bool]:
+        """`_geometric_by_covers` of each minimal element index, kept; read only once graded."""
+        if self._geometric is None:
+            self._geometric = {x: _geometric_by_covers(self, x) for x in self._minima}
+        return self._geometric
 
     # ------------------------------------------------------------------
     # lattice operations
@@ -374,16 +374,6 @@ def _not_atomistic(p: GradedPoset, s: int) -> int | None:
     return None
 
 
-def _up_set_failure(p: GradedPoset, s: int) -> str:
-    """Why the up-set of element index s is not a geometric lattice, or "".
-
-    The caller has checked that p is graded.  `_geometric_by_covers`
-    decides; only when it fails does `_first_failure` scan all pairs, to
-    name the first failure.
-    """
-    return "" if _geometric_by_covers(p, s) else _first_failure(p, s)
-
-
 def _geometric_by_covers(p: GradedPoset, s: int) -> bool:
     """Whether the up-set of element index s is a geometric lattice, p graded.
 
@@ -471,8 +461,8 @@ def is_geometric_lattice(p: GradedPoset) -> Verdict:
         return Verdict(False, "no unique bottom element")
     if top is None:
         return Verdict(False, "no unique top element")
-    failure = p._minimal_failures[p._index[bottom]]
-    return Verdict(False, failure) if failure else graded
+    s = p._index[bottom]
+    return graded if p._geometric_up_sets[s] else Verdict(False, _first_failure(p, s))
 
 
 def is_locally_geometric(p: GradedPoset) -> Verdict:
@@ -488,11 +478,11 @@ def is_locally_geometric(p: GradedPoset) -> Verdict:
         return Verdict(False, f"not graded: {graded.reason}")
     if p.top() is None:
         return Verdict(False, "no greatest element")
-    failures = p._minimal_failures
-    if any(failures.values()):
+    verdicts = p._geometric_up_sets
+    if not all(verdicts.values()):
         for s, element in enumerate(p.elements):
-            failure = failures[s] if s in failures else _up_set_failure(p, s)
-            if failure:
+            if not (verdicts[s] if s in verdicts else _geometric_by_covers(p, s)):
+                failure = _first_failure(p, s)
                 return Verdict(
                     False, f"upper ideal at {element!r} is not a geometric lattice: {failure}"
                 )

@@ -294,6 +294,37 @@ def test_corpus_listing_and_cat():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "name",
+    [str(Path(gkmfaces.__file__).with_name("errors.py")), "../errors.py", "./u23.wt"],
+    ids=["absolute", "parent", "dot"],
+)
+def test_corpus_serves_only_bundled_names(name):
+    """A path, absolute or relative, is refused even where it names a readable file."""
+    code, out, err = run_cli_with_stderr("corpus", name)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: no bundled file {name!r}; available: b2.wt, coll.wt, ")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("matroid flats", b"ambient_rank: 2\nw1 = (1,0)\nw2 = (0,1) # \xff\n"),
+        ("poset check", b"element 0 rank 0\r\ncover 0 < \xfe\r\n"),
+        ("gkm validate", b"ambient_rank: 1\rvertex A\r\xc3(\r"),
+    ],
+    ids=["wt", "poset", "gkm"],
+)
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, command, text):
+    """Inputs are decoded as UTF-8 whatever the locale; the bad byte's line is named."""
+    suffix = {"matroid": ".wt", "poset": ".poset", "gkm": ".gkm"}[command.split()[0]]
+    target = tmp_path / f"input{suffix}"
+    target.write_bytes(text)
+    code, out, err = run_cli_with_stderr(*command.split(), str(target))
+    line = 3 if command != "poset check" else 2
+    assert (code, out, err) == (2, "", f"error: line {line}, column 1: input is not UTF-8 text\n")
+
+
 ALL_COMMANDS = [
     ("matroid", "flats", "b2.wt"),
     ("matroid", "flats", "u23.wt"),
@@ -480,13 +511,13 @@ def test_check_commands_scan_each_up_set_once(monkeypatch, argv, minima):
     from gkmfaces import poset
 
     scans = Counter()
-    scan = poset._up_set_failure
+    scan = poset._geometric_by_covers
 
     def counted(p, s):
         scans[s] += 1
         return scan(p, s)
 
-    monkeypatch.setattr(poset, "_up_set_failure", counted)
+    monkeypatch.setattr(poset, "_geometric_by_covers", counted)
     run_cli(argv[0], argv[1], path(argv[2]), *argv[3:])
     assert len(scans) == minima and set(scans.values()) == {1}
 
@@ -504,6 +535,23 @@ def test_check_commands_grade_one_poset_once(monkeypatch, argv):
     graded = graded_posets(monkeypatch)
     run_cli(argv[0], argv[1], path(argv[2]), *argv[3:])
     assert len(graded) == 1
+
+
+def test_text_io_names_its_encoding():
+    """No module decodes or encodes text with the locale's encoding."""
+    package = Path(gkmfaces.__file__).parent
+    implicit = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "open")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in ("read_text", "write_text"))
+        )
+        and not any(keyword.arg == "encoding" for keyword in node.keywords)
+    ]
+    assert implicit == []
 
 
 def test_cli_reads_no_private_name_of_the_package():

@@ -221,6 +221,12 @@ def moved_image(g: GkmGraph, maps: dict, rng: random.Random) -> GkmGraph:
     return g
 
 
+def dropped_map(g: GkmGraph, maps: dict, rng: random.Random) -> GkmGraph:
+    """One (edge, tail) star map deleted."""
+    del maps[rng.choice(sorted(maps))]
+    return g
+
+
 def rescaled_axial(g: GkmGraph, maps: dict, rng: random.Random) -> GkmGraph:
     """One axial vector rebuilt at x2, x-1 or x-3, with the maps kept."""
     name = rng.choice(sorted(g.axial))
@@ -234,7 +240,7 @@ def rescaled_axial(g: GkmGraph, maps: dict, rng: random.Random) -> GkmGraph:
 @given(
     canonical_graphs,
     st.integers(0, 10**6),
-    st.lists(st.sampled_from([swapped_images, moved_image, rescaled_axial]), max_size=3),
+    st.lists(st.sampled_from([swapped_images, moved_image, dropped_map, rescaled_axial]), max_size=3),
 )
 def test_connection_violations_match_the_raw_vector_oracle(g, seed, damages):
     rng = random.Random(seed)

@@ -15,7 +15,7 @@ from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import (
     GradedPoset,
     _first_failure,
-    _up_set_failure,
+    _geometric_by_covers,
     are_isomorphic,
     check_coherent,
     check_gkm_coherent,
@@ -391,7 +391,7 @@ NAMED_POSETS = {
         "upper ideal at ('R', '0') is not a geometric lattice: "
         "element ('R', 'd') is not the join of the atoms below it",
     ),
-    # below: the cases the cover test in `_up_set_failure` must not pass
+    # below: the cases the cover test `_geometric_by_covers` must not pass
     "chain": (
         lambda: poset_of(["0", "a", "b"], "0<a a<b"),
         "element 'b' is not the join of the atoms below it",
@@ -537,7 +537,7 @@ def test_lattice_predicates_match_the_oracles(p):
     assert same_verdict(is_locally_geometric(p), is_locally_geometric_oracle(p))
     if is_graded(p):  # the cover test sends exactly the failing up-sets to the scan
         for s in range(len(p.elements)):
-            assert _up_set_failure(p, s) == _first_failure(p, s)
+            assert _geometric_by_covers(p, s) == (_first_failure(p, s) == "")
     for s in p.elements:
         for t in p.up_set(s):
             assert mobius(p, s, t) == mobius_oracle(p.leq, list(p.elements), s, t)
@@ -662,8 +662,8 @@ def test_check_coherent_after_the_check_scans_no_up_set(monkeypatch, make):
     p = make()
     assert is_locally_geometric(p)
     scans = []
-    scan = poset._up_set_failure
-    monkeypatch.setattr(poset, "_up_set_failure", lambda q, s: scans.append(s) or scan(q, s))
+    scan = poset._geometric_by_covers
+    monkeypatch.setattr(poset, "_geometric_by_covers", lambda q, s: scans.append(s) or scan(q, s))
     check_coherent(p, dict.fromkeys(poset.atoms_of(p), 1))
     check_gkm_coherent(p)
     assert scans == []
