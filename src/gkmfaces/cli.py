@@ -315,8 +315,9 @@ def cmd_corpus(args, out: list[str]) -> int:
 
 
 def _output_flags(sub):
-    sub.add_argument("--json", action="store_true", help="structured JSON output")
-    sub.add_argument("--dot", action="store_true", help="DOT export of the resulting poset")
+    group = sub.add_mutually_exclusive_group()  # one output format; both together exit 2
+    group.add_argument("--json", action="store_true", help="structured JSON output")
+    group.add_argument("--dot", action="store_true", help="DOT export of the resulting poset")
 
 
 def _positive_int(text: str) -> int:

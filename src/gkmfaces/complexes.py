@@ -97,7 +97,7 @@ def order_complex(p: GradedPoset) -> OrderComplex:
     is one longer; it is numbered by the minimal elements of p below each
     one, as a sorted list, then by position.
     """
-    order = _minimal(p._up, p._all)
+    order = list(p._minima)
     minima = sum(1 << i for i in order)
     rest = p._all & ~minima
     while rest:
@@ -245,12 +245,9 @@ def proper_betti(p: GradedPoset) -> dict[int, int]:
     if len(p._minima) != 1 or len(p._maxima) != 1 or len(p.elements) < 3:
         p.proper_part()  # raises: no bottom or no top, or nothing between them
     (bottom,), (top,) = p._minima, p._maxima
-    up, down, level = p._up, p._down, p._grading[0]
+    up, down, (level, rows, _) = p._up, p._down, p._grading
     if level is None or not p._geometric_up_sets[bottom]:
         return reduced_betti(order_complex(p.proper_part()))
-    rows: dict[int, int] = {}  # level -> mask of the elements there
-    for i, r in enumerate(level):
-        rows[r] = rows.get(r, 0) | 1 << i
 
     @cache
     def betti(lo: int, hi: int) -> dict[int, int]:

@@ -53,9 +53,10 @@ class EnumerationCapExceeded(GkmFacesError, RuntimeError):
     """An enumeration reached, or would reach, more than its cap allows.
 
     Face enumeration counts its search states as it goes and stops at
-    the cap; an order complex counts its chains before listing any (for
-    homology or facets), and an independence complex its nonempty
-    independent sets, size by size.
+    the cap, as the flats search does with the flats it finds; an order
+    complex counts its chains before listing any (for homology or
+    facets), and an independence complex its nonempty independent sets,
+    size by size.
     `reached` is the count when it stopped, and the message names what
     was counted and what was being enumerated at that moment.
     """

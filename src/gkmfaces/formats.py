@@ -170,15 +170,12 @@ def _export_ids(p: GradedPoset) -> dict:
     used = set()
     for pos, e in enumerate(p.elements):
         for candidate in (e if isinstance(e, str) else None, p.labels.get(e)):
-            if (
-                candidate
-                and isinstance(candidate, str)
-                and _TOKEN.fullmatch(candidate)
-                and candidate not in used
-            ):
+            if isinstance(candidate, str) and _TOKEN.fullmatch(candidate) and candidate not in used:
                 break
-        else:
+        else:  # n<pos>, primed past the names already given out, as `poset._fresh_id` does
             candidate = f"n{pos}"
+            while candidate in used:
+                candidate += "'"
         used.add(candidate)
         out[e] = candidate
     return out
@@ -189,7 +186,7 @@ def _export_view(p: GradedPoset) -> tuple[dict, dict | None, str, list[tuple[str
     names = _export_ids(p)
     ranks, reason = p.rank, ""
     if ranks is None:
-        level, reason = p._grading
+        level, _, reason = p._grading
         ranks = None if level is None else dict(zip(p.elements, level))
     ordered = sorted(p.covers, key=lambda c: (p._index[c[0]], p._index[c[1]]))
     return names, ranks, reason, [(names[low], names[high]) for low, high in ordered]
@@ -231,7 +228,7 @@ def poset_to_dot(p: GradedPoset) -> str:
     names, ranks, _, covers = _export_view(p)
     out = ["digraph poset {", "  rankdir=BT;", "  node [shape=box];"]
     for e in p.elements:
-        label = p.labels.get(e, names[e])
+        label = p.labels.get(e, names[e]).replace("\\", "\\\\").replace('"', '\\"')
         out.append(f'  "{names[e]}" [label="{label}"];')
     if ranks is not None:
         for level in sorted(set(ranks.values())):

@@ -32,6 +32,8 @@ from .ratlinalg import IntVector, Subspace, _carry_residues, _primitive, as_vect
 
 # more nonempty independent sets than this are not listed; A7 has 561 947
 INDEPENDENT_SET_CAP = 1_000_000
+# more flats than this are not searched for; A9 has Bell(10) = 115 975, U(8,20) 137 981
+FLATS_CAP = 120_000
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,9 @@ def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, in
     system, a flat of rank r - 1 has the top as its only cover, so it
     joins no frontier and carries nothing.  Until the final sort a flat
     is a number, its members a bitmask (bit i for weight i) and a cover
-    a pair of numbers; one `Flat` per flat is built after it.
+    a pair of numbers; one `Flat` per flat is built after it.  The flats
+    are counted as they are found, and more than FLATS_CAP of them raise
+    EnumerationCapExceeded.
     """
     r = ws.rank()
     masks, ranks, covers = [0], [0], []  # by flat number: the bottom is 0, the top 1
@@ -185,6 +189,13 @@ def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, in
             high = number.get(members)
             if high is None:
                 high = number[members] = len(masks)
+                if high >= FLATS_CAP:  # this flat is one more than the cap allows
+                    raise EnumerationCapExceeded(
+                        FLATS_CAP,
+                        high + 1,
+                        f"enumeration cap of {FLATS_CAP} flats exceeded: {high + 1} flats of the "
+                        f"{ws.size} weights (rank {r}) found, the last of rank {rank}",
+                    )
                 masks.append(members)
                 ranks.append(rank)
                 if rank < r - 1:

@@ -8,11 +8,14 @@ masks, shared with the face posets and the reconstruction: `_bits`
 walks the set bits of a mask, `_minimal` keeps the elements of a mask
 with nothing of it strictly below them, and `_cover_pairs` takes the
 covers within a mask as the minimal elements of each strict up-set.
+The join of a and b is the only minimal element of their common upper
+bounds, their meet that of their common lower bounds by the down-sets.
 Rank and drk labellings are optional data.  A poset keeps its minimal
 and maximal elements (`_minima`, `_maxima`) from construction, and from
-first use the ranks its covers force, checked against stored labels
-(`_grading`), and the cover test's verdict on the up-set of each
-minimal element (`_geometric_up_sets`); the predicates read them there.
+first use the ranks its covers force, checked against stored labels,
+with the mask of each rank (`_grading`), and the cover test's verdict on
+the up-set of each minimal element (`_geometric_up_sets`); the
+predicates read them there.
 The axioms are checked on the bitmasks of one up-set, without building
 subposets: the bottom's for a lattice, each minimal element's for the
 locally geometric check, since every upper ideal is an interval of such
@@ -193,12 +196,10 @@ class GradedPoset:
         return [self.elements[i] for i in self._maxima]
 
     def top(self) -> Element | None:
-        maxima = self.maximal_elements()
-        return maxima[0] if len(maxima) == 1 else None
+        return self.elements[self._maxima[0]] if len(self._maxima) == 1 else None
 
     def bottom(self) -> Element | None:
-        minima = self.minimal_elements()
-        return minima[0] if len(minima) == 1 else None
+        return self.elements[self._minima[0]] if len(self._minima) == 1 else None
 
     def hasse_covers(self) -> list[tuple[Element, Element]]:
         """True cover pairs recomputed from the order relation.
@@ -210,20 +211,21 @@ class GradedPoset:
         return [(name[i], name[j]) for i, j in _cover_pairs(self._up, self._all)]
 
     @property
-    def _grading(self) -> tuple[list[int] | None, str]:
+    def _grading(self) -> tuple[list[int] | None, list[int] | None, str]:
         """`_grade`, computed on first read and kept."""
         if self._graded is None:
             self._graded = self._grade()
         return self._graded
 
-    def _grade(self) -> tuple[list[int] | None, str]:
-        """Rank of each element index forced by the covers, or None and why.
+    def _grade(self) -> tuple[list[int] | None, list[int] | None, str]:
+        """Rank of each element index forced by the covers, and each rank's row; or None, None, why.
 
         Each cover is looked at once, when its lower end has been ranked,
         and its upper end must then sit one rank higher.  The covers are
         acyclic, so every pass ranks something and every cover gets its
         look.  Stored rank labels, when present, must agree with the
-        computed ranks.
+        computed ranks.  Row r masks the elements of rank r; an empty row
+        above the top lets every element read the row above its own.
         """
         name, index = self.elements, self._index
         level: list = [None] * len(name)
@@ -240,15 +242,17 @@ class GradedPoset:
                 if level[high] is None:
                     level[high] = value
                 elif level[high] != value:
-                    return None, (
+                    return None, None, (
                         f"element {name[high]!r} is reached at ranks {level[high]} and {value}"
                     )
             pending = rest
-        for e, computed in zip(name, level):
-            if self.rank is not None and self.rank[e] != computed:
+        rows = [0] * (max(level) + 2)
+        for i, (e, r) in enumerate(zip(name, level)):
+            if self.rank is not None and self.rank[e] != r:
                 stored = self.rank[e]
-                return None, f"stored rank {stored} of {e!r} disagrees with computed {computed}"
-        return level, ""
+                return None, None, f"stored rank {stored} of {e!r} disagrees with computed {r}"
+            rows[r] |= 1 << i
+        return level, rows, ""
 
     @property
     def _geometric_up_sets(self) -> dict[int, bool]:
@@ -260,27 +264,15 @@ class GradedPoset:
     # ------------------------------------------------------------------
     # lattice operations
 
-    def _least_of(self, mask: int) -> int | None:
-        for i in _bits(mask):
-            if mask & ~self._up[i] == 0:
-                return i
-        return None
-
-    def _greatest_of(self, mask: int) -> int | None:
-        for i in _bits(mask):
-            if mask & ~self._down[i] == 0:
-                return i
-        return None
-
     def join(self, a: Element, b: Element) -> Element | None:
-        common = self._up[self._index[a]] & self._up[self._index[b]]
-        i = self._least_of(common)
-        return None if i is None else self.elements[i]
+        up, index = self._up, self._index
+        least = _minimal(up, up[index[a]] & up[index[b]])
+        return self.elements[least[0]] if len(least) == 1 else None
 
     def meet(self, a: Element, b: Element) -> Element | None:
-        common = self._down[self._index[a]] & self._down[self._index[b]]
-        i = self._greatest_of(common)
-        return None if i is None else self.elements[i]
+        down, index = self._down, self._index  # minimal in the reversed order: the greatest
+        greatest = _minimal(down, down[index[a]] & down[index[b]])
+        return self.elements[greatest[0]] if len(greatest) == 1 else None
 
     # ------------------------------------------------------------------
     # derived posets
@@ -340,13 +332,13 @@ def is_graded(p: GradedPoset) -> Verdict:
 
     Stored rank labels, when present, must agree with the computed ones.
     """
-    level, reason = p._grading
+    level, _, reason = p._grading
     return Verdict(False, reason) if level is None else Verdict(True, rank=max(level))
 
 
 def grading_of(p: GradedPoset) -> dict:
     """Computed ranks of a poset known to be graded."""
-    level, reason = p._grading
+    level, _, reason = p._grading
     if level is None:
         raise PreconditionFailed(f"poset is not graded: {reason}")
     return dict(zip(p.elements, level))
@@ -358,14 +350,10 @@ def _not_atomistic(p: GradedPoset, s: int) -> int | None:
     p is graded.  e is that join exactly when the common upper bounds of
     those atoms (and of s, for e = s) are the up-set of e.
     """
-    up, down, level = p._up, p._down, p._grading[0]
+    up, down, (level, rows, _) = p._up, p._down, p._grading
     region = up[s]
-    members = _bits(region)
-    atoms = 0
-    for i in members:
-        if level[i] == level[s] + 1:
-            atoms |= 1 << i
-    for e in members:
+    atoms = region & rows[level[s] + 1]
+    for e in _bits(region):
         common = region
         for a in _bits(down[e] & atoms):
             common &= up[a]
@@ -401,14 +389,11 @@ def _geometric_by_covers(p: GradedPoset, s: int) -> bool:
     """
     if _not_atomistic(p, s) is not None:
         return False
-    up, level = p._up, p._grading[0]
+    up, (level, rows, _) = p._up, p._grading
     members = _bits(up[s])
     level_of = {up[i]: level[i] for i in members}  # by up-set
-    rows: dict[int, int] = {}  # level -> mask of the up-set's elements there
-    for i in members:
-        rows[level[i]] = rows.get(level[i], 0) | 1 << i
     for z in members:
-        covers = [up[c] for c in _bits(up[z] & rows.get(level[z] + 1, 0))]
+        covers = [up[c] for c in _bits(up[z] & rows[level[z] + 1])]
         for t, up_x in enumerate(covers):
             for up_y in covers[t + 1 :]:
                 if level_of.get(up_x & up_y) != level[z] + 2:
@@ -554,7 +539,7 @@ def check_gkm_coherent(p: GradedPoset) -> CoherenceResult:
     a stored rank that disagrees with the covers among them, is
     `check_coherent`'s.
     """
-    level, reason = p._grading
+    level, _, reason = p._grading
     if level is None and not reason.startswith("stored rank"):
         raise NotLocallyGeometric(f"poset is not graded: {reason}")
     return check_coherent(p, dict.fromkeys(atoms_of(p) if level else (), 1))

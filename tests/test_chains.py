@@ -295,3 +295,20 @@ def test_independent_set_cap_counts_every_nonempty_independent_set(monkeypatch, 
         "error: enumeration cap of 36 independent sets exceeded: the 6 weights have 37 "
         "nonempty independent sets of at most 3 weights, counted before listing them\n",
     )
+
+
+@pytest.mark.parametrize("command", ["flats", "check", "wedge"])
+def test_flats_cap_counts_every_flat(command, monkeypatch, tmp_path, capsys):
+    """A3 has Bell(4) = 15 flats, counted as the search finds them, bottom and top among them."""
+    path = tmp_path / "a3.wt"
+    path.write_text(format_matroid(WeightSystem(3, type_a_roots(3))))
+    monkeypatch.setattr(matroid, "FLATS_CAP", 15)
+    assert cli.main(["matroid", command, str(path)]) == 0
+    monkeypatch.setattr(matroid, "FLATS_CAP", 14)
+    capsys.readouterr()
+    assert cli.main(["matroid", command, str(path)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: enumeration cap of 14 flats exceeded: 15 flats of the 6 weights (rank 3) "
+        "found, the last of rank 2\n",
+    )

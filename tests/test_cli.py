@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import gkmfaces
 from gkmfaces import formats, reconstruct
-from gkmfaces.cli import main
+from gkmfaces.cli import build_parser, main
 from gkmfaces.formats import format_graph
 from gkmfaces.gkm import GkmSubgraph
 from gkmfaces.ratlinalg import Subspace
@@ -239,6 +240,33 @@ def test_the_removed_workers_flag_is_a_usage_error(capsys):
         run_cli("gkm", "reconstruct", path("g6.gkm"), "--workers", "1")
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+
+
+def leaf_parsers(parser, path=()):
+    """(command words, parser) for each subcommand that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+def test_json_and_dot_together_are_a_usage_error(capsys):
+    """Every subcommand with both output flags refuses the pair before reading its files."""
+    leaves = [
+        (path, leaf)
+        for path, leaf in leaf_parsers(build_parser())
+        if {"--json", "--dot"} <= set(leaf._option_string_actions)
+    ]
+    # matroid flats; poset compactify, projectivize, glue; gkm faces, tg-faces, reconstruct
+    assert len(leaves) == 7
+    for path, leaf in leaves:
+        files = ["missing" for a in leaf._actions if not a.option_strings]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*path, *files, "--json", "--dot")
+        assert exit_info.value.code == 2
+        assert "argument --dot: not allowed with argument --json" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmfaces.errors import ParseError
 from gkmfaces.formats import (
@@ -14,6 +18,7 @@ from gkmfaces.formats import (
 )
 from gkmfaces.gkm import validate_graph
 from gkmfaces.matroid import flats_lattice
+from gkmfaces.poset import GradedPoset, compactify
 
 from helpers import BASIS2, UNIFORM23, corpus_text
 
@@ -125,6 +130,59 @@ def test_poset_dot_layers():
     assert dot.startswith("digraph poset {")
     assert "rank=same" in dot
     assert '"{1}" -> "{1,2}";' in dot
+
+
+def test_compactify_exports_one_id_per_element():
+    """`a"b` is no token, so it gets a fallback id, which must not be the name `n1` taken."""
+    p = parse_poset(
+        'element n1 rank 0\nelement a"b rank 1\nelement c rank 1\nelement t rank 2\n'
+        'cover n1 < a"b\ncover n1 < c\ncover a"b < t\ncover c < t\n'
+    )
+    text = format_poset(compactify(p))
+    assert "element n1 rank 0\nelement n1' rank 1\n" in text
+    assert len(parse_poset(text).elements) == 5
+
+
+# names that are no token (quotes, backslashes, spaces) beside names an `n<pos>` id could take
+TRICKY_NAMES = st.sampled_from(['"', "\\", 'a"b', "c\\d", "x y", "n0", "n1", "n2", "n0'", "b"])
+
+
+@st.composite
+def tricky_posets(draw):
+    """Graded posets on tricky names: every element above rank 0 covers one a rank below."""
+    names = draw(st.lists(TRICKY_NAMES, min_size=1, max_size=8, unique=True))
+    ranks = [0]
+    for _ in names[1:]:
+        ranks.append(ranks[-1] + draw(st.integers(0, 1)))
+    covers = set()
+    for j, rank in enumerate(ranks):
+        below = [i for i, r in enumerate(ranks) if r == rank - 1]
+        if below:
+            lower = draw(st.sets(st.sampled_from(below), min_size=1))
+            covers.update((names[i], names[j]) for i in lower)
+    order = draw(st.permutations(names))
+    labels = {e: f"L:{e}" for e in names} if draw(st.booleans()) else None  # as `poset glue` does
+    return GradedPoset(order, sorted(covers), labels=labels)
+
+
+# a DOT quoted string: each character is neither quote nor backslash, or is escaped by a backslash
+QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tricky_posets())
+def test_exports_of_tricky_names_stay_well_formed(p):
+    again = parse_poset(format_poset(p))
+    assert (len(again.elements), len(again.covers)) == (len(p.elements), len(p.covers))
+    ids = [entry["id"] for entry in poset_to_json(p)["elements"]]
+    assert len(set(ids)) == len(ids)
+    dot = poset_to_dot(p).splitlines()
+    for line in dot:
+        rest = QUOTED.sub("", line)
+        assert '"' not in rest and "\\" not in rest
+    node_lines = [line for line in dot if "[label=" in line]
+    labels = [re.sub(r"\\(.)", r"\1", QUOTED.findall(line)[1]) for line in node_lines]
+    assert labels == [p.labels.get(e, i) for e, i in zip(p.elements, ids)]
 
 
 def test_parse_graph_simple():

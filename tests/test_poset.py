@@ -605,6 +605,20 @@ def test_is_graded_matches_the_networkx_oracle(p):
         assert verdict.reason
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ranked_cover_dags())
+def test_join_and_meet_match_the_brute_force_bounds(p):
+    """Non-lattices too: a pair with no common bound, or with several minimal ones, gets None."""
+    for a in p.elements:
+        for b in p.elements:
+            upper = [c for c in p.elements if p.leq(a, c) and p.leq(b, c)]
+            lower = [c for c in p.elements if p.leq(c, a) and p.leq(c, b)]
+            least = [c for c in upper if all(p.leq(c, d) for d in upper)]
+            greatest = [c for c in lower if all(p.leq(d, c) for d in lower)]
+            assert p.join(a, b) == (least[0] if least else None)
+            assert p.meet(a, b) == (greatest[0] if greatest else None)
+
+
 def graded_ranks_oracle(p):
     """The cover-pass ranks, or None and why, also failing where a stored label disagrees."""
     ranks, reason = computed_ranks_oracle(p)
