@@ -2,9 +2,11 @@
 
 Exit codes: 0 when every requested check passes, 1 when a check fails or
 the input is semantically unusable (invalid graph, cap exceeded), 2 for
-usage and parse errors.  Output is assembled in memory and flushed once,
-so identical invocations produce byte-identical output; a reader that
-closes the pipe before it is written gets exit code 1 and no traceback.
+usage and parse errors.  Each command's input files are read and parsed
+once, in `main`, before its handler runs.  Output is assembled in memory
+and flushed once, so identical invocations produce byte-identical output;
+a reader that closes the pipe before it is written gets exit code 1 and
+no traceback.
 """
 
 from __future__ import annotations
@@ -57,18 +59,24 @@ def _emit_poset(p, args, out: list[str], text=None) -> None:
         out.append((text or formats.format_poset)(p).rstrip("\n"))
 
 
+def _emit(args, out: list[str], payload: dict, lines: list[str]) -> None:
+    """Append a report as its JSON payload when asked, else as its text lines."""
+    if args.json:
+        out.append(formats.dump_json(payload).rstrip("\n"))
+    else:
+        out.extend(lines)
+
+
 # ----------------------------------------------------------------------
 # matroid subcommands
 
 
-def cmd_matroid_flats(args, out: list[str]) -> int:
-    ws = formats.parse_matroid(_read(args.file))
+def cmd_matroid_flats(ws, args, out: list[str]) -> int:
     _emit_poset(flats_lattice(ws), args, out, text=_flats_table)
     return 0
 
 
-def cmd_matroid_check(args, out: list[str]) -> int:
-    ws = formats.parse_matroid(_read(args.file))
+def cmd_matroid_check(ws, args, out: list[str]) -> int:
     lattice = flats_lattice(ws)
     geometric = coherent = poset.is_geometric_lattice(lattice)
     out.append(f"flats: {len(lattice.elements)}")
@@ -83,44 +91,36 @@ def cmd_matroid_check(args, out: list[str]) -> int:
     return 0 if coherent else 1
 
 
-def cmd_matroid_wedge(args, out: list[str]) -> int:
-    ws = formats.parse_matroid(_read(args.file))
+def cmd_matroid_wedge(ws, args, out: list[str]) -> int:
     report = complexes.verify_wedge_prediction(ws)
-    if args.json:
-        payload = {
-            "kind": "wedge-report",
-            "rank": report.rank,
-            "mobius_magnitude": report.mobius_magnitude,
-            "flats_interval_betti": (
-                None
-                if report.proper_betti is None
-                else {str(d): b for d, b in report.proper_betti.items()}
-            ),
-            "flats_interval": (
-                "skipped" if report.proper_skipped else "pass" if report.proper_ok else "fail"
-            ),
-            "top_h": report.top_h,
-            "independence_betti": {str(d): b for d, b in report.complex_betti.items()},
-            "independence": "pass" if report.complex_ok else "fail",
-            "ok": report.ok,
-        }
-        out.append(formats.dump_json(payload).rstrip("\n"))
+    payload = {
+        "kind": "wedge-report",
+        "rank": report.rank,
+        "mobius_magnitude": report.mobius_magnitude,
+        "flats_interval_betti": (
+            None
+            if report.proper_betti is None
+            else {str(d): b for d, b in report.proper_betti.items()}
+        ),
+        "flats_interval": (
+            "skipped" if report.proper_skipped else "pass" if report.proper_ok else "fail"
+        ),
+        "top_h": report.top_h,
+        "independence_betti": {str(d): b for d, b in report.complex_betti.items()},
+        "independence": "pass" if report.complex_ok else "fail",
+        "ok": report.ok,
+    }
+    lines = [f"matroid rank: {report.rank}", f"mobius magnitude: {report.mobius_magnitude}"]
+    if report.proper_skipped:
+        lines.append("flats interval: skipped (rank below 2)")
     else:
-        out.append(f"matroid rank: {report.rank}")
-        out.append(f"mobius magnitude: {report.mobius_magnitude}")
-        if report.proper_skipped:
-            out.append("flats interval: skipped (rank below 2)")
-        else:
-            betti = " ".join(f"b~{d}={b}" for d, b in sorted(report.proper_betti.items()))
-            out.append(
-                f"flats interval: {'pass' if report.proper_ok else 'fail'} ({betti})"
-            )
-        betti = " ".join(f"b~{d}={b}" for d, b in sorted(report.complex_betti.items()))
-        out.append(f"top h-number: {report.top_h}")
-        out.append(
-            f"independence complex: {'pass' if report.complex_ok else 'fail'} ({betti})"
-        )
-        out.append(f"wedge prediction: {'pass' if report.ok else 'fail'}")
+        betti = " ".join(f"b~{d}={b}" for d, b in sorted(report.proper_betti.items()))
+        lines.append(f"flats interval: {'pass' if report.proper_ok else 'fail'} ({betti})")
+    betti = " ".join(f"b~{d}={b}" for d, b in sorted(report.complex_betti.items()))
+    lines.append(f"top h-number: {report.top_h}")
+    lines.append(f"independence complex: {'pass' if report.complex_ok else 'fail'} ({betti})")
+    lines.append(f"wedge prediction: {'pass' if report.ok else 'fail'}")
+    _emit(args, out, payload, lines)
     return 0 if report.ok else 1
 
 
@@ -128,8 +128,7 @@ def cmd_matroid_wedge(args, out: list[str]) -> int:
 # poset subcommands
 
 
-def cmd_poset_check(args, out: list[str]) -> int:
-    p = formats.parse_poset(_read(args.file))
+def cmd_poset_check(p, args, out: list[str]) -> int:
     graded = poset.is_graded(p)
     out.append("graded: " + ("pass" if graded else f"fail: {graded.reason}"))
     if not graded:
@@ -156,98 +155,75 @@ def cmd_poset_check(args, out: list[str]) -> int:
     return 1
 
 
-def cmd_poset_compactify(args, out: list[str]) -> int:
-    p = formats.parse_poset(_read(args.file))
+def cmd_poset_compactify(p, args, out: list[str]) -> int:
     _emit_poset(poset.compactify(p), args, out)
     return 0
 
 
-def cmd_poset_projectivize(args, out: list[str]) -> int:
-    p = formats.parse_poset(_read(args.file))
+def cmd_poset_projectivize(p, args, out: list[str]) -> int:
     _emit_poset(poset.projectivize(p), args, out)
     return 0
 
 
-def cmd_poset_glue(args, out: list[str]) -> int:
-    p1 = formats.parse_poset(_read(args.file))
-    p2 = formats.parse_poset(_read(args.file2))
+def cmd_poset_glue(p1, p2, args, out: list[str]) -> int:
     _emit_poset(poset.glue_top(p1, p2), args, out)
     return 0
 
 
-def cmd_poset_homology(args, out: list[str]) -> int:
-    p = formats.parse_poset(_read(args.file))
+def cmd_poset_homology(p, args, out: list[str]) -> int:
     if args.proper:
         betti = complexes.proper_betti(p)
     else:
         betti = complexes.reduced_betti(complexes.order_complex(p))
-    if args.json:
-        payload = {"kind": "betti", "reduced_betti": {str(d): b for d, b in betti.items()}}
-        out.append(formats.dump_json(payload).rstrip("\n"))
-    else:
-        for degree in sorted(betti):
-            out.append(f"b~{degree} = {betti[degree]}")
+    payload = {"kind": "betti", "reduced_betti": {str(d): b for d, b in betti.items()}}
+    _emit(args, out, payload, [f"b~{degree} = {betti[degree]}" for degree in sorted(betti)])
     return 0
 
 
 # ----------------------------------------------------------------------
-# gkm subcommands
+# gkm subcommands: `graph` is the parsed (graph, file connection or None)
 
 
-def _load_graph(args):
-    return formats.parse_graph_with_connection(_read(args.file))
-
-
-def cmd_gkm_validate(args, out: list[str]) -> int:
-    g, _ = _load_graph(args)
+def cmd_gkm_validate(graph, args, out: list[str]) -> int:
+    g, _ = graph
     report = gkm.validate_graph(g)
-    if args.json:
-        payload = {
-            "kind": "validation",
-            "ok": report.ok,
-            "dimension": report.dimension,
-            "rank": report.rank,
-            "violations": list(report.violations),
-        }
-        out.append(formats.dump_json(payload).rstrip("\n"))
-    elif report.ok:
-        out.append(f"valid: dimension {report.dimension}, rank {report.rank}")
+    payload = {
+        "kind": "validation",
+        "ok": report.ok,
+        "dimension": report.dimension,
+        "rank": report.rank,
+        "violations": list(report.violations),
+    }
+    if report.ok:
+        lines = [f"valid: dimension {report.dimension}, rank {report.rank}"]
     else:
-        out.append("invalid:")
-        for violation in report.violations:
-            out.append(f"  {violation}")
+        lines = ["invalid:", *(f"  {violation}" for violation in report.violations)]
+    _emit(args, out, payload, lines)
     return 0 if report.ok else 1
 
 
-def cmd_gkm_faces(args, out: list[str]) -> int:
-    g, _ = _load_graph(args)
-    p = gkm.enumerate_faces(g, cap=args.cap)
-    _emit_poset(p, args, out, text=_face_table)
+def cmd_gkm_faces(graph, args, out: list[str]) -> int:
+    g, _ = graph
+    _emit_poset(gkm.enumerate_faces(g, cap=args.cap), args, out, text=_face_table)
     return 0
 
 
-def cmd_gkm_tg_faces(args, out: list[str]) -> int:
-    g, theta = _load_graph(args)
-    p = gkm.enumerate_tg_faces(g, theta, cap=args.cap)
-    _emit_poset(p, args, out, text=_face_table)
+def cmd_gkm_tg_faces(graph, args, out: list[str]) -> int:
+    g, theta = graph
+    _emit_poset(gkm.enumerate_tg_faces(g, theta, cap=args.cap), args, out, text=_face_table)
     return 0
 
 
-def cmd_gkm_connection(args, out: list[str]) -> int:
-    g, theta = _load_graph(args)
+def cmd_gkm_connection(graph, args, out: list[str]) -> int:
+    g, theta = graph
     if theta is not None:
         report = gkm.validate_connection(g, theta)
-        if args.json:
-            payload = {
-                "kind": "connection-check",
-                "ok": report.ok,
-                "violations": list(report.violations),
-            }
-            out.append(formats.dump_json(payload).rstrip("\n"))
-        else:
-            out.append(f"connection: {'pass' if report.ok else 'fail'}")
-            for violation in report.violations:
-                out.append(f"  {violation}")
+        if report.ok:  # then the graph, in the order the tg commands check the two
+            gkm.require_valid(g)
+        violations = list(report.violations)
+        payload = {"kind": "connection-check", "ok": report.ok, "violations": violations}
+        lines = [f"connection: {'pass' if report.ok else 'fail'}", *(f"  {v}" for v in violations)]
+        _emit(args, out, payload, lines)
         return 0 if report.ok else 1
     theta = gkm.canonical_connection(g)
     rows = [
@@ -257,15 +233,13 @@ def cmd_gkm_connection(args, out: list[str]) -> int:
         for source in g.star(tail)
         if source != e.name
     ]
-    if args.json:
-        out.append(formats.dump_json({"kind": "connection", "rows": rows}).rstrip("\n"))
-    else:
-        out.extend(f"connection {r['from']} at {r['at']} -> {r['to']} via {r['via']}" for r in rows)
+    lines = [f"connection {r['from']} at {r['at']} -> {r['to']} via {r['via']}" for r in rows]
+    _emit(args, out, {"kind": "connection", "rows": rows}, lines)
     return 0
 
 
-def cmd_gkm_reconstruct(args, out: list[str]) -> int:
-    g, theta = _load_graph(args)
+def cmd_gkm_reconstruct(graph, args, out: list[str]) -> int:
+    g, theta = graph
     report = reconstruct.reconstruct_face_poset(g, args.mode, connection=theta, cap=args.cap)
     galois = None
     if args.verify_galois and not report.diagnostics:
@@ -333,89 +307,85 @@ def _enum_flags(sub):
     )
 
 
+def _command(group, name, handler, help, reader=None, files=("file",)):
+    """Add subcommand `name` run by `handler`.
+
+    With a `reader`, the name of a `formats` parser, the command takes the
+    positional `files`, and `main` reads and parses each before `handler` runs.
+    """
+    sub = group.add_parser(name, help=help)
+    files = files if reader else ()
+    for file in files:
+        sub.add_argument(file)
+    sub.set_defaults(handler=handler, reader=reader, files=files)
+    return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkmfaces",
         description="Flats lattices, locally geometric posets, and GKM face-poset reconstruction.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    matroid = top.add_parser("matroid", help="weight-system operations").add_subparsers(
-        dest="subcommand", required=True
+    matroid, posets, graphs = (
+        top.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+        for name, help in (
+            ("matroid", "weight-system operations"),
+            ("poset", "graded poset operations"),
+            ("gkm", "GKM-graph operations"),
+        )
     )
-    flats = matroid.add_parser("flats", help="list the flats lattice")
-    flats.add_argument("file")
-    _output_flags(flats)
-    flats.set_defaults(handler=cmd_matroid_flats)
-    check = matroid.add_parser("check", help="geometric-lattice and coherence checks")
-    check.add_argument("file")
-    check.set_defaults(handler=cmd_matroid_check)
-    wedge = matroid.add_parser("wedge", help="verify the sphere-wedge homology predictions")
-    wedge.add_argument("file")
-    wedge.add_argument("--json", action="store_true")
-    wedge.set_defaults(handler=cmd_matroid_wedge)
+    # the readers of .wt, .poset and .gkm files
+    wt, po, gr = "parse_matroid", "parse_poset", "parse_graph_with_connection"
 
-    posets = top.add_parser("poset", help="graded poset operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    pcheck = posets.add_parser("check", help="gradedness, local geometricity, coherence")
-    pcheck.add_argument("file")
-    pcheck.add_argument("--gkm-coherent", action="store_true", dest="gkm_coherent")
-    pcheck.set_defaults(handler=cmd_poset_check)
+    _output_flags(_command(matroid, "flats", cmd_matroid_flats, "list the flats lattice", wt))
+    _command(matroid, "check", cmd_matroid_check, "geometric-lattice and coherence checks", wt)
+    _command(
+        matroid, "wedge", cmd_matroid_wedge, "verify the sphere-wedge homology predictions", wt
+    ).add_argument("--json", action="store_true")
+
+    _command(
+        posets, "check", cmd_poset_check, "gradedness, local geometricity, coherence", po
+    ).add_argument("--gkm-coherent", action="store_true", dest="gkm_coherent")
     for name, handler in (
         ("compactify", cmd_poset_compactify),
         ("projectivize", cmd_poset_projectivize),
     ):
-        sub = posets.add_parser(name, help=f"{name} a geometric lattice")
-        sub.add_argument("file")
-        _output_flags(sub)
-        sub.set_defaults(handler=handler)
-    glue = posets.add_parser("glue", help="identify the tops of two lattices")
-    glue.add_argument("file")
-    glue.add_argument("file2")
+        _output_flags(_command(posets, name, handler, f"{name} a geometric lattice", po))
+    glue = _command(
+        posets, "glue", cmd_poset_glue, "identify the tops of two lattices", po, ("file", "file2")
+    )
     _output_flags(glue)
-    glue.set_defaults(handler=cmd_poset_glue)
-    homology = posets.add_parser("homology", help="reduced Betti numbers of the order complex")
-    homology.add_argument("file")
+    homology = _command(
+        posets, "homology", cmd_poset_homology, "reduced Betti numbers of the order complex", po
+    )
     homology.add_argument("--proper", action="store_true", help="strip bottom and top first")
     homology.add_argument("--json", action="store_true")
-    homology.set_defaults(handler=cmd_poset_homology)
 
-    graphs = top.add_parser("gkm", help="GKM-graph operations").add_subparsers(
-        dest="subcommand", required=True
+    _command(
+        graphs, "validate", cmd_gkm_validate, "check the GKM-graph axioms", gr
+    ).add_argument("--json", action="store_true")
+    for name, handler, help in (
+        ("faces", cmd_gkm_faces, "enumerate all faces"),
+        ("tg-faces", cmd_gkm_tg_faces, "enumerate totally geodesic faces"),
+    ):
+        sub = _command(graphs, name, handler, help, gr)
+        _output_flags(sub)
+        _enum_flags(sub)
+    connection = "validate the file connection or derive the canonical one"
+    _command(graphs, "connection", cmd_gkm_connection, connection, gr).add_argument(
+        "--json", action="store_true"
     )
-    validate = graphs.add_parser("validate", help="check the GKM-graph axioms")
-    validate.add_argument("file")
-    validate.add_argument("--json", action="store_true")
-    validate.set_defaults(handler=cmd_gkm_validate)
-    faces = graphs.add_parser("faces", help="enumerate all faces")
-    faces.add_argument("file")
-    _output_flags(faces)
-    _enum_flags(faces)
-    faces.set_defaults(handler=cmd_gkm_faces)
-    tg = graphs.add_parser("tg-faces", help="enumerate totally geodesic faces")
-    tg.add_argument("file")
-    _output_flags(tg)
-    _enum_flags(tg)
-    tg.set_defaults(handler=cmd_gkm_tg_faces)
-    connection = graphs.add_parser(
-        "connection", help="validate the file connection or derive the canonical one"
+    rec = _command(
+        graphs, "reconstruct", cmd_gkm_reconstruct, "recover the manifold face poset", gr
     )
-    connection.add_argument("file")
-    connection.add_argument("--json", action="store_true")
-    connection.set_defaults(handler=cmd_gkm_connection)
-    rec = graphs.add_parser("reconstruct", help="recover the manifold face poset")
-    rec.add_argument("file")
     rec.add_argument("--mode", choices=("faces", "tg"), default="faces")
     rec.add_argument("--verify-galois", action="store_true", dest="verify_galois")
     _output_flags(rec)
     _enum_flags(rec)
-    rec.set_defaults(handler=cmd_gkm_reconstruct)
 
-    corpus = top.add_parser("corpus", help="locate or print the bundled example files")
+    corpus = _command(top, "corpus", cmd_corpus, "locate or print the bundled example files")
     corpus.add_argument("name", nargs="?", default=None)
-    corpus.set_defaults(handler=cmd_corpus)
-
     return parser
 
 
@@ -430,11 +400,13 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     # dispatch by name, so a handler rebound after the parser was built
-    # (for instance wrapped by a profiler) is the one that runs
+    # (for instance wrapped by a profiler) is the one that runs; so is each
+    # input's `formats` parser, and every input is read and parsed here, once
     handler = globals()[args.handler.__name__]
     out: list[str] = []
     try:
-        code = handler(args, out)
+        inputs = [getattr(formats, args.reader)(_read(getattr(args, f))) for f in args.files]
+        code = handler(*inputs, args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

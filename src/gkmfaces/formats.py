@@ -28,7 +28,7 @@ import re
 from .errors import GkmFacesError, ParseError
 from .gkm import Connection, GkmGraph
 from .matroid import WeightSystem
-from .poset import GradedPoset
+from .poset import GradedPoset, _fresh_id
 from .ratlinalg import IntVector
 
 
@@ -172,10 +172,8 @@ def _export_ids(p: GradedPoset) -> dict:
         for candidate in (e if isinstance(e, str) else None, p.labels.get(e)):
             if isinstance(candidate, str) and _TOKEN.fullmatch(candidate) and candidate not in used:
                 break
-        else:  # n<pos>, primed past the names already given out, as `poset._fresh_id` does
-            candidate = f"n{pos}"
-            while candidate in used:
-                candidate += "'"
+        else:  # n<pos>, primed past the names already given out
+            candidate = _fresh_id(used, f"n{pos}")
         used.add(candidate)
         out[e] = candidate
     return out

@@ -423,10 +423,13 @@ def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
 def canonical_connection(g: GkmGraph) -> Connection:
     """The unique span-compatible connection, where one exists.
 
-    Along an oriented edge, every other edge at the tail must see exactly
-    one edge at the head inside their common two-dimensional span; three
-    dependent axial values at a vertex break uniqueness and raise, and so
-    does a span-compatible map that fails `validate_connection`.
+    Along an oriented edge e from u to v, every other edge f at u must see
+    exactly one edge at v inside the plane span(alpha_f, alpha_e), else this
+    raises, as does a span-compatible map that fails `validate_connection`.
+    The images are then distinct, as the graph is valid: each edge other
+    than e at u or v lies in one plane through e, two-plane closure makes
+    the planes met at v those met at u, and the d - 1 edges at v, one to a
+    plane, fill d - 1 planes, so each also holds just one edge at u.
     """
     require_valid(g)
     maps: dict[tuple[str, object], dict[str, str]] = {}
@@ -442,11 +445,6 @@ def canonical_connection(g: GkmGraph) -> Connection:
                         f"{plane.bit_count()} span-compatible images across {e.name!r}"
                     )
                 mapping[f] = g.edges[plane.bit_length() - 1].name
-            if len(set(mapping.values())) != len(mapping):
-                raise ConnectionNotCanonical(
-                    f"connection not canonical: images across {e.name!r} out of "
-                    f"{tail!r} collide"
-                )
             maps[(e.name, tail)] = mapping
     theta = Connection(maps)
     check = validate_connection(g, theta)

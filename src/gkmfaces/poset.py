@@ -549,9 +549,10 @@ def check_gkm_coherent(p: GradedPoset) -> CoherenceResult:
 # constructions
 
 
-def _fresh_id(p: GradedPoset, base: str) -> str:
+def _fresh_id(taken, base: str) -> str:
+    """`base`, primed until it is not in the container `taken`."""
     candidate = base
-    while candidate in p._index:
+    while candidate in taken:
         candidate += "'"
     return candidate
 
@@ -562,7 +563,7 @@ def compactify(p: GradedPoset) -> GradedPoset:
     if bottom is None:
         raise PreconditionFailed("compactification needs a unique bottom element")
     rank = grading_of(p)
-    double = _fresh_id(p, "0'")
+    double = _fresh_id(p._index, "0'")
     elements = list(p.elements) + [double]
     covers = list(p.covers) + [(double, a) for a in atoms_of(p)]
     rank[double] = 0

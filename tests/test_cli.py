@@ -517,6 +517,59 @@ def test_invalid_file_connection_fails_every_tg_command(tmp_path):
     assert (code, err) == (0, "")
 
 
+TWO_EDGES = """ambient_rank: 2
+vertex a
+vertex b
+vertex c
+vertex d
+edge e a b weight (1,0)
+edge f c d weight (0,1)
+connection e at a -> e via e
+connection e at b -> e via e
+connection f at c -> f via f
+connection f at d -> f via f
+"""
+
+
+def test_valid_file_connection_on_an_invalid_graph_fails_every_tg_command(tmp_path):
+    # each star map is a bijection, but the graph is disconnected
+    f = tmp_path / "two-edges.gkm"
+    f.write_text(TWO_EDGES)
+    errors = set()
+    for command in (
+        ("connection",),
+        ("connection", "--json"),
+        ("tg-faces",),
+        ("reconstruct", "--mode", "tg"),
+    ):
+        code, out, err = run_cli_with_stderr("gkm", command[0], str(f), *command[1:])
+        assert (code, out) == (1, "")
+        errors.add(err)
+    assert errors == {
+        "error: graph is disconnected: vertex 'c' unreachable; "
+        "axial span at vertex 'c' differs from the span at 'a'\n"
+    }
+
+
+def test_glue_needs_a_unique_top_in_both_posets(tmp_path):
+    f = tmp_path / "vee.poset"
+    f.write_text("element b rank 0\nelement x rank 1\nelement y rank 1\ncover b < x\ncover b < y\n")
+    code, out, err = run_cli_with_stderr("poset", "glue", path("glued.poset"), str(f))
+    assert (code, out, err) == (1, "", "error: both posets need a unique top element\n")
+
+
+def test_connection_row_missing_a_token_is_a_parse_error_at_its_line(tmp_path):
+    f = tmp_path / "s2-short-row.gkm"
+    f.write_text(corpus_path("s2.gkm").read_text() + "connection e at N -> e\n")
+    line = len(f.read_text().splitlines())
+    code, out, err = run_cli_with_stderr("gkm", "connection", str(f))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: line {line}, column 1: "
+        "expected 'connection <from> at <vertex> -> <to> via <edge>'\n"
+    )
+
+
 def test_wedge_on_a_weight_file_without_weights_is_a_typed_error(tmp_path):
     f = tmp_path / "empty.wt"
     f.write_text("ambient_rank: 2\n")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmfaces.errors import ParseError
+from gkmfaces.errors import GkmFacesError, ParseError
 from gkmfaces.formats import (
     format_graph,
     format_matroid,
@@ -130,6 +130,15 @@ def test_poset_dot_layers():
     assert dot.startswith("digraph poset {")
     assert "rank=same" in dot
     assert '"{1}" -> "{1,2}";' in dot
+
+
+def test_format_poset_refuses_an_unlabelled_poset_without_a_grading():
+    # the pentagon: chains of lengths 2 and 3 from bottom to top
+    pentagon = GradedPoset(
+        ["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")]
+    )
+    with pytest.raises(GkmFacesError, match="^cannot export an ungradable poset: "):
+        format_poset(pentagon)
 
 
 def test_compactify_exports_one_id_per_element():

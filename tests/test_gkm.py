@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import gkmfaces.gkm as gkm_module
 from gkmfaces.errors import (
     ConnectionNotCanonical,
+    DimensionMismatch,
     EnumerationCapExceeded,
+    GraphModeError,
     InvalidGraph,
     ZeroWeight,
 )
@@ -134,6 +136,44 @@ def test_empty_vertex_list_rejected_at_construction():
     # validate_graph starts its connectivity walk at the first vertex
     with pytest.raises(ValueError, match="at least one vertex"):
         GkmGraph(1, [], [], {})
+
+
+@pytest.mark.parametrize(
+    "rank, vertices, edges, axial, error, message",
+    [
+        (0, ["a"], [], {}, ValueError, "ambient rank must be at least 1"),
+        (1, ["a", "a"], [], {}, ValueError, "duplicate vertex identifiers"),
+        (
+            1,
+            ["a", "b"],
+            [("e", "a", "b"), ("e", "b", "a")],
+            {"e": (1,)},
+            ValueError,
+            "duplicate edge identifiers",
+        ),
+        (1, ["a"], [("e", "a", "z")], {"e": (1,)}, ValueError, "edge 'e' uses unknown endpoints"),
+        (1, ["a", "b"], [("e", "a", "b")], {}, ValueError, "edge 'e' has no axial vector"),
+        (
+            2,
+            ["a", "b"],
+            [("e", "a", "b")],
+            {"e": (1,)},
+            DimensionMismatch,
+            "axial vector of edge 'e' has length 1, expected 2",
+        ),
+    ],
+    ids=["rank", "vertices", "edges", "endpoints", "axial", "length"],
+)
+def test_gkm_graph_constructor_checks(rank, vertices, edges, axial, error, message):
+    with pytest.raises(error, match=message):
+        GkmGraph(rank, vertices, edges, axial)
+
+
+def test_alpha_from_needs_a_signed_graph():
+    g = square_graph()
+    e = g.edges[0]
+    with pytest.raises(GraphModeError, match="oriented axial values need a signed graph"):
+        g.alpha_from(e.name, e.u)
 
 
 def test_canonical_connection_square_carry_across():

@@ -27,6 +27,19 @@ def test_weight_system_rejects_zero():
         WeightSystem(2, [(1, 0), (0, 0)])
 
 
+@pytest.mark.parametrize(
+    "rank, weights, error, message",
+    [
+        (0, [], ValueError, "ambient rank must be at least 1"),
+        (2, [(1, 0), (1, 0, 0)], DimensionMismatch, "weight 2 has length 3, expected 2"),
+    ],
+    ids=["rank", "length"],
+)
+def test_weight_system_constructor_checks(rank, weights, error, message):
+    with pytest.raises(error, match=message):
+        WeightSystem(rank, weights)
+
+
 def test_weight_system_rejects_bad_length():
     with pytest.raises(DimensionMismatch):
         WeightSystem(2, [(1, 0, 0)])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from gkmfaces.errors import (
     EmptyPoset,
     GkmFacesError,
     Incomparable,
+    MissingAtomWeight,
     NotLocallyGeometric,
     PreconditionFailed,
 )
@@ -61,6 +63,22 @@ def test_empty_poset_rejected():
 def test_cycle_rejected():
     with pytest.raises(ValueError):
         GradedPoset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+@pytest.mark.parametrize(
+    "elements, covers, labels, message",
+    [
+        (["a", "a"], [], {}, "duplicate element identifiers"),
+        (["a", "b"], [("a", "c")], {}, r"cover \('a', 'c'\) uses unknown elements"),
+        (["a", "b"], [("a", "a")], {}, r"cover \('a', 'a'\) is a self-loop"),
+        (["a", "b"], [("a", "b")], {"rank": {"a": 0}}, "rank labelling must cover exactly"),
+        (["a", "b"], [("a", "b")], {"drk": {"a": 0, "c": 1}}, "drk labelling must cover exactly"),
+    ],
+    ids=["duplicate", "unknown", "self-loop", "rank", "drk"],
+)
+def test_graded_poset_constructor_checks(elements, covers, labels, message):
+    with pytest.raises(ValueError, match=message):
+        GradedPoset(elements, covers, **labels)
 
 
 def test_is_graded_chain():
@@ -205,6 +223,18 @@ def test_check_coherent_requires_locally_geometric():
         check_coherent(p, {})
 
 
+def test_check_coherent_needs_a_positive_weight_on_every_atom():
+    p = flats_lattice(UNIFORM23)
+    atoms = [a for a in p.elements if p.rank[a] == 1]
+    weights = {a: 1 for a in atoms}
+    with pytest.raises(MissingAtomWeight, match=re.escape(f"no weight for atom {atoms[-1]!r}")):
+        check_coherent(p, {a: 1 for a in atoms[:-1]})
+    weights[atoms[0]] = 0
+    message = re.escape(f"atom weight for {atoms[0]!r} must be positive")
+    with pytest.raises(ValueError, match=message):
+        check_coherent(p, weights)
+
+
 def test_compactify_b1():
     from gkmfaces.matroid import WeightSystem
 
@@ -214,6 +244,13 @@ def test_compactify_b1():
     assert len(doubled.minimal_elements()) == 2
     assert doubled.top() is not None
     assert is_locally_geometric(doubled)
+
+
+def test_compactify_primes_the_double_past_a_taken_name():
+    doubled = compactify(GradedPoset(["0", "0'"], [("0", "0'")]))
+    assert doubled.elements == ("0", "0'", "0''")
+    assert doubled.labels["0''"] == "0'"
+    assert ("0''", "0'") in doubled.covers
 
 
 def test_compactify_u23_and_b2_counts():

@@ -35,6 +35,11 @@ def test_single_edge_reconstruction_is_sphere_poset():
     assert are_isomorphic(report.faces, compactify(b1))
 
 
+def test_unknown_mode_is_refused():
+    with pytest.raises(ValueError, match=r"^mode must be one of \('faces', 'tg'\)$"):
+        reconstruct_face_poset(square_graph(), "bogus")
+
+
 def test_cp2_reconstruction_is_projectivized_boolean():
     g, report = reconstruct("cp2.gkm", "faces")
     assert len(report.faces.elements) == 7
