@@ -18,32 +18,32 @@ and a subset of its star, one reached vertex at a time, through the stars
 there that agree with the vertices already placed and close every
 two-plane across to them.  Search states are counted against a hard cap,
 so pathological inputs fail loudly instead of hanging.  Totally geodesic
-faces are the faces closed under a connection; `_tg_face_subgraphs` is
-the one path to them.
+faces are the faces closed under a connection; `_tg_faces` is the one
+path to them.
 
-A graph keeps what it derives: vertex and edge positions, and from first
-use its plane table and its `validate_graph` report, which every
-question needing a valid graph reads through `require_valid`.
+A graph keeps what it derives: vertex and edge positions, each vertex's
+(edge, far end) pairs and star mask, and from first use its plane table
+and its `validate_graph` report, read through `require_valid`.  Axial
+vectors are the tangent weights at the fixed points, so few lines carry
+many edges (d lines for the d 2^(d-1) edges of Q_d).  Each edge is
+indexed by its line, the primitive vector with positive lead, and its
+integer scale, alpha = scale * line; one line modulo another, as a
+residue and a factor, and the span of a set of lines are memoised, so
+each elimination is done once per pair or set of lines.  Two axial
+vectors are dependent exactly when they share a line; e3 lies in the
+plane of e1 and e2 exactly when its residue modulo e2's line is None or
+equals e1's; and a connection's image differs from its source by a
+multiple of the edge exactly when their residues agree and so do
+scale * factor, signed by orientation on signed graphs.
 
-Axial vectors are the tangent weights at the fixed points, so few lines
-carry many edges (d lines for the d 2^(d-1) edges of Q_d).  The graph
-indexes each edge by its line, the primitive vector with positive lead,
-and its integer scale, alpha = scale * line, and keeps two memos by
-line: one line reduced modulo another, as a residue and a factor, and
-the span of a set of lines.  Each elimination is then done once per
-pair or set of lines, however many edges share them.  Two axial vectors
-are dependent exactly when they share a line; the vertex and face spans
-come from the span memo; an edge e3 lies in the plane of e1 and e2
-exactly when its residue modulo e2's line is None or equals e1's; and a
-connection's image differs from its source by a multiple of the edge
-exactly when their residues agree and so do scale * factor, with the
-orientation sign on signed graphs and up to sign otherwise.
-
-The face search holds stars as edge masks.  The plane table stores each
-plane as a mask of edges, so the closure test is one AND.  Inclusion
-between faces is the AND of one membership mask per vertex and per edge.
-Those masks are the up-sets of the face poset, whose covers come from
-the order core, `poset._cover_pairs`.
+Faces keep one form from the search to the face poset, a `Face`: vertex
+positions, ascending, and an edge mask.  The search places stars as
+edge masks, and the plane table stores each plane as one, so the
+closure test is one AND.  A face's rank is its span at its first vertex,
+its drk the bits of its mask in that vertex's star, and its containers
+the AND of one membership mask per vertex and per edge: the up-sets of
+the face poset, whose covers come from `poset._cover_pairs`.  Each face
+becomes a `GkmSubgraph`, by names, once, for the payload.
 """
 
 from __future__ import annotations
@@ -128,19 +128,20 @@ class GkmGraph:
                 raise ZeroWeight(f"axial vector of edge {e.name!r} is zero")
             self.axial[e.name] = w
         self.signed = signed
-        self._edge_by_name = {e.name: e for e in self.edges}
         self._vertex_pos = {x: i for i, x in enumerate(self.vertices)}
         self._edge_pos = {e.name: i for i, e in enumerate(self.edges)}
-        # by position, for the face questions: the two ends of each edge, and
-        # the edges at each vertex in declaration order
+        # by position, for the face questions: the two ends of each edge, the
+        # (edge, far end) pairs at each vertex in edge order, and each star as a mask
         self._ends = [(self._vertex_pos[e.u], self._vertex_pos[e.v]) for e in self.edges]
-        self._star_at: list[list[int]] = [[] for _ in self.vertices]
+        self._adjacent: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        self._star_mask = [0] * len(self.vertices)
         for i, (a, b) in enumerate(self._ends):
-            self._star_at[a].append(i)
-            self._star_at[b].append(i)
-        self._star = {
-            x: tuple(self.edges[i].name for i in at) for x, at in zip(self.vertices, self._star_at)
-        }
+            self._adjacent[a].append((i, b))
+            self._adjacent[b].append((i, a))
+            self._star_mask[a] |= 1 << i
+            self._star_mask[b] |= 1 << i
+        stars = zip(self.vertices, self._adjacent)
+        self._star = {x: tuple(self.edges[i].name for i, _ in at) for x, at in stars}
         # the line index: each edge's line, as a position in `_lines`, and the
         # integer scale with alpha = scale * line
         lines: dict[IntVector, int] = {}
@@ -181,34 +182,33 @@ class GkmGraph:
         Edges are positions.  The plane mask holds the edges at z other than e2
         in the span of alpha_e1 and alpha_e2, and e1 runs through the star at y
         in order.  e3 lies in the plane exactly when the residue of its line
-        modulo e2's is None or equals the residue of e1's line.  Built on first
-        read and kept.
+        modulo e2's is None or equals the residue of e1's line, so the edges at
+        z are grouped by residue once.  Built on first read and kept.
         """
         if self._planes is not None:
             return self._planes
         table = self._planes = {}
-        line = self._line
+        line, adjacent = self._line, self._adjacent
         for j, ends in enumerate(self._ends):
             residue = {
                 i: self._residue(line[i], line[j])[0]
                 for x in ends
-                for i in self._star_at[x]
+                for i, _ in adjacent[x]
                 if i != j
             }
             for y, z in (ends, ends[::-1]):
-                at_z = [i for i in self._star_at[z] if i != j]
+                at_z: dict[IntVector | None, int] = {}  # residue -> the edges at z with it
+                for k, _ in adjacent[z]:
+                    if k != j:
+                        at_z[residue[k]] = at_z.get(residue[k], 0) | 1 << k
+                common = at_z.get(None, 0)
                 table[(j, z)] = tuple(
-                    (
-                        i,
-                        sum(1 << k for k in at_z if residue[k] is None or residue[k] == residue[i]),
-                    )
-                    for i in self._star_at[y]
-                    if i != j
+                    (i, at_z.get(residue[i], 0) | common) for i, _ in adjacent[y] if i != j
                 )
         return table
 
     def edge(self, name: str) -> Edge:
-        return self._edge_by_name[name]
+        return self.edges[self._edge_pos[name]]
 
     def star(self, x) -> tuple[str, ...]:
         if x not in self._star:
@@ -265,20 +265,18 @@ def validate_graph(g: GkmGraph) -> GraphReport:
     """Check the GKM-graph axioms, reporting every violation."""
     violations: list[str] = []
 
-    seen = {g.vertices[0]}
-    frontier = [g.vertices[0]]
+    seen = [True] + [False] * (len(g.vertices) - 1)
+    frontier = [0]
     while frontier:
-        x = frontier.pop()
-        for name in g.star(x):
-            y = g.edge(name).other(x)
-            if y not in seen:
-                seen.add(y)
+        for _, y in g._adjacent[frontier.pop()]:
+            if not seen[y]:
+                seen[y] = True
                 frontier.append(y)
-    if len(seen) != len(g.vertices):
-        missing = next(x for x in g.vertices if x not in seen)
+    if not all(seen):
+        missing = g.vertices[seen.index(False)]
         violations.append(f"graph is disconnected: vertex {missing!r} unreachable")
 
-    degrees = {x: len(g.star(x)) for x in g.vertices}
+    degrees = {x: len(at) for x, at in zip(g.vertices, g._adjacent)}
     dimension = degrees[g.vertices[0]]
     if len(set(degrees.values())) != 1:
         worst = sorted(degrees.items(), key=lambda kv: (kv[1], g.vertex_key(kv[0])))
@@ -290,8 +288,8 @@ def validate_graph(g: GkmGraph) -> GraphReport:
 
     # two nonzero vectors are dependent exactly when they share a line
     line = g._line
-    for x, at in zip(g.vertices, g._star_at):
-        for i, j in combinations(at, 2):
+    for x, at in zip(g.vertices, g._adjacent):
+        for (i, _), (j, _) in combinations(at, 2):
             if line[i] == line[j]:
                 violations.append(
                     f"edges {g.edges[i].name!r} and {g.edges[j].name!r} at vertex {x!r} "
@@ -310,7 +308,7 @@ def validate_graph(g: GkmGraph) -> GraphReport:
                 if not plane
             )
 
-    spans = [g._span(frozenset(line[i] for i in at)) for at in g._star_at]
+    spans = [g._span(frozenset(line[i] for i, _ in at)) for at in g._adjacent]
     rank = spans[0].dim
     for x, span in zip(g.vertices, spans):
         if span != spans[0]:
@@ -374,12 +372,8 @@ def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
     inverse: list[str] = []
     translation: list[str] = []
     stars = {x: set(g.star(x)) for x in g.vertices}
-    # alpha = scale * line and a line modulo e's is factor * residue, so the
-    # difference lies on e's line exactly when the residues agree and so do
-    # scale * factor, signed by orientation (or up to sign, unsigned)
-    line, scale, residue, position = g._line, g._scale, g._residue, g._edge_pos
+    position, vertex = g._edge_pos, g._vertex_pos
     for j, e in enumerate(g.edges):
-        b = line[j]
         forward = None  # the map out of e.u, once it is known to be a bijection
         for tail, head in ((e.u, e.v), (e.v, e.u)):
             mapping = theta.maps.get((e.name, tail))
@@ -398,15 +392,7 @@ def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
             for f, image in mapping.items():
                 if f not in stars[tail] or image not in stars[head]:
                     continue
-                i, k = position[f], position[image]
-                r_f, c_f = residue(line[i], b)
-                r_image, c_image = residue(line[k], b)
-                a_f, a_image = scale[i] * c_f, scale[k] * c_image
-                if not g.signed:
-                    a_f, a_image = abs(a_f), abs(a_image)
-                elif (tail == g.edges[i].u) != (head == g.edges[k].u):
-                    a_f = -a_f  # alpha_from negates at second endpoints; two negations cancel
-                if r_f != r_image or a_f != a_image:
+                if not _translates(g, j, position[f], position[image], vertex[tail], vertex[head]):
                     translation.append(
                         f"difference of axial values of {image!r} and {f!r} is not "
                         f"collinear to the edge {e.name!r}"
@@ -418,6 +404,40 @@ def validate_connection(g: GkmGraph, theta: Connection) -> ConnectionReport:
                     break
     out = shape + inverse + translation
     return ConnectionReport(not out, tuple(out))
+
+
+def _translates(g: GkmGraph, j: int, i: int, k: int, tail: int, head: int) -> bool:
+    """Whether alpha_k at `head` minus alpha_i at `tail` is a multiple of alpha_j, j from tail.
+
+    All are positions.  That holds exactly when the residues modulo j's line
+    agree and so do scale * factor, signed by orientation or up to sign.
+    """
+    r_i, c_i = g._residue(g._line[i], g._line[j])
+    r_k, c_k = g._residue(g._line[k], g._line[j])
+    a_i, a_k = g._scale[i] * c_i, g._scale[k] * c_k
+    if not g.signed:
+        a_i, a_k = abs(a_i), abs(a_k)
+    elif (tail == g._ends[i][0]) != (head == g._ends[k][0]):
+        a_i = -a_i  # alpha_from negates at second endpoints; two negations cancel
+    return r_i == r_k and a_i == a_k
+
+
+def _canonical_images(g: GkmGraph):
+    """(e, f, image, tail, head) by position: the one edge at the head in f's plane with e.
+
+    Raises ConnectionNotCanonical where that plane holds other than one edge.
+    """
+    planes = g._plane_table
+    for j, (u, v) in enumerate(g._ends):
+        for tail, head in ((u, v), (v, u)):
+            for i, plane in planes[(j, head)]:
+                if plane.bit_count() != 1:
+                    raise ConnectionNotCanonical(
+                        f"connection not canonical: edge {g.edges[i].name!r} at "
+                        f"{g.vertices[tail]!r} has {plane.bit_count()} span-compatible images "
+                        f"across {g.edges[j].name!r}"
+                    )
+                yield j, i, plane.bit_length() - 1, tail, head
 
 
 def canonical_connection(g: GkmGraph) -> Connection:
@@ -432,20 +452,9 @@ def canonical_connection(g: GkmGraph) -> Connection:
     plane, fill d - 1 planes, so each also holds just one edge at u.
     """
     require_valid(g)
-    maps: dict[tuple[str, object], dict[str, str]] = {}
-    planes = g._plane_table
-    for j, e in enumerate(g.edges):
-        for tail, head in zip((e.u, e.v), g._ends[j][::-1]):
-            mapping = {e.name: e.name}
-            for i, plane in planes[(j, head)]:
-                f = g.edges[i].name
-                if plane.bit_count() != 1:
-                    raise ConnectionNotCanonical(
-                        f"connection not canonical: edge {f!r} at {tail!r} has "
-                        f"{plane.bit_count()} span-compatible images across {e.name!r}"
-                    )
-                mapping[f] = g.edges[plane.bit_length() - 1].name
-            maps[(e.name, tail)] = mapping
+    maps = {(e.name, x): {e.name: e.name} for e in g.edges for x in (e.u, e.v)}
+    for j, i, k, tail, _ in _canonical_images(g):
+        maps[(g.edges[j].name, g.vertices[tail])][g.edges[i].name] = g.edges[k].name
     theta = Connection(maps)
     check = validate_connection(g, theta)
     if not check:
@@ -469,20 +478,40 @@ class GkmSubgraph:
         return other.vertices <= self.vertices and other.edges <= self.edges
 
 
+Face = tuple[tuple[int, ...], int]  # vertex positions, ascending, and the edge mask
+
+
+def _face_key(face: Face) -> tuple:
+    """The canonical order of faces: by size, then vertex and edge positions."""
+    return len(face[0]), face[0], _bits(face[1])
+
+
 def subgraph_sort_key(g: GkmGraph, h: GkmSubgraph) -> tuple:
-    return (
-        len(h.vertices),
-        sorted(g.vertex_key(x) for x in h.vertices),
-        sorted(g.edge_key(e) for e in h.edges),
-    )
+    return _face_key(_face_of(g, h))
+
+
+def _face_of(g: GkmGraph, h: GkmSubgraph) -> Face:
+    edges = 0
+    for e in h.edges:
+        edges |= 1 << g._edge_pos[e]
+    return tuple(sorted(map(g._vertex_pos.__getitem__, h.vertices))), edges
+
+
+def _subgraph(g: GkmGraph, face: Face) -> GkmSubgraph:
+    names = frozenset(g.edges[e].name for e in _bits(face[1]))
+    return GkmSubgraph(frozenset(g.vertices[x] for x in face[0]), names)
+
+
+def _span_at(g: GkmGraph, x: int, edges: int) -> Subspace:
+    """The span of the axial vectors of the edges in the mask at vertex x."""
+    return g._span(frozenset(g._line[i] for i, _ in g._adjacent[x] if edges >> i & 1))
 
 
 def subgraph_flat(g: GkmGraph, h: GkmSubgraph, x) -> Subspace:
     """Span of the axial vectors of h-edges at x."""
     if x not in h.vertices:
         raise ValueError(f"vertex {x!r} does not belong to the subgraph")
-    at_x = g._star_at[g._vertex_pos[x]]
-    return g._span(frozenset(g._line[i] for i in at_x if g.edges[i].name in h.edges))
+    return _span_at(g, g._vertex_pos[x], _face_of(g, h)[1])
 
 
 def subgraph_degree(g: GkmGraph, h: GkmSubgraph) -> int:
@@ -490,179 +519,192 @@ def subgraph_degree(g: GkmGraph, h: GkmSubgraph) -> int:
     return sum(1 for name in g.star(x) if name in h.edges)
 
 
-def _grown_stars(g: GkmGraph, d: int, x: int, stars: dict, z: int):
-    """`stars` extended by each d-edge star at z that a face grown from x allows.
+def _grown_stars(g: GkmGraph, d: int, x: int, stars: list[int], z: int) -> list[int]:
+    """Each d-edge star at z, as an edge mask, that a face grown from x allows.
 
-    Vertices are positions and stars are edge masks.  An edge to a placed
+    stars[w] is the star placed at w, 0 where none is.  An edge to a placed
     vertex is kept exactly when that vertex's star keeps it, edges to
     vertices before x are left out, and the two-planes across every kept
-    edge e to a placed vertex w must close in both directions: each edge
-    of w's star other than e needs a plane edge in the star at z, and each
-    edge of the star at z other than e needs one in w's star.  The second
-    rule depends only on w's star, so it sifts the free edges before they
-    are combined; the states yielded, and their order, stay those of
-    testing every combination.
+    edge e to a placed w must close both ways: each edge of w's star other
+    than e needs a plane edge in the star at z, and each edge at z other
+    than e one in w's star.  The second rule sifts the free edges before
+    they are combined; the stars, and their order, are those of testing
+    every combination.
     """
     across, free = [], []
-    for e in g._star_at[z]:
-        a, b = g._ends[e]
-        w = b if a == z else a
-        if w in stars:
-            if stars[w] >> e & 1:
-                across.append(e)
-        elif w > x:
-            free.append(e)
-    if len(across) > d:
-        return
-    kept = sum(1 << e for e in across)
+    for e, w in g._adjacent[z]:
+        star = stars[w]
+        if not star:
+            if w > x:
+                free.append(e)
+        elif star >> e & 1:
+            across.append((e, w, star))
+    extra = d - len(across)
+    if extra < 0:
+        return []
+    kept = 0
+    for e, _, _ in across:
+        kept |= 1 << e
     allowed = -1  # edges at z whose planes across every kept edge close at the far end
     needs = []  # plane masks at z that the star there must meet
     planes = g._planes  # built when the graph was validated; read without the property call
-    for e in across:
-        a, b = g._ends[e]
-        w = b if a == z else a
+    for e, w, star in across:
         for i, plane in planes[(e, z)]:
-            if stars[w] >> i & 1 and not plane & kept:
+            if star >> i & 1 and not plane & kept:
                 needs.append(plane)
         for i, plane in planes[(e, w)]:
-            if not plane & stars[w]:
+            if not plane & star:
                 allowed &= ~(1 << i)
     if kept & ~allowed:
-        return
-    free = [e for e in free if allowed >> e & 1]
-    for extra in combinations(free, d - len(across)):
-        star = kept | sum(1 << e for e in extra)
-        if all(plane & star for plane in needs):
-            yield {**stars, z: star}
+        return []
+    if not extra:  # no plane in `needs` meets `kept`
+        return [] if needs else [kept]
+    free = [1 << e for e in free if allowed >> e & 1]
+    grown = (kept | sum(bits) for bits in combinations(free, extra))
+    return [star for star in grown if all(plane & star for plane in needs)]
 
 
-def enumerate_face_subgraphs(g: GkmGraph, cap: int = DEFAULT_CAP) -> list[GkmSubgraph]:
-    """All faces as subgraphs, canonically sorted.
+def _face_positions(g: GkmGraph, cap: int) -> list[Face]:
+    """All faces, in the order of `_face_key`.
 
-    Each face of degree d is grown exactly once: from its first vertex x (by
-    vertex_key) with a d-edge star there, then at each reached vertex, in
-    the order reached, through every star `_grown_stars` allows.  Each seed
-    and branch counts as one search state; more than `cap` of them raise
-    EnumerationCapExceeded.  The search runs on vertex and edge positions;
-    each face is found as its reached vertices and the OR of its stars'
-    edge masks.
+    Each face of degree d is grown exactly once: from its first vertex x
+    with a d-edge star there, then at each reached vertex, in the order
+    reached, through every star `_grown_stars` allows, depth first and the
+    last branch first.  Each seed and branch counts as one search state;
+    more than `cap` of them raise EnumerationCapExceeded.  One list holds
+    the placed stars by vertex, and going back to a branch clears the ones
+    placed since; a face is the reached vertices and the OR of their stars.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    report = require_valid(g)
     n = len(g.vertices)
     found = [((x,), 0) for x in range(n)]
-    # (degree, first vertex, edge-mask stars of the placed vertices, vertices reached)
-    stack = [(d, x, {}, (x,)) for d in range(report.dimension, 0, -1) for x in reversed(range(n))]
+    stars = [0] * n
     states = 0
-    while stack:
-        d, x, stars, order = stack.pop()
-        if len(stars) == len(order):
-            edges = 0
-            for star in stars.values():
-                edges |= star
-            found.append((order, edges))
-            continue
-        z = order[len(stars)]
-        for grown in _grown_stars(g, d, x, stars, z):
-            states += 1
-            if states > cap:
-                raise EnumerationCapExceeded(
-                    cap,
-                    states,
-                    f"enumeration cap of {cap} candidate subgraphs exceeded: {states} seed and "
-                    f"branch states reached while growing faces of degree {d} from vertex "
-                    f"{g.vertices[x]!r}, with {len(found) - n} faces of positive degree found",
-                )
-            kept = grown[z]
-            ends = dict.fromkeys(
-                b if a == z else a for a, b in (g._ends[e] for e in g._star_at[z] if kept >> e & 1)
-            )
-            stack.append((d, x, grown, order + tuple(w for w in ends if w not in order)))
-    # the order of subgraph_sort_key, on positions
-    keyed = sorted((len(order), sorted(order), _bits(edges)) for order, edges in found)
-    return [
-        GkmSubgraph(
-            frozenset(g.vertices[x] for x in vertices), frozenset(g.edges[e].name for e in edges)
-        )
-        for _, vertices, edges in keyed
-    ]
+    for d in range(1, require_valid(g).dimension + 1):
+        for x in range(n):
+            order, placed, branches = [x], 0, []  # reached vertices; the first `placed` have stars
+            while True:
+                if placed == len(order):
+                    edges = 0
+                    for w in order:
+                        edges |= stars[w]
+                    found.append((tuple(sorted(order)), edges))
+                else:
+                    for star in _grown_stars(g, d, x, stars, order[placed]):
+                        states += 1
+                        if states > cap:
+                            raise EnumerationCapExceeded(
+                                cap,
+                                states,
+                                f"enumeration cap of {cap} candidate subgraphs exceeded: {states} "
+                                f"seed and branch states reached while growing faces of degree {d} "
+                                f"from vertex {g.vertices[x]!r}, with {len(found) - n} faces of "
+                                "positive degree found",
+                            )
+                        branches.append((placed, len(order), star))
+                if not branches:
+                    break
+                at, reached, star = branches.pop()
+                for w in order[at:placed]:
+                    stars[w] = 0
+                del order[reached:]
+                stars[order[at]] = star
+                for e, w in g._adjacent[order[at]]:
+                    if star >> e & 1 and w not in order:
+                        order.append(w)
+                placed = at + 1
+            for w in order[:placed]:
+                stars[w] = 0
+    found.sort(key=_face_key)
+    return found
+
+
+def enumerate_face_subgraphs(g: GkmGraph, cap: int = DEFAULT_CAP) -> list[GkmSubgraph]:
+    """All faces as subgraphs, canonically sorted; see `_face_positions`."""
+    return [_subgraph(g, face) for face in _face_positions(g, cap)]
+
+
+def _star_maps(g: GkmGraph, theta: Connection) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """theta on positions: per (edge, tail), each edge at the tail and its image, as bits."""
+    position = g._edge_pos
+    return {
+        (j, tail): [(1 << i, 1 << position[mapping[g.edges[i].name]]) for i, _ in g._adjacent[tail]]
+        for j, e in enumerate(g.edges)
+        for tail, mapping in zip(g._ends[j], (theta.maps[(e.name, e.u)], theta.maps[(e.name, e.v)]))
+    }
+
+
+def _is_closed(g: GkmGraph, maps: dict, face: Face) -> bool:
+    """Whether the face's stars map onto each other along each of its edges, under `_star_maps`."""
+    edges = face[1]
+    return all(
+        sum({image for bit, image in maps[(j, tail)] if edges & bit}) == edges & g._star_mask[head]
+        for j in _bits(edges)
+        for tail, head in (g._ends[j], g._ends[j][::-1])
+    )
 
 
 def is_totally_geodesic(g: GkmGraph, theta: Connection, h: GkmSubgraph) -> bool:
     """Star intersections must map onto each other along every h-edge."""
-    for name in h.edges:
-        e = g.edge(name)
-        for tail in (e.u, e.v):
-            head = e.other(tail)
-            inside_tail = {f for f in g.star(tail) if f in h.edges}
-            inside_head = {f for f in g.star(head) if f in h.edges}
-            mapping = theta.maps[(name, tail)]
-            if {mapping[f] for f in inside_tail} != inside_head:
-                return False
-    return True
+    return _is_closed(g, _star_maps(g, theta), _face_of(g, h))
 
 
-class _Membership:
-    """Membership masks of a list of faces: bit i is set where faces[i] holds the vertex or edge."""
-
-    def __init__(self, faces: Sequence[GkmSubgraph]):
-        self.everything = (1 << len(faces)) - 1
-        self.at_vertex: dict = {}
-        self.at_edge: dict[str, int] = {}
-        for i, h in enumerate(faces):
-            bit = 1 << i
-            for x in h.vertices:
-                self.at_vertex[x] = self.at_vertex.get(x, 0) | bit
-            for e in h.edges:
-                self.at_edge[e] = self.at_edge.get(e, 0) | bit
-
-    def containers(self, h: GkmSubgraph) -> int:
-        """Bitmask of the faces that contain h: the AND over h's vertices and edges."""
-        mask = self.everything
-        for x in h.vertices:
-            mask &= self.at_vertex.get(x, 0)
-        for e in h.edges:
-            mask &= self.at_edge.get(e, 0)
-        return mask
+def _membership(g: GkmGraph, faces: Sequence[Face]) -> tuple[int, list[int], list[int]]:
+    """The mask of all `faces`, and per vertex and per edge the mask of the faces holding it."""
+    at_vertex, at_edge = [0] * len(g.vertices), [0] * len(g.edges)
+    for i, (vertices, edges) in enumerate(faces):
+        for x in vertices:
+            at_vertex[x] |= 1 << i
+        while edges:
+            low = edges & -edges
+            at_edge[low.bit_length() - 1] |= 1 << i
+            edges ^= low
+    return (1 << len(faces)) - 1, at_vertex, at_edge
 
 
-def _containers(faces: Sequence[GkmSubgraph]) -> list[int]:
-    """Per face, the bitmask of the faces containing it, itself included."""
-    membership = _Membership(faces)
-    return [membership.containers(h) for h in faces]
+def _held_by(membership: tuple[int, list[int], list[int]], face: Face) -> int:
+    """The mask of the faces that hold every vertex and edge of `face`."""
+    mask, at_vertex, at_edge = membership
+    vertices, edges = face
+    for x in vertices:
+        mask &= at_vertex[x]
+    while edges:
+        low = edges & -edges
+        mask &= at_edge[low.bit_length() - 1]
+        edges ^= low
+    return mask
 
 
-def _flat(g: GkmGraph, h: GkmSubgraph) -> Subspace:
-    """The span of h at its first vertex, whose rank is h's rank label."""
-    return subgraph_flat(g, h, min(h.vertices, key=g.vertex_key))
+def _containers(g: GkmGraph, faces: Sequence[Face]) -> list[int]:
+    """Per face, the mask of the faces containing it, itself included."""
+    membership = _membership(g, faces)
+    return [_held_by(membership, face) for face in faces]
 
 
 def _face_poset(
-    g: GkmGraph, faces: list[GkmSubgraph], ranks: Sequence[int], prefix: str = "H"
+    g: GkmGraph, faces: Sequence[Face], prefix: str = "H", subgraphs=None
 ) -> GradedPoset:
-    """Inclusion poset of `faces`, where ranks[i] is the rank label of faces[i]."""
+    """Inclusion poset of `faces`, ranked by span; `subgraphs`, the payload, built unless given."""
     ids = [f"{prefix}{i}" for i in range(len(faces))]
     everything = (1 << len(faces)) - 1
-    covers = sorted((ids[i], ids[j]) for i, j in _cover_pairs(_containers(faces), everything))
-    labels = {
-        i: "{" + ",".join(str(x) for x in sorted(h.vertices, key=g.vertex_key)) + "}"
-        for i, h in zip(ids, faces)
-    }
+    covers = sorted((ids[i], ids[j]) for i, j in _cover_pairs(_containers(g, faces), everything))
     return GradedPoset(
         ids,
         covers,
-        rank=dict(zip(ids, ranks)),
-        drk={i: subgraph_degree(g, h) for i, h in zip(ids, faces)},
-        payload=dict(zip(ids, faces)),
-        labels=labels,
+        rank={i: _span_at(g, xs[0], edges).dim for i, (xs, edges) in zip(ids, faces)},
+        drk={i: (edges & g._star_mask[xs[0]]).bit_count() for i, (xs, edges) in zip(ids, faces)},
+        payload=dict(zip(ids, subgraphs or [_subgraph(g, face) for face in faces])),
+        labels={
+            i: "{" + ",".join(str(g.vertices[x]) for x in face[0]) + "}"
+            for i, face in zip(ids, faces)
+        },
     )
 
 
 def enumerate_faces(g: GkmGraph, cap: int = DEFAULT_CAP) -> GradedPoset:
     """Poset of all faces ordered by inclusion; rank labels are span ranks."""
-    faces = enumerate_face_subgraphs(g, cap)
-    return _face_poset(g, faces, [_flat(g, h).dim for h in faces])
+    return _face_poset(g, _face_positions(g, cap))
 
 
 def enumerate_tg_faces(
@@ -673,19 +715,19 @@ def enumerate_tg_faces(
     A `theta` that fails the connection axioms raises InvalidGraph; a derived
     map that fails them raises ConnectionNotCanonical.
     """
-    faces = _tg_face_subgraphs(g, theta, cap)
-    return _face_poset(g, faces, [_flat(g, h).dim for h in faces])
+    return _face_poset(g, _tg_faces(g, theta, cap))
 
 
-def _tg_face_subgraphs(g: GkmGraph, theta: Connection | None, cap: int) -> list[GkmSubgraph]:
+def _tg_faces(g: GkmGraph, theta: Connection | None, cap: int) -> list[Face]:
     """Faces closed under `theta`, or under the canonical connection when it is None, sorted.
 
     A supplied `theta` is checked first and raises InvalidGraph when it
-    fails the connection axioms; the graph is checked next.  Every face
-    is closed under the canonical connection, so that is derived only for
-    its errors and the face list is returned: its image of a star edge f
+    fails the connection axioms; the graph is checked next.  Every face is
+    closed under the canonical connection: its image of a star edge f
     across a face edge e is the one edge at the far end in the plane of f
-    and e, which two-plane closure puts in the face whenever f is in it.
+    and e, which two-plane closure puts in the face.  So only that it exists
+    is checked, which with one image per plane is the translation axiom
+    (see `canonical_connection`); a failure builds the maps for the error.
     """
     if theta is not None:
         check = validate_connection(g, theta)
@@ -693,9 +735,11 @@ def _tg_face_subgraphs(g: GkmGraph, theta: Connection | None, cap: int) -> list[
             raise InvalidGraph("supplied connection is invalid: " + "; ".join(check.violations))
     require_valid(g)
     if theta is None:
-        canonical_connection(g)
-        return enumerate_face_subgraphs(g, cap)
-    return [h for h in enumerate_face_subgraphs(g, cap) if is_totally_geodesic(g, theta, h)]
+        if not all(_translates(g, *image) for image in _canonical_images(g)):
+            canonical_connection(g)  # raises
+        return _face_positions(g, cap)
+    maps = _star_maps(g, theta)
+    return [face for face in _face_positions(g, cap) if _is_closed(g, maps, face)]
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,17 @@ manifold's.  When some (vertex, span) group has no greatest member the
 input cannot come from a normal weak GKM action: the anomaly is recorded
 as a diagnostic and all maximal members are kept rather than guessed
 between.  In "tg" mode the candidates are the totally geodesic faces,
-taken from `gkm._tg_face_subgraphs` with the supplied connection or the
-canonical one.
+taken from `gkm._tg_faces` with the supplied connection or the canonical
+one.
 
-Each candidate's span is computed once and gives the survivors their
-ranks.  A candidate survives when no other candidate with its span
-contains it: one containing h holds every vertex of h, so h is then a
-maximum of each of its (vertex, span) groups, and the groups, built over
-the survivors for the diagnostics, hold exactly their maxima.  The
-candidates' container masks are computed once and kept on the report.
-The projection to surviving faces and the Galois check take containment
+The selection runs on the faces as the search gives them, `gkm.Face`,
+and builds one `GkmSubgraph` per candidate.  Each candidate's span is
+computed once.  A candidate survives when no other candidate with its
+span contains it: one containing h holds every vertex of h, so h is then
+a maximum of each of its (vertex, span) groups, and the groups, built
+over the survivors for the diagnostics, hold exactly their maxima.  The
+candidates' positions and container masks are kept on the report.  The
+projection to surviving faces and the Galois check take containment
 from membership masks too: the projection is the one minimal container,
 `poset._minimal`, and monotonicity is checked on the covers of the
 inclusion order among the candidates, `poset._cover_pairs` on the kept
@@ -32,15 +33,19 @@ from .errors import ReconstructionAmbiguous
 from .gkm import (
     DEFAULT_CAP,
     Connection,
+    Face,
     GkmGraph,
     GkmSubgraph,
     _containers,
+    _face_key,
+    _face_of,
     _face_poset,
-    _flat,
-    _Membership,
-    _tg_face_subgraphs,
-    enumerate_face_subgraphs,
-    subgraph_sort_key,
+    _face_positions,
+    _held_by,
+    _membership,
+    _span_at,
+    _subgraph,
+    _tg_faces,
 )
 from .poset import GradedPoset, _cover_pairs, _minimal
 from .ratlinalg import Subspace
@@ -71,7 +76,9 @@ class FaceReport:
     faces: GradedPoset  # payload maps ids to GkmSubgraph witnesses
     candidates: tuple[GkmSubgraph, ...]  # the full enumerated face list
     diagnostics: tuple[Diagnostic, ...]
-    # per candidate, the mask of the candidates containing it
+    # the graph, and per candidate its positions and the mask of its containers
+    _graph: GkmGraph = field(repr=False, compare=False)
+    _candidate_faces: tuple[Face, ...] = field(repr=False, compare=False)
     _candidate_containers: tuple[int, ...] = field(repr=False, compare=False)
 
     def subgraph(self, element) -> GkmSubgraph:
@@ -81,9 +88,11 @@ class FaceReport:
         return self.faces.drk[element] - self.faces.rank[element]
 
     @cached_property
-    def _survivors(self) -> _Membership:
-        """Membership masks of the surviving faces, in element order."""
-        return _Membership([self.subgraph(e) for e in self.faces.elements])
+    def _survivors(self) -> tuple[int, list[int], list[int]]:
+        """Membership masks of the surviving faces, in element order, by position."""
+        g, known = self._graph, dict(zip(self.candidates, self._candidate_faces))
+        faces = [known.get(h) or _face_of(g, h) for h in map(self.subgraph, self.faces.elements)]
+        return _membership(g, faces)
 
 
 def reconstruct_face_poset(
@@ -101,35 +110,38 @@ def reconstruct_face_poset(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if mode == "tg":
-        candidates = _tg_face_subgraphs(g, connection, cap)
-    else:
-        candidates = enumerate_face_subgraphs(g, cap=cap)
-
-    flats = [_flat(g, h) for h in candidates]
+    faces = _tg_faces(g, connection, cap) if mode == "tg" else _face_positions(g, cap)
+    spans = [_span_at(g, xs[0], edges) for xs, edges in faces]
     same_span: dict[Subspace, int] = {}  # span -> bitmask of the candidates with it
-    for i, flat in enumerate(flats):
-        same_span[flat] = same_span.get(flat, 0) | 1 << i
-    containers = _containers(candidates)
-    survivors = [i for i, flat in enumerate(flats) if containers[i] & same_span[flat] == 1 << i]
-    # (vertex key, span) -> the survivors in that group, which are its maxima
-    groups: dict[tuple[int, Subspace], list[GkmSubgraph]] = {}
+    for i, span in enumerate(spans):
+        same_span[span] = same_span.get(span, 0) | 1 << i
+    containers = _containers(g, faces)
+    survivors = [i for i, span in enumerate(spans) if containers[i] & same_span[span] == 1 << i]
+    # (vertex, span) -> the survivors in that group, which are its maxima
+    groups: dict[tuple[int, Subspace], list[int]] = {}
     for i in survivors:
-        for x in candidates[i].vertices:
-            groups.setdefault((g.vertex_key(x), flats[i]), []).append(candidates[i])
+        for x in faces[i][0]:
+            groups.setdefault((x, spans[i]), []).append(i)
+    candidates = [_subgraph(g, face) for face in faces]
     diagnostics = [
-        Diagnostic(g.vertices[key], flat, tuple(sorted(hs, key=lambda h: subgraph_sort_key(g, h))))
-        for (key, flat), hs in groups.items()
-        if len(hs) > 1
+        Diagnostic(
+            g.vertices[x],
+            span,
+            tuple(candidates[i] for i in sorted(members, key=lambda i: _face_key(faces[i]))),
+        )
+        for (x, span), members in groups.items()
+        if len(members) > 1
     ]
     diagnostics.sort(key=lambda d: (g.vertex_key(d.vertex), d.flat.sort_key()))
     return FaceReport(
         mode=mode,
         faces=_face_poset(
-            g, [candidates[i] for i in survivors], [flats[i].dim for i in survivors], prefix="F"
+            g, [faces[i] for i in survivors], "F", [candidates[i] for i in survivors]
         ),
         candidates=tuple(candidates),
         diagnostics=tuple(diagnostics),
+        _graph=g,
+        _candidate_faces=tuple(faces),
         _candidate_containers=tuple(containers),
     )
 
@@ -140,7 +152,14 @@ def pi_map(report: FaceReport, h: GkmSubgraph):
         raise ReconstructionAmbiguous(
             "reconstruction produced diagnostics; the projection is not defined"
         )
-    containers = report._survivors.containers(h)
+    g = report._graph
+    known = h.vertices <= g._vertex_pos.keys() and h.edges <= g._edge_pos.keys()
+    return _projection(report, _face_of(g, h) if known else None)
+
+
+def _projection(report: FaceReport, face: Face | None):
+    """`pi_map` on a face by position, None for one outside the graph; diagnostics unchecked."""
+    containers = 0 if face is None else _held_by(report._survivors, face)
     if not containers:
         raise ReconstructionAmbiguous(
             "no surviving face contains the given subgraph (internal inconsistency)"
@@ -181,14 +200,14 @@ def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
     failures: list[str] = []
     candidates = report.candidates
     projection = []  # None where the projection is undefined
-    for h in candidates:
+    for h, face in zip(candidates, report._candidate_faces):
         try:
-            image = pi_map(report, h)
+            image = _projection(report, face)
             failure = "" if report.subgraph(image).contains(h) else "does not contain it"
         except ReconstructionAmbiguous as exc:
             image, failure = None, f"is undefined: {exc}"
         if failure:
-            listed = [str(x) for x in sorted(h.vertices, key=g.vertex_key)]
+            listed = [str(g.vertices[x]) for x in face[0]]
             failures.append(f"projection of a face on vertices {listed} {failure}")
         projection.append(image)
     position = {h: i for i, h in enumerate(candidates)}

@@ -5,7 +5,7 @@ import random
 from importlib import resources
 
 from gkmfaces.formats import parse_graph_with_connection, parse_matroid, parse_poset
-from gkmfaces.gkm import GkmGraph
+from gkmfaces.gkm import Connection, GkmGraph
 from gkmfaces.matroid import WeightSystem
 
 # the three standing small examples used throughout the suite
@@ -236,3 +236,39 @@ def flats_lattice_text(rng: random.Random, ws: WeightSystem) -> str:
 
     elements = [(label(f), rank[f], len(f)) for f in ids]
     return poset_text(rng, elements, [(label(a), label(b)) for a, b in covers])
+
+
+def grassmannian_graph(k: int, n: int) -> tuple[GkmGraph, Connection]:
+    """Gr(k, n) with its geometric connection: k-subsets of 1..n, an edge per swap of two values.
+
+    The edge swapping a < b carries the root e_a - e_b in simple-root
+    coordinates of Z^(n-1), as in `flag_graph`.  Along it the connection
+    sends the swap of c and d to the swap of their images under (a b).
+    """
+    subsets = ["".join(s) for s in itertools.combinations("123456789"[:n], k)]
+    edges, axial, swapped = [], {}, {}
+    for x, y in itertools.combinations(subsets, 2):
+        pair = set(x) ^ set(y)
+        if len(pair) == 2:
+            a, b = sorted(int(c) for c in pair)
+            name = f"e{x}_{y}"
+            edges.append((name, x, y))
+            axial[name] = tuple(int(a <= t < b) for t in range(1, n))
+            swapped[name] = pair
+    g = GkmGraph(n - 1, subsets, edges, axial)
+    at = {(x, frozenset(swapped[name])): name for x in subsets for name in g.star(x)}
+    maps = {}
+    for e in g.edges:
+        a, b = swapped[e.name]
+        swap = {a: b, b: a}
+        for tail in (e.u, e.v):
+            maps[(e.name, tail)] = {
+                f: at[(e.other(tail), frozenset(swap.get(c, c) for c in swapped[f]))]
+                for f in g.star(tail)
+            }
+    return g, Connection(maps)
+
+
+def lens_graph() -> GkmGraph:
+    """Two vertices joined by two edges with independent weights: S^4 under a 2-torus."""
+    return GkmGraph(2, ["N", "S"], [("a", "N", "S"), ("b", "N", "S")], {"a": (1, 0), "b": (0, 1)})

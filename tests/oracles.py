@@ -636,6 +636,18 @@ def connection_violations_oracle(graph, theta):
     return tuple(out)
 
 
+def totally_geodesic_oracle(graph, theta, h):
+    """Whether theta maps the h-edges at each end of every h-edge onto those at the other, by names."""
+    for name in h.edges:
+        e = graph.edge(name)
+        for tail, head in ((e.u, e.v), (e.v, e.u)):
+            inside_tail = {f for f in graph.star(tail) if f in h.edges}
+            inside_head = {f for f in graph.star(head) if f in h.edges}
+            if {theta.maps[(name, tail)][f] for f in inside_tail} != inside_head:
+                return False
+    return True
+
+
 def face_poset_oracle(graph, faces, prefix="H"):
     """The face poset by all-pairs `GkmSubgraph.contains`, ranks from `subgraph_flat`."""
     from gkmfaces.gkm import subgraph_degree, subgraph_flat

@@ -3,16 +3,19 @@
 The plane table, the face poset and the Galois monotonicity check run on
 edge positions and membership masks; `tests/oracles.py` keeps the
 versions that span one plane per pair of edges and scan all pairs of
-faces.  They are compared on scrambled Q2, Q3, CP2xS2, Fl(3) and
-CP2xCP2, and the plane table and the whole `validate_graph` report also
-on graphs made invalid by a collinear star or an extra parallel edge.
-Face spans are compared with spans of the raw axial vectors, and
-`validate_connection`'s report with the raw-vector rule on damaged
-canonical connections.  On graphs without a connection of their
-own, the faces closed under the canonical connection are all the faces,
-and no face is tested against that connection.  The reconstruction's
-span rule keeps what the per-(vertex, span) maxima selection of
-`tests/oracles.py` keeps.
+faces.  They are compared on scrambled Q2, Q3, CP2xS2, Fl(3), CP2xCP2,
+Gr(2,4) and a product with two parallel edges, and the plane table and
+the whole `validate_graph` report also on graphs made invalid by a
+collinear star or an extra parallel edge.  Face spans are compared with
+spans of the raw axial vectors, and `validate_connection`'s report with
+the raw-vector rule on damaged canonical connections.  On graphs without
+a connection of their own, the faces closed under the canonical
+connection are all the faces, no face is tested against that connection,
+and its existence check raises what building it raises; under a file
+connection the closed faces are the ones the by-name test keeps.  The
+reconstruction's span rule keeps what the per-(vertex, span) maxima
+selection of `tests/oracles.py` keeps.  The search's state totals and
+cap messages are pinned.
 """
 
 import io
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 import gkmfaces.gkm as gkm_module
 import gkmfaces.reconstruct as reconstruct_module
 from gkmfaces import cli
-from gkmfaces.errors import EnumerationCapExceeded
+from gkmfaces.errors import ConnectionNotCanonical, EnumerationCapExceeded
 from gkmfaces.gkm import (
     Connection,
     GkmGraph,
@@ -35,6 +38,7 @@ from gkmfaces.gkm import (
     enumerate_face_subgraphs,
     enumerate_faces,
     enumerate_tg_faces,
+    is_totally_geodesic,
     subgraph_flat,
     validate_connection,
     validate_graph,
@@ -48,7 +52,9 @@ from helpers import (
     cp2_graph,
     flag_graph,
     graph_product,
+    grassmannian_graph,
     hypercube_graph,
+    lens_graph,
     scrambled,
     sphere_graph,
     square_graph,
@@ -60,6 +66,7 @@ from oracles import (
     graph_report_oracle,
     non_monotone_pairs_oracle,
     plane_table_oracle,
+    totally_geodesic_oracle,
 )
 
 BASES = {
@@ -68,6 +75,8 @@ BASES = {
     "cp2xs2": lambda: graph_product(cp2_graph(), sphere_graph()),
     "fl3": lambda: corpus_graph("g6.gkm")[0],
     "cp2xcp2": lambda: graph_product(cp2_graph(), cp2_graph()),
+    "gr24": lambda: grassmannian_graph(2, 4)[0],
+    "lensxcp2": lambda: graph_product(lens_graph(), cp2_graph()),
 }
 
 graphs = st.builds(
@@ -179,6 +188,28 @@ def test_span_rule_keeps_the_maxima_of_every_vertex_span_group(g):
     assert [(d.vertex, d.flat, d.maxima) for d in report.diagnostics] == diagnostics
 
 
+# graphs with a connection of their own; scrambling keeps the edge names it maps
+CONNECTED = {"fl3": lambda: corpus_graph("g6.gkm"), "gr24": lambda: grassmannian_graph(2, 4)}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(CONNECTED)), st.integers(0, 10**6))
+def test_tg_faces_under_a_file_connection_match_the_oracles(name, seed):
+    base, theta = CONNECTED[name]()
+    g = scrambled(random.Random(seed), base)
+    every = enumerate_face_subgraphs(g)
+    closed = [totally_geodesic_oracle(g, theta, h) for h in every]
+    assert [is_totally_geodesic(g, theta, h) for h in every] == closed
+    faces = [h for h, keep in zip(every, closed) if keep]
+    same_poset(enumerate_tg_faces(g, theta), face_poset_oracle(g, faces))
+    report = reconstruct_face_poset(g, "tg", connection=theta)
+    assert list(report.candidates) == faces
+    survivors, diagnostics = face_selection_oracle(g, faces)
+    assert [report.subgraph(e) for e in report.faces.elements] == survivors
+    assert [(d.vertex, d.flat, d.maxima) for d in report.diagnostics] == diagnostics
+    same_poset(report.faces, face_poset_oracle(g, survivors, prefix="F"))
+
+
 def test_tg_face_posets_match_the_all_pairs_oracle():
     for name, make in BASES.items():
         g, theta = (make(), None) if name != "fl3" else corpus_graph("g6.gkm")
@@ -253,6 +284,42 @@ def test_connection_violations_match_the_raw_vector_oracle(g, seed, damages):
     assert (report.ok, report.violations) == (not expected, expected)
 
 
+def canonical_error(check, g) -> str | None:
+    """The ConnectionNotCanonical text check(g) raises, None when it raises none."""
+    try:
+        check(g)
+    except ConnectionNotCanonical as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.one_of(canonical_graphs, graphs),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_the_canonical_check_raises_what_building_the_connection_raises(g, seed, rescale):
+    # tg faces without a file connection only check that the canonical one
+    # exists; rescaled axial vectors keep every line, so the graph stays
+    # valid and each plane keeps one edge, but the translation axiom can fail
+    if rescale:
+        g = rescaled_axial(g, {}, random.Random(seed))
+    assert canonical_error(enumerate_tg_faces, g) == canonical_error(canonical_connection, g)
+
+
+def test_the_canonical_check_meets_each_outcome():
+    q3, fl3 = hypercube_graph(3), corpus_graph("g6.gkm")[0]
+    first = q3.edges[0].name
+    axial = {**q3.axial, first: tuple(2 * a for a in q3.alpha(first))}
+    rescaled = GkmGraph(3, q3.vertices, [(e.name, e.u, e.v) for e in q3.edges], axial)
+    errors = [canonical_error(enumerate_tg_faces, g) for g in (q3, fl3, rescaled)]
+    assert errors == [canonical_error(canonical_connection, g) for g in (q3, fl3, rescaled)]
+    assert errors[0] is None
+    assert "span-compatible images across" in errors[1]
+    assert "fails the connection axioms" in errors[2]
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(canonical_graphs)
 def test_tg_faces_without_a_file_connection_are_all_faces(tmp_path_factory, g):
@@ -273,7 +340,7 @@ def test_canonical_tg_faces_never_test_total_geodesy(tmp_path):
     def tested(*args):
         raise AssertionError("a face was tested against the canonical connection")
 
-    with mock.patch.object(gkm_module, "is_totally_geodesic", tested):
+    with mock.patch.object(gkm_module, "_is_closed", tested):
         for name in ("q3", "cp2xs2"):
             path = tmp_path / f"{name}.gkm"
             path.write_text(format_graph(CANONICAL[name]()))
@@ -284,8 +351,8 @@ def test_canonical_tg_faces_never_test_total_geodesy(tmp_path):
 
 def test_a_file_connection_still_filters_the_faces():
     g, theta = corpus_graph("g6.gkm")
-    tested = mock.Mock(wraps=gkm_module.is_totally_geodesic)
-    with mock.patch.object(gkm_module, "is_totally_geodesic", tested):
+    tested = mock.Mock(wraps=gkm_module._is_closed)
+    with mock.patch.object(gkm_module, "_is_closed", tested):
         poset = enumerate_tg_faces(g, theta)
     assert (len(poset.elements), tested.call_count) == (19, 31)
 
@@ -300,7 +367,8 @@ def test_monotonicity_on_covers_agrees_with_all_pairs(g, seed, moves):
     projection = {h: reconstruct_module.pi_map(report, h) for h in report.candidates}
     for h in rng.sample(report.candidates, moves):
         projection[h] = rng.choice((report.faces.top(), rng.choice(report.faces.elements)))
-    with mock.patch.object(reconstruct_module, "pi_map", lambda r, h: projection[h]):
+    by_face = dict(zip(report._candidate_faces, report.candidates))
+    with mock.patch.object(reconstruct_module, "_projection", lambda r, f: projection[by_face[f]]):
         failures = verify_galois(g, report).failures
     flagged = "projection is not monotone on a nested pair of faces" in failures
     assert flagged == bool(non_monotone_pairs_oracle(report, projection))
@@ -373,4 +441,40 @@ def test_search_states_on_flag_graphs_are_unchanged():
         "enumeration cap of 77777 candidate subgraphs exceeded: 77778 seed and branch states "
         "reached while growing faces of degree 4 from vertex '4231', with 2282 faces of "
         "positive degree found"
+    )
+
+
+# Seed and branch states of the whole search, the faces found, and where the
+# search stands one state short, on Q3, Fl(3) and CP2xCP2 and two scrambles
+# of each.  The totals are fixed: a search that visits other states, or the
+# same ones in another order, fails here.
+TOTALS_BASES = {
+    "q3": lambda: hypercube_graph(3),
+    "fl3": lambda: flag_graph(3),
+    "cp2xcp2": lambda: graph_product(cp2_graph(), cp2_graph()),
+}
+SEARCH_TOTALS = [
+    ("q3", None, 56, 27, "3 from vertex 'N.N.N', with 18"),
+    ("q3", 11, 60, 27, "3 from vertex 'N.S.N', with 19"),
+    ("q3", 12, 60, 27, "3 from vertex 'N.S.S', with 19"),
+    ("fl3", None, 82, 31, "3 from vertex '123', with 24"),
+    ("fl3", 11, 83, 31, "3 from vertex '231', with 25"),
+    ("fl3", 12, 82, 31, "3 from vertex '123', with 25"),
+    ("cp2xcp2", None, 135, 49, "4 from vertex 'A.A', with 39"),
+    ("cp2xcp2", 11, 143, 49, "4 from vertex 'C.A', with 40"),
+    ("cp2xcp2", 12, 145, 49, "4 from vertex 'C.A', with 40"),
+]
+
+
+@pytest.mark.parametrize("name, seed, states, faces, where", SEARCH_TOTALS)
+def test_search_state_totals_are_pinned(name, seed, states, faces, where):
+    g = TOTALS_BASES[name]()
+    if seed is not None:
+        g = scrambled(random.Random(seed), g)
+    assert len(enumerate_face_subgraphs(g, cap=states)) == faces
+    with pytest.raises(EnumerationCapExceeded) as err:
+        enumerate_face_subgraphs(g, cap=states - 1)
+    assert str(err.value) == (
+        f"enumeration cap of {states - 1} candidate subgraphs exceeded: {states} seed and branch "
+        f"states reached while growing faces of degree {where} faces of positive degree found"
     )

@@ -28,10 +28,11 @@ from gkmfaces.gkm import (
     validate_connection,
     validate_graph,
 )
+from gkmfaces.formats import format_graph, parse_graph_with_connection
 from gkmfaces.matroid import flats_lattice
 from gkmfaces.poset import are_isomorphic, is_graded
-from gkmfaces.ratlinalg import span_equal
-from gkmfaces.reconstruct import reconstruct_face_poset
+from gkmfaces.ratlinalg import Subspace, span_equal
+from gkmfaces.reconstruct import reconstruct_face_poset, verify_galois
 
 from helpers import (
     GKM_CORPUS,
@@ -40,7 +41,9 @@ from helpers import (
     cp2_graph,
     flag_graph,
     graph_product,
+    grassmannian_graph,
     hypercube_graph,
+    lens_graph,
     scrambled,
     sphere_graph,
     square_graph,
@@ -324,7 +327,15 @@ def test_enumerate_faces_g6_matches_oracle():
 
 
 def test_enumerate_faces_matches_oracle_on_small_graphs():
-    for g in (cp2_graph(), square_graph(), *(corpus_graph(name)[0] for name in GKM_CORPUS)):
+    # the lens products join vertices by two parallel edges, each kept in faces
+    small = [
+        cp2_graph(),
+        square_graph(),
+        grassmannian_graph(2, 4)[0],
+        graph_product(lens_graph(), sphere_graph()),
+        graph_product(lens_graph(), cp2_graph()),
+    ]
+    for g in (*small, *(corpus_graph(name)[0] for name in GKM_CORPUS)):
         faces = enumerate_face_subgraphs(g)
         oracle = gkm_faces_oracle(g)
         got = sorted(
@@ -563,3 +574,42 @@ def test_each_pair_of_lines_is_reduced_once(monkeypatch, make, bound, canonical)
         assert validate_connection(g, swap_connection(g)).ok
     assert 0 < len(reduced) <= bound
     assert len(set(reduced)) == len(reduced)
+
+
+@pytest.mark.parametrize(
+    "make, mode",
+    [
+        (lambda: hypercube_graph(3), "faces"),
+        (lambda: graph_product(cp2_graph(), cp2_graph()), "tg"),
+        (lambda: corpus_graph("g6.gkm"), "tg"),
+        (lambda: grassmannian_graph(2, 4), "faces"),
+    ],
+    ids=["q3", "cp2xcp2-tg", "fl3-tg", "gr24"],
+)
+def test_a_checked_reconstruction_builds_each_table_and_span_once(monkeypatch, make, mode):
+    # the adjacency is built with the graph, the plane table on first read,
+    # and each span on the first question about its set of lines
+    made = make()
+    text = format_graph(*made) if isinstance(made, tuple) else format_graph(made)
+    graphs, tables, spans = [], [], []
+    init, table, span = GkmGraph.__init__, GkmGraph._plane_table, Subspace.span
+    monkeypatch.setattr(
+        GkmGraph, "__init__", lambda g, *args, **kw: graphs.append(g) or init(g, *args, **kw)
+    )
+    monkeypatch.setattr(
+        GkmGraph,
+        "_plane_table",
+        property(lambda g: (g._planes is None and tables.append(g)) or table.fget(g)),
+    )
+    monkeypatch.setattr(
+        Subspace,
+        "span",
+        classmethod(lambda cls, vectors, k: spans.append(frozenset(vectors)) or span(vectors, k)),
+    )
+    g, theta = parse_graph_with_connection(text)
+    adjacent = g._adjacent
+    report = reconstruct_face_poset(g, mode, connection=theta)
+    assert verify_galois(g, report).ok
+    assert graphs == [g] and g._adjacent is adjacent
+    assert tables == [g]
+    assert spans and len(set(spans)) == len(spans)

@@ -15,7 +15,7 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmfaces.gkm import _containers, _face_poset, _flat, enumerate_face_subgraphs
+from gkmfaces.gkm import DEFAULT_CAP, _containers, _face_poset, _face_positions
 from gkmfaces.poset import GradedPoset, _cover_pairs, _minimal
 
 from helpers import cp2_graph, corpus_graph, graph_product, hypercube_graph, sphere_graph
@@ -70,7 +70,7 @@ GRAPHS = {
 
 @cache
 def _faces(name):
-    return enumerate_face_subgraphs(GRAPHS[name])
+    return _face_positions(GRAPHS[name], DEFAULT_CAP)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -80,6 +80,6 @@ def test_face_poset_covers_match_the_between_scan(data):
     g, faces = GRAPHS[name], _faces(name)
     mask = data.draw(st.integers(1, (1 << len(faces)) - 1))
     chosen = [h for i, h in enumerate(faces) if mask >> i & 1]
-    p = _face_poset(g, chosen, [_flat(g, h).dim for h in chosen])
-    pairs = cover_pairs_oracle(_containers(chosen), (1 << len(chosen)) - 1)
+    p = _face_poset(g, chosen)
+    pairs = cover_pairs_oracle(_containers(g, chosen), (1 << len(chosen)) - 1)
     assert list(p.covers) == sorted((p.elements[i], p.elements[j]) for i, j in pairs)

@@ -4,7 +4,7 @@ import pytest
 
 import gkmfaces.reconstruct as reconstruct_module
 from gkmfaces.errors import ReconstructionAmbiguous
-from gkmfaces.gkm import GkmSubgraph, local_face_poset
+from gkmfaces.gkm import GkmSubgraph, _face_of, local_face_poset
 from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import (
     GradedPoset,
@@ -181,6 +181,13 @@ def test_pi_map_requires_clean_reconstruction():
         pi_map(fake, GkmSubgraph(frozenset(["N"]), frozenset()))
 
 
+def test_pi_map_of_a_subgraph_outside_the_graph_is_undefined():
+    g, report = reconstruct("cp2.gkm", "faces")
+    for h in (_sub(["A", "Z"]), _sub(["A", "B"], ["ab", "zz"])):
+        with pytest.raises(ReconstructionAmbiguous, match="no surviving face contains"):
+            pi_map(report, h)
+
+
 # ----------------------------------------------------------------------
 # hand-made reports: the selection's diagnostics and each Galois failure
 
@@ -200,7 +207,7 @@ def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch):
     h5 = _sub(["v00", "v10"], ["b"])
     candidates = [h1, h2, h3, h4, h5]
     monkeypatch.setattr(
-        reconstruct_module, "enumerate_face_subgraphs", lambda g, **limits: list(candidates)
+        reconstruct_module, "_face_positions", lambda g, cap: [_face_of(g, h) for h in candidates]
     )
     report = reconstruct_face_poset(g, "faces")
     assert report.candidates == tuple(candidates)
@@ -243,7 +250,7 @@ def _with_faces(report, elements, covers, payload):
 def test_verify_galois_reports_a_projection_that_misses_its_face(monkeypatch):
     g, report = _cp2_report()
     vertex = next(e for e in report.faces.elements if report.faces.rank[e] == 0)
-    monkeypatch.setattr(reconstruct_module, "pi_map", lambda report, h: vertex)
+    monkeypatch.setattr(reconstruct_module, "_projection", lambda report, face: vertex)
     failures = verify_galois(g, report).failures
     missed = [
         h for h in report.candidates if not report.subgraph(vertex).contains(h)
@@ -273,13 +280,14 @@ def test_verify_galois_reports_a_surviving_face_that_is_not_fixed():
 def test_verify_galois_reports_a_projection_that_is_not_monotone(monkeypatch):
     g, report = _cp2_report()
     top = report.faces.top()
-    honest = reconstruct_module.pi_map
+    honest = reconstruct_module._projection
     # the whole graph goes to a vertex, everything else where it belongs
     vertex = next(e for e in report.faces.elements if report.faces.rank[e] == 0)
+    whole = _face_of(g, report.subgraph(top))
     monkeypatch.setattr(
         reconstruct_module,
-        "pi_map",
-        lambda r, h: vertex if h == report.subgraph(top) else honest(r, h),
+        "_projection",
+        lambda r, face: vertex if face == whole else honest(r, face),
     )
     result = verify_galois(g, report)
     assert "projection is not monotone on a nested pair of faces" in result.failures
@@ -347,8 +355,11 @@ def test_verify_galois_reads_the_containers_kept_on_the_report(monkeypatch, name
     computed = []
     containers = reconstruct_module._containers
     monkeypatch.setattr(
-        reconstruct_module, "_containers", lambda faces: computed.append(faces) or containers(faces)
+        reconstruct_module,
+        "_containers",
+        lambda g, faces: computed.append(faces) or containers(g, faces),
     )
     verify_galois(g, report)
     assert computed == []
-    assert list(report._candidate_containers) == containers(report.candidates)
+    assert report._candidate_faces == tuple(_face_of(g, h) for h in report.candidates)
+    assert list(report._candidate_containers) == containers(g, report._candidate_faces)
