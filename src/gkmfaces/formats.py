@@ -31,6 +31,10 @@ from .matroid import WeightSystem
 from .poset import GradedPoset, _fresh_id
 from .ratlinalg import IntVector
 
+# the grammars' patterns; a rank or a drk is what int() reads, where str.isdigit() also passes "²"
+_ENTRY, _RANK, _DRK = re.compile(r"[+-]?\d+"), re.compile(r"-?[0-9]+"), re.compile(r"[0-9]+")
+_AMBIENT, _WEIGHT = re.compile(r"ambient_rank\s*:\s*(\d+)"), re.compile(r"w(\d+)\s*=\s*(\(.*\))")
+
 
 def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -49,7 +53,7 @@ def _parse_vector(token: str, lineno: int, column: int) -> IntVector:
     entries = []
     for part in inner.split(","):
         part = part.strip()
-        if not re.fullmatch(r"[+-]?\d+", part):
+        if not _ENTRY.fullmatch(part):
             raise ParseError(f"bad integer {part!r} in vector", lineno, column)
         entries.append(int(part))
     return tuple(entries)
@@ -69,7 +73,7 @@ def _ambient_rank(line: str, lineno: int, given: int | None) -> int:
     """The rank an ambient_rank line declares; `given` is the one declared before, if any."""
     if given is not None:
         raise ParseError("ambient_rank given twice", lineno, 1)
-    match = re.fullmatch(r"ambient_rank\s*:\s*(\d+)", line.strip())
+    match = _AMBIENT.fullmatch(line.strip())
     if not match:
         raise ParseError("expected 'ambient_rank: <k>'", lineno, 1)
     rank = int(match.group(1))
@@ -90,7 +94,7 @@ def parse_matroid(text: str) -> WeightSystem:
         if stripped.startswith("ambient_rank"):
             ambient = _ambient_rank(stripped, lineno, ambient)
             continue
-        match = re.fullmatch(r"w(\d+)\s*=\s*(\(.*\))", stripped)
+        match = _WEIGHT.fullmatch(stripped)
         if not match:
             raise ParseError(f"expected 'w<i> = (…)', got {stripped!r}", lineno, 1)
         index = int(match.group(1))
@@ -114,9 +118,6 @@ def format_matroid(ws: WeightSystem) -> str:
 
 # ----------------------------------------------------------------------
 # poset files
-
-# what int() reads as a rank or a drk; str.isdigit() also passes "²", which int() rejects
-_RANK, _DRK = re.compile(r"-?[0-9]+"), re.compile(r"[0-9]+")
 
 
 def parse_poset(text: str) -> GradedPoset:

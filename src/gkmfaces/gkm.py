@@ -43,7 +43,8 @@ closure test is one AND.  A face's rank is its span at its first vertex,
 its drk the bits of its mask in that vertex's star, and its containers
 the AND of one membership mask per vertex and per edge: the up-sets of
 the face poset, whose covers come from `poset._cover_pairs`.  Each face
-becomes a `GkmSubgraph`, by names, once, for the payload.
+becomes a `GkmSubgraph`, by names, once, for the payload; no function
+asks a subgraph for its span or degree, which the labels carry.
 """
 
 from __future__ import annotations
@@ -486,10 +487,6 @@ def _face_key(face: Face) -> tuple:
     return len(face[0]), face[0], _bits(face[1])
 
 
-def subgraph_sort_key(g: GkmGraph, h: GkmSubgraph) -> tuple:
-    return _face_key(_face_of(g, h))
-
-
 def _face_of(g: GkmGraph, h: GkmSubgraph) -> Face:
     edges = 0
     for e in h.edges:
@@ -505,18 +502,6 @@ def _subgraph(g: GkmGraph, face: Face) -> GkmSubgraph:
 def _span_at(g: GkmGraph, x: int, edges: int) -> Subspace:
     """The span of the axial vectors of the edges in the mask at vertex x."""
     return g._span(frozenset(g._line[i] for i, _ in g._adjacent[x] if edges >> i & 1))
-
-
-def subgraph_flat(g: GkmGraph, h: GkmSubgraph, x) -> Subspace:
-    """Span of the axial vectors of h-edges at x."""
-    if x not in h.vertices:
-        raise ValueError(f"vertex {x!r} does not belong to the subgraph")
-    return _span_at(g, g._vertex_pos[x], _face_of(g, h)[1])
-
-
-def subgraph_degree(g: GkmGraph, h: GkmSubgraph) -> int:
-    x = min(h.vertices, key=g.vertex_key)
-    return sum(1 for name in g.star(x) if name in h.edges)
 
 
 def _grown_stars(g: GkmGraph, d: int, x: int, stars: list[int], z: int) -> list[int]:
@@ -620,11 +605,6 @@ def _face_positions(g: GkmGraph, cap: int) -> list[Face]:
     return found
 
 
-def enumerate_face_subgraphs(g: GkmGraph, cap: int = DEFAULT_CAP) -> list[GkmSubgraph]:
-    """All faces as subgraphs, canonically sorted; see `_face_positions`."""
-    return [_subgraph(g, face) for face in _face_positions(g, cap)]
-
-
 def _star_maps(g: GkmGraph, theta: Connection) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """theta on positions: per (edge, tail), each edge at the tail and its image, as bits."""
     position = g._edge_pos
@@ -643,11 +623,6 @@ def _is_closed(g: GkmGraph, maps: dict, face: Face) -> bool:
         for j in _bits(edges)
         for tail, head in (g._ends[j], g._ends[j][::-1])
     )
-
-
-def is_totally_geodesic(g: GkmGraph, theta: Connection, h: GkmSubgraph) -> bool:
-    """Star intersections must map onto each other along every h-edge."""
-    return _is_closed(g, _star_maps(g, theta), _face_of(g, h))
 
 
 def _membership(g: GkmGraph, faces: Sequence[Face]) -> tuple[int, list[int], list[int]]:

@@ -74,6 +74,11 @@ def corpus_graph(name: str):
 GKM_CORPUS = ("s2.gkm", "cp2.gkm", "square.gkm", "g6.gkm")
 
 
+def face_payloads(poset) -> list:
+    """The subgraphs of a face poset, in element order."""
+    return [poset.payload[e] for e in poset.elements]
+
+
 def square_graph(signed: bool = False) -> GkmGraph:
     return GkmGraph(
         2,

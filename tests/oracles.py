@@ -7,9 +7,10 @@ flat lists from the full 2^n sweep, reduced Betti numbers from
 eliminating every boundary matrix (or from sympy's ranks of the dense
 ones), and GKM faces from checking every edge
 subset.  The GKM plane table spans one `Subspace` per pair of edges, the face
-poset and the Galois monotonicity check scan all pairs of faces.  The
-graph and connection reports test collinearity and spans on the raw
-axial vectors, pair by pair.  Slow
+poset and the Galois monotonicity check scan all pairs of faces, and a
+face's span is that of the raw axial vectors of its edges at its first
+vertex, its degree their count.  The graph and connection reports test
+collinearity and spans on the raw axial vectors, pair by pair.  Slow
 and obvious on purpose.  Bases are the full-rank subsets of that size, the
 faces of a complex are all subsets of its facets, and the
 independence degree comes from scanning subsets by size.  The flats
@@ -648,18 +649,30 @@ def totally_geodesic_oracle(graph, theta, h):
     return True
 
 
+def face_span_oracle(graph, h):
+    """The span of the raw axial vectors of h's edges at its first vertex, and their number."""
+    from gkmfaces.ratlinalg import Subspace
+
+    x = min(h.vertices, key=graph.vertex_key)
+    raw = [graph.alpha(name) for name in graph.star(x) if name in h.edges]
+    return Subspace.span(raw, graph.ambient_rank), len(raw)
+
+
+def face_key_oracle(graph, h):
+    """Faces in canonical order: by size, then vertex positions, then edge positions."""
+    vertices = sorted(map(graph.vertex_key, h.vertices))
+    return len(vertices), vertices, sorted(map(graph.edge_key, h.edges))
+
+
 def face_poset_oracle(graph, faces, prefix="H"):
-    """The face poset by all-pairs `GkmSubgraph.contains`, ranks from `subgraph_flat`."""
-    from gkmfaces.gkm import subgraph_degree, subgraph_flat
+    """The face poset by all-pairs `GkmSubgraph.contains`, rank and drk by `face_span_oracle`."""
     from gkmfaces.poset import GradedPoset
 
     ids = [f"{prefix}{i}" for i in range(len(faces))]
     by_id = dict(zip(ids, faces))
-    rank = {
-        i: subgraph_flat(graph, h, min(h.vertices, key=graph.vertex_key)).dim
-        for i, h in by_id.items()
-    }
-    drk = {i: subgraph_degree(graph, h) for i, h in by_id.items()}
+    spans = {i: face_span_oracle(graph, h) for i, h in by_id.items()}
+    rank = {i: span.dim for i, (span, _) in spans.items()}
+    drk = {i: degree for i, (_, degree) in spans.items()}
     above = [0] * len(faces)
     below = [0] * len(faces)
     for i, low in enumerate(faces):
@@ -695,14 +708,12 @@ def face_selection_oracle(graph, candidates):
 
     Returns the candidates that are a maximum of every group they lie in,
     in candidate order, and (vertex, span, maxima) for each group with
-    more than one maximum, maxima by `subgraph_sort_key`, groups by vertex
-    position and then span.
+    more than one maximum, maxima by `face_key_oracle`, groups by vertex
+    position and then span; spans come from `face_span_oracle`.
     """
-    from gkmfaces.gkm import subgraph_flat, subgraph_sort_key
-
     groups = {}
     for i, h in enumerate(candidates):
-        flat = subgraph_flat(graph, h, min(h.vertices, key=graph.vertex_key))
+        flat, _ = face_span_oracle(graph, h)
         for x in h.vertices:
             groups.setdefault((graph.vertex_key(x), flat), []).append(i)
     dropped, diagnostics = set(), []
@@ -715,7 +726,7 @@ def face_selection_oracle(graph, candidates):
         dropped.update(set(members) - set(maxima))
         if len(maxima) > 1:
             ordered = sorted(
-                (candidates[i] for i in maxima), key=lambda h: subgraph_sort_key(graph, h)
+                (candidates[i] for i in maxima), key=lambda h: face_key_oracle(graph, h)
             )
             diagnostics.append((graph.vertices[key], flat, tuple(ordered)))
     diagnostics.sort(key=lambda d: (graph.vertex_key(d[0]), d[1].sort_key()))

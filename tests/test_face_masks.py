@@ -35,11 +35,8 @@ from gkmfaces.gkm import (
     Connection,
     GkmGraph,
     canonical_connection,
-    enumerate_face_subgraphs,
     enumerate_faces,
     enumerate_tg_faces,
-    is_totally_geodesic,
-    subgraph_flat,
     validate_connection,
     validate_graph,
 )
@@ -50,6 +47,7 @@ from gkmfaces.reconstruct import reconstruct_face_poset, verify_galois
 from helpers import (
     corpus_graph,
     cp2_graph,
+    face_payloads,
     flag_graph,
     graph_product,
     grassmannian_graph,
@@ -155,10 +153,17 @@ def test_plane_table_matches_the_oracle_on_invalid_graphs(g):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(graphs)
 def test_face_spans_are_the_spans_of_the_raw_axial_vectors(g):
-    for h in enumerate_face_subgraphs(g):
+    # at every vertex of a face: the span the reconstruction reads, and the
+    # rank and drk labels of the face poset
+    poset = enumerate_faces(g)
+    for e in poset.elements:
+        h = poset.payload[e]
+        edges = gkm_module._face_of(g, h)[1]
         for x in h.vertices:
             raw = [g.alpha(name) for name in g.star(x) if name in h.edges]
-            assert subgraph_flat(g, h, x) == Subspace.span(raw, g.ambient_rank)
+            span = Subspace.span(raw, g.ambient_rank)
+            assert gkm_module._span_at(g, g.vertex_key(x), edges) == span
+            assert (poset.rank[e], poset.drk[e]) == (span.dim, len(raw))
 
 
 def same_poset(got, expected) -> None:
@@ -172,8 +177,8 @@ def same_poset(got, expected) -> None:
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(graphs)
 def test_face_posets_match_the_all_pairs_oracle(g):
-    faces = enumerate_face_subgraphs(g)
-    same_poset(enumerate_faces(g), face_poset_oracle(g, faces))
+    poset = enumerate_faces(g)
+    same_poset(poset, face_poset_oracle(g, face_payloads(poset)))
     report = reconstruct_face_poset(g, "faces")
     survivors = [report.subgraph(e) for e in report.faces.elements]
     same_poset(report.faces, face_poset_oracle(g, survivors, prefix="F"))
@@ -197,11 +202,11 @@ CONNECTED = {"fl3": lambda: corpus_graph("g6.gkm"), "gr24": lambda: grassmannian
 def test_tg_faces_under_a_file_connection_match_the_oracles(name, seed):
     base, theta = CONNECTED[name]()
     g = scrambled(random.Random(seed), base)
-    every = enumerate_face_subgraphs(g)
-    closed = [totally_geodesic_oracle(g, theta, h) for h in every]
-    assert [is_totally_geodesic(g, theta, h) for h in every] == closed
-    faces = [h for h, keep in zip(every, closed) if keep]
-    same_poset(enumerate_tg_faces(g, theta), face_poset_oracle(g, faces))
+    every = face_payloads(enumerate_faces(g))
+    faces = [h for h in every if totally_geodesic_oracle(g, theta, h)]
+    tg = enumerate_tg_faces(g, theta)
+    assert face_payloads(tg) == faces
+    same_poset(tg, face_poset_oracle(g, faces))
     report = reconstruct_face_poset(g, "tg", connection=theta)
     assert list(report.candidates) == faces
     survivors, diagnostics = face_selection_oracle(g, faces)
@@ -214,8 +219,7 @@ def test_tg_face_posets_match_the_all_pairs_oracle():
     for name, make in BASES.items():
         g, theta = (make(), None) if name != "fl3" else corpus_graph("g6.gkm")
         poset = enumerate_tg_faces(g, theta)
-        faces = [poset.payload[e] for e in poset.elements]
-        same_poset(poset, face_poset_oracle(g, faces))
+        same_poset(poset, face_poset_oracle(g, face_payloads(poset)))
 
 
 # graphs with a canonical connection (Fl(3) and Fl(4) have none)
@@ -393,14 +397,14 @@ Q3_CAPS = {
 @pytest.mark.parametrize("cap", sorted(Q3_CAPS))
 def test_cap_errors_on_q3_are_unchanged(cap):
     with pytest.raises(EnumerationCapExceeded) as err:
-        enumerate_face_subgraphs(hypercube_graph(3), cap=cap)
+        enumerate_faces(hypercube_graph(3), cap=cap)
     assert str(err.value) == (
         f"enumeration cap of {cap} candidate subgraphs exceeded: {Q3_CAPS[cap]}"
     )
 
 
 def test_q3_needs_56_states():
-    assert len(enumerate_face_subgraphs(hypercube_graph(3), cap=56)) == 27
+    assert len(enumerate_faces(hypercube_graph(3), cap=56).elements) == 27
 
 
 def test_cap_errors_on_scrambled_q3_and_fl3_are_unchanged():
@@ -415,11 +419,11 @@ def test_cap_errors_on_scrambled_q3_and_fl3_are_unchanged():
     ]
     for graph, cap, message in cases:
         with pytest.raises(EnumerationCapExceeded) as err:
-            enumerate_face_subgraphs(graph, cap=cap)
+            enumerate_faces(graph, cap=cap)
         assert str(err.value) == (
             f"enumeration cap of {cap} candidate subgraphs exceeded: {message}"
         )
-    assert len(enumerate_face_subgraphs(g, cap=61)) == 27
+    assert len(enumerate_faces(g, cap=61).elements) == 27
 
 
 def test_search_states_on_flag_graphs_are_unchanged():
@@ -431,12 +435,12 @@ def test_search_states_on_flag_graphs_are_unchanged():
         (graph_product(sphere_graph(), fl3), 93, 348),
         (graph_product(fl3, cp2_graph()), 217, 1118),
     ):
-        assert len(enumerate_face_subgraphs(g, cap=states)) == faces
+        assert len(gkm_module._face_positions(g, states)) == faces
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_face_subgraphs(g, cap=states - 1)
+            gkm_module._face_positions(g, states - 1)
     fl4 = scrambled(random.Random(4), flag_graph(4))
     with pytest.raises(EnumerationCapExceeded) as err:
-        enumerate_face_subgraphs(fl4, cap=77777)
+        gkm_module._face_positions(fl4, 77777)
     assert str(err.value) == (
         "enumeration cap of 77777 candidate subgraphs exceeded: 77778 seed and branch states "
         "reached while growing faces of degree 4 from vertex '4231', with 2282 faces of "
@@ -471,9 +475,9 @@ def test_search_state_totals_are_pinned(name, seed, states, faces, where):
     g = TOTALS_BASES[name]()
     if seed is not None:
         g = scrambled(random.Random(seed), g)
-    assert len(enumerate_face_subgraphs(g, cap=states)) == faces
+    assert len(gkm_module._face_positions(g, states)) == faces
     with pytest.raises(EnumerationCapExceeded) as err:
-        enumerate_face_subgraphs(g, cap=states - 1)
+        gkm_module._face_positions(g, states - 1)
     assert str(err.value) == (
         f"enumeration cap of {states - 1} candidate subgraphs exceeded: {states} seed and branch "
         f"states reached while growing faces of degree {where} faces of positive degree found"

@@ -31,6 +31,7 @@ def test_parse_matroid_basic():
 def test_parse_matroid_comments_and_spacing():
     ws = parse_matroid("# hi\nambient_rank: 2\n\nw1 = ( 1 , 0 )  # inline\nw2 = (0,1)\n")
     assert ws == BASIS2
+    assert parse_matroid("ambient_rank : 2\nw1=( +1 , -2 )\n").weights == ((1, -2),)
 
 
 def test_parse_matroid_zero_weight():
@@ -273,10 +274,14 @@ PARSE_ERRORS = [
     # vectors
     (parse_matroid, "ambient_rank: 2\nw1 = ()\n", "empty vector", 2, 6),
     (parse_matroid, "ambient_rank: 2\nw1 = (1,x)\n", "bad integer 'x' in vector", 2, 6),
+    (parse_matroid, "ambient_rank: 2\nw1 = (1,,2)\n", "bad integer '' in vector", 2, 6),
     (parse_graph, EDGE_AB + "edge e a b weight 1,0\n",
      "expected a parenthesized vector, got '1,0'", 4, 1),
     # weight files
     (parse_matroid, "ambient_rank: 2\nambient_rank: 2\n", "ambient_rank given twice", 2, 1),
+    (parse_matroid, "ambient_rank: two\n", "expected 'ambient_rank: <k>'", 1, 1),
+    (parse_matroid, "ambient_rank: 2\nv1 = (1,0)\n", "expected 'w<i> = (…)', got 'v1 = (1,0)'", 2, 1),
+    (parse_graph, "ambient_rank 2\nvertex a\n", "expected 'ambient_rank: <k>'", 1, 1),
     # poset files
     (parse_poset, "element a\n", "expected 'element <id> rank <r> [drk <d>]'", 1, 1),
     (parse_poset, "element a rank 0\nelement b rank 1\ncover a < b\ncover b < a\n",

@@ -19,12 +19,9 @@ from gkmfaces.gkm import (
     GkmGraph,
     GkmSubgraph,
     canonical_connection,
-    enumerate_face_subgraphs,
     enumerate_faces,
     enumerate_tg_faces,
     local_face_poset,
-    subgraph_flat,
-    subgraph_sort_key,
     validate_connection,
     validate_graph,
 )
@@ -39,6 +36,7 @@ from helpers import (
     UNIFORM23,
     corpus_graph,
     cp2_graph,
+    face_payloads,
     flag_graph,
     graph_product,
     grassmannian_graph,
@@ -48,7 +46,7 @@ from helpers import (
     sphere_graph,
     square_graph,
 )
-from oracles import collinear_oracle, gkm_faces_oracle, rank_oracle
+from oracles import collinear_oracle, face_key_oracle, gkm_faces_oracle, rank_oracle
 
 
 def vector_pairs(k):
@@ -177,6 +175,20 @@ def test_alpha_from_needs_a_signed_graph():
     e = g.edges[0]
     with pytest.raises(GraphModeError, match="oriented axial values need a signed graph"):
         g.alpha_from(e.name, e.u)
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [lambda g, name, x: g.edge(name).other(x), lambda g, name, x: g.alpha_from(name, x)],
+    ids=["other", "alpha_from"],
+)
+def test_a_vertex_off_the_edge_is_not_an_endpoint(ask):
+    g = square_graph(signed=True)
+    e = g.edges[0]
+    x = next(v for v in g.vertices if v not in (e.u, e.v))
+    with pytest.raises(ValueError) as err:
+        ask(g, e.name, x)
+    assert str(err.value) == f"vertex {x!r} is not an endpoint of edge {e.name!r}"
 
 
 def test_canonical_connection_square_carry_across():
@@ -314,7 +326,8 @@ def test_enumerate_faces_square():
 
 def test_enumerate_faces_g6_matches_oracle():
     g, _ = corpus_graph("g6.gkm")
-    faces = enumerate_face_subgraphs(g)
+    poset = enumerate_faces(g)
+    faces = face_payloads(poset)
     oracle = gkm_faces_oracle(g)
     got = sorted(
         [(h.vertices, h.edges) for h in faces],
@@ -322,7 +335,6 @@ def test_enumerate_faces_g6_matches_oracle():
     )
     assert got == oracle
     assert len(faces) == 31  # 6 vertices, 9 edges, 16 rank-2 subgraphs
-    poset = enumerate_faces(g)
     assert sum(1 for e in poset.elements if poset.rank[e] == 2) == 16
 
 
@@ -336,7 +348,7 @@ def test_enumerate_faces_matches_oracle_on_small_graphs():
         graph_product(lens_graph(), cp2_graph()),
     ]
     for g in (*small, *(corpus_graph(name)[0] for name in GKM_CORPUS)):
-        faces = enumerate_face_subgraphs(g)
+        faces = face_payloads(enumerate_faces(g))
         oracle = gkm_faces_oracle(g)
         got = sorted(
             [(h.vertices, h.edges) for h in faces],
@@ -372,33 +384,35 @@ ORACLE_GRAPHS = {
 @given(name=st.sampled_from(sorted(ORACLE_GRAPHS)), seed=st.integers(0, 2**32 - 1))
 def test_face_search_matches_oracle_on_scrambled_graphs(name, seed):
     g = scrambled(random.Random(seed), ORACLE_GRAPHS[name])
-    faces = enumerate_face_subgraphs(g)
+    faces = face_payloads(enumerate_faces(g))
     assert Counter((h.vertices, h.edges) for h in faces) == Counter(gkm_faces_oracle(g))
-    assert faces == sorted(faces, key=lambda h: subgraph_sort_key(g, h))
+    assert faces == sorted(faces, key=lambda h: face_key_oracle(g, h))
 
 
 def test_face_flats_vertex_independent():
+    # the raw axial vectors at each vertex of a face span the same space as
+    # all of the face's: equal ranks, one set inside the other
     g, _ = corpus_graph("g6.gkm")
-    for h in enumerate_face_subgraphs(g):
-        spans = [subgraph_flat(g, h, x) for x in h.vertices]
-        assert all(s == spans[0] for s in spans)
+    poset = enumerate_faces(g)
+    for e in poset.elements:
+        h = poset.payload[e]
+        whole = [g.alpha(name) for name in h.edges]
+        for x in h.vertices:
+            at_x = [g.alpha(name) for name in g.star(x) if name in h.edges]
+            assert rank_oracle(at_x) == rank_oracle(whole) == poset.rank[e]
 
 
-def test_subgraph_flat_examples():
+def test_face_rank_examples():
     g, _ = corpus_graph("g6.gkm")
+    poset = enumerate_faces(g)
+    by_subgraph = {poset.payload[e]: e for e in poset.elements}
     vertex = GkmSubgraph(frozenset(["123"]), frozenset())
-    assert subgraph_flat(g, vertex, "123").dim == 0
     edge = GkmSubgraph(frozenset(["123", "132"]), frozenset(["e123_132"]))
-    assert span_equal(subgraph_flat(g, edge, "123").basis, [g.alpha("e123_132")])
     whole = GkmSubgraph(frozenset(g.vertices), frozenset(e.name for e in g.edges))
-    assert subgraph_flat(g, whole, "123").dim == 2
-
-
-def test_subgraph_flat_unknown_vertex():
-    g, _ = corpus_graph("g6.gkm")
-    vertex = GkmSubgraph(frozenset(["123"]), frozenset())
-    with pytest.raises(ValueError):
-        subgraph_flat(g, vertex, "321")
+    ranks = [(poset.rank[by_subgraph[h]], poset.drk[by_subgraph[h]]) for h in (vertex, edge, whole)]
+    assert ranks == [(0, 0), (1, 1), (2, 3)]
+    span = gkm_module._span_at(g, g.vertex_key("123"), 1 << g.edge_key("e123_132"))
+    assert span_equal(span.basis, [g.alpha("e123_132")])
 
 
 def test_tg_faces_cp2_all_geodesic():
@@ -464,7 +478,7 @@ def test_tg_faces_g6_counts():
 
 def test_tg_faces_subset_of_faces_and_include_skeleton():
     g, theta = corpus_graph("g6.gkm")
-    faces = {(h.vertices, h.edges) for h in enumerate_face_subgraphs(g)}
+    faces = {(h.vertices, h.edges) for h in face_payloads(enumerate_faces(g))}
     tg = enumerate_tg_faces(g, theta)
     for e in tg.elements:
         h = tg.payload[e]
@@ -478,7 +492,7 @@ def test_tg_faces_subset_of_faces_and_include_skeleton():
 def test_enumeration_cap_is_enforced():
     g, _ = corpus_graph("g6.gkm")
     with pytest.raises(EnumerationCapExceeded) as err:
-        enumerate_face_subgraphs(g, cap=10)
+        enumerate_faces(g, cap=10)
     assert (err.value.cap, err.value.reached) == (10, 11)
     assert str(err.value).startswith(
         "enumeration cap of 10 candidate subgraphs exceeded: 11 seed and branch states reached"
@@ -487,15 +501,15 @@ def test_enumeration_cap_is_enforced():
 
 def test_cap_counts_seed_and_branch_states():
     g, _ = corpus_graph("g6.gkm")
-    assert len(enumerate_face_subgraphs(g, cap=82)) == 31
+    assert len(enumerate_faces(g, cap=82).elements) == 31
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_face_subgraphs(g, cap=81)
+        enumerate_faces(g, cap=81)
 
 
 def test_cap_below_one_is_rejected():
     g, _ = corpus_graph("g6.gkm")
     with pytest.raises(ValueError):
-        enumerate_face_subgraphs(g, cap=0)
+        enumerate_faces(g, cap=0)
 
 
 def test_every_vertex_face_sits_under_an_edge_face():

@@ -642,6 +642,14 @@ def test_is_graded_matches_the_networkx_oracle(p):
         assert verdict.reason
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ranked_cover_dags())
+def test_extremal_elements_are_the_ends_of_no_cover(p):
+    lows, highs = {low for low, _ in p.covers}, {high for _, high in p.covers}
+    assert p.minimal_elements() == [e for e in p.elements if e not in highs]
+    assert p.maximal_elements() == [e for e in p.elements if e not in lows]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(ranked_cover_dags())
 def test_join_and_meet_match_the_brute_force_bounds(p):

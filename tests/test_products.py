@@ -4,7 +4,6 @@ double-edge graph of the compactified plane representation."""
 from gkmfaces.gkm import (
     GkmGraph,
     canonical_connection,
-    enumerate_face_subgraphs,
     enumerate_faces,
     enumerate_tg_faces,
     local_face_poset,
@@ -14,7 +13,7 @@ from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import are_isomorphic, compactify, is_locally_geometric
 from gkmfaces.reconstruct import reconstruct_face_poset, verify_galois
 
-from helpers import hypercube_graph
+from helpers import face_payloads, hypercube_graph
 from oracles import gkm_faces_oracle
 
 
@@ -35,7 +34,8 @@ def test_cube_is_valid():
 
 def test_cube_faces_match_oracle_and_product_count():
     g = hypercube_graph(3)
-    faces = enumerate_face_subgraphs(g)
+    poset = enumerate_faces(g)
+    faces = face_payloads(poset)
     oracle = gkm_faces_oracle(g)
     got = sorted(
         [(h.vertices, h.edges) for h in faces],
@@ -44,7 +44,6 @@ def test_cube_faces_match_oracle_and_product_count():
     assert got == oracle
     # sub-products: choose a sub-axis set S and a 0/1 position per other axis
     assert len(faces) == 27
-    poset = enumerate_faces(g)
     by_rank = {}
     for e in poset.elements:
         by_rank[poset.rank[e]] = by_rank.get(poset.rank[e], 0) + 1
@@ -88,7 +87,7 @@ def test_double_edge_is_valid_multigraph():
 
 def test_double_edge_faces():
     g = double_edge_graph()
-    faces = enumerate_face_subgraphs(g)
+    faces = face_payloads(enumerate_faces(g))
     oracle = gkm_faces_oracle(g)
     got = sorted(
         [(h.vertices, h.edges) for h in faces],

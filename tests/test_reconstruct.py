@@ -232,7 +232,8 @@ def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch):
 
 def _cp2_report():
     g, report = reconstruct("cp2.gkm", "faces")
-    assert verify_galois(g, report).ok
+    result = verify_galois(g, report)
+    assert result.ok and bool(result) is True
     return g, report
 
 
@@ -273,7 +274,7 @@ def test_verify_galois_reports_a_surviving_face_that_is_not_fixed():
     covers = [(high, low) if (low, high) == (vertex, edge) else (low, high) for low, high in faces.covers]
     broken = _with_faces(report, faces.elements, covers, faces.payload)
     result = verify_galois(g, broken)
-    assert not result.ok
+    assert not result.ok and bool(result) is False
     assert f"projection does not fix surviving face {vertex}" in result.failures
 
 
