@@ -38,7 +38,7 @@ from .gkm import (
     validate_connection,
     validate_graph,
 )
-from .ratlinalg import Subspace, in_span, rank_of, span_equal
+from .ratlinalg import Subspace
 from .reconstruct import FaceReport, pi_map, reconstruct_face_poset, verify_galois
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "flats_lattice",
     "glue_top",
     "h_vector",
-    "in_span",
     "independence_complex",
     "independence_degree",
     "is_geometric_lattice",
@@ -75,10 +74,8 @@ __all__ = [
     "pi_map",
     "projectivize",
     "proper_betti",
-    "rank_of",
     "reconstruct_face_poset",
     "reduced_betti",
-    "span_equal",
     "validate_connection",
     "validate_graph",
     "verify_galois",

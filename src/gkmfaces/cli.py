@@ -103,7 +103,7 @@ def cmd_matroid_wedge(ws, args, out: list[str]) -> int:
             else {str(d): b for d, b in report.proper_betti.items()}
         ),
         "flats_interval": (
-            "skipped" if report.proper_skipped else "pass" if report.proper_ok else "fail"
+            "skipped" if report.proper_betti is None else "pass" if report.proper_ok else "fail"
         ),
         "top_h": report.top_h,
         "independence_betti": {str(d): b for d, b in report.complex_betti.items()},
@@ -111,7 +111,7 @@ def cmd_matroid_wedge(ws, args, out: list[str]) -> int:
         "ok": report.ok,
     }
     lines = [f"matroid rank: {report.rank}", f"mobius magnitude: {report.mobius_magnitude}"]
-    if report.proper_skipped:
+    if report.proper_betti is None:
         lines.append("flats interval: skipped (rank below 2)")
     else:
         betti = " ".join(f"b~{d}={b}" for d, b in sorted(report.proper_betti.items()))
@@ -243,7 +243,7 @@ def cmd_gkm_reconstruct(graph, args, out: list[str]) -> int:
     report = reconstruct.reconstruct_face_poset(g, args.mode, connection=theta, cap=args.cap)
     galois = None
     if args.verify_galois and not report.diagnostics:
-        galois = reconstruct.verify_galois(g, report)
+        galois = reconstruct.verify_galois(report)
     if args.json:
         payload = {
             "kind": "face-report",

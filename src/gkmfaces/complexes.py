@@ -277,16 +277,15 @@ class WedgeReport:
 
     rank: int
     mobius_magnitude: int | None
-    proper_betti: dict[int, int] | None
+    proper_betti: dict[int, int] | None  # None where part (a) is skipped
     proper_ok: bool
-    proper_skipped: bool
     top_h: int
     complex_betti: dict[int, int]
     complex_ok: bool
 
     @property
     def ok(self) -> bool:
-        return (self.proper_ok or self.proper_skipped) and self.complex_ok
+        return (self.proper_ok or self.proper_betti is None) and self.complex_ok
 
 
 def verify_wedge_prediction(ws: WeightSystem) -> WedgeReport:
@@ -302,9 +301,8 @@ def verify_wedge_prediction(ws: WeightSystem) -> WedgeReport:
         raise PreconditionFailed("wedge predictions need a weight system of rank at least 1")
     lattice = flats_lattice(ws)
     mu = abs(mobius(lattice, lattice.bottom(), lattice.top()))
-    skipped = rank < 2
-    interval = None if skipped else proper_betti(lattice)
-    proper_ok = not skipped and _concentrated(interval, rank - 2, mu)
+    interval = None if rank < 2 else proper_betti(lattice)
+    proper_ok = interval is not None and _concentrated(interval, rank - 2, mu)
     independence = independence_complex(ws)  # off the same lattice; faces kept for both calls
     top_h = h_vector(independence)[-1]
     complex_betti = reduced_betti(independence)
@@ -314,7 +312,6 @@ def verify_wedge_prediction(ws: WeightSystem) -> WedgeReport:
         mobius_magnitude=mu,
         proper_betti=interval,
         proper_ok=proper_ok,
-        proper_skipped=skipped,
         top_h=top_h,
         complex_betti=complex_betti,
         complex_ok=complex_ok,

@@ -332,10 +332,6 @@ def _assemble_connection(graph: GkmGraph, rows) -> Connection:
     return Connection(maps)
 
 
-def parse_graph(text: str) -> GkmGraph:
-    return parse_graph_with_connection(text)[0]
-
-
 def format_graph(graph: GkmGraph, theta: Connection | None = None) -> str:
     out = [f"ambient_rank: {graph.ambient_rank}"]
     if graph.signed:

@@ -152,21 +152,3 @@ class Subspace:
     def sort_key(self) -> tuple:
         return (self.dim, self.basis)
 
-
-def rank_of(vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of the rational span; 0 for empty input."""
-    vs = list(vectors)
-    return Subspace.span(vs, len(vs[0]) if vs else 0).dim
-
-
-def in_span(v: Sequence[int], vectors: Iterable[Sequence[int]]) -> bool:
-    """True iff v lies in the rational span of `vectors`."""
-    return Subspace.span(vectors, len(v)).contains(v)
-
-
-def span_equal(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> bool:
-    """True iff the two sequences span the same rational subspace."""
-    avs, bvs = list(a), list(b)
-    vs = avs + bvs
-    k = len(vs[0]) if vs else 0
-    return Subspace.span(avs, k) == Subspace.span(bvs, k)

@@ -181,14 +181,14 @@ class GaloisReport:
         return self.ok
 
 
-def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
+def verify_galois(report: FaceReport) -> GaloisReport:
     """Check the insertion laws between all faces and surviving faces.
 
-    `report` is the reconstruction of `g` to check.  For every enumerated
-    face h: the projection of h is defined and contains h.  For every
-    surviving face: projecting its own subgraph returns it.  Both the
-    projection and the inclusion must be monotone.  A face whose
-    projection is undefined fails once and is left out of the later laws.
+    For every enumerated face h: the projection of h is defined and
+    contains h.  For every surviving face: projecting its own subgraph
+    returns it.  Both the projection and the inclusion must be monotone.
+    A face whose projection is undefined fails once and is left out of
+    the later laws.
     """
     if report.diagnostics:
         return GaloisReport(
@@ -198,7 +198,7 @@ def verify_galois(g: GkmGraph, report: FaceReport) -> GaloisReport:
             tuple(d.describe() for d in report.diagnostics),
         )
     failures: list[str] = []
-    candidates = report.candidates
+    g, candidates = report._graph, report.candidates
     projection = []  # None where the projection is undefined
     for h, face in zip(candidates, report._candidate_faces):
         try:

@@ -123,7 +123,7 @@ def test_galois_insertions():
     for name in GKM_CORPUS:
         g, theta = corpus_graph(name)
         for mode in ("faces", "tg"):
-            result = verify_galois(g, reconstruct_face_poset(g, mode, connection=theta))
+            result = verify_galois(reconstruct_face_poset(g, mode, connection=theta))
             assert result.ok, (name, mode, result.failures)
 
 

@@ -219,7 +219,7 @@ def test_gkm_reconstruct_failing_the_galois_check_exits_1(monkeypatch):
     _, text = run_cli(*argv)
     _, payload = run_cli(*argv, "--json")
     failed = GaloisReport(False, "faces", 9, GALOIS_FAILURES)
-    monkeypatch.setattr(reconstruct, "verify_galois", lambda g, report: failed)
+    monkeypatch.setattr(reconstruct, "verify_galois", lambda report: failed)
     notes = "".join(f"  {failure}\n" for failure in GALOIS_FAILURES)
     assert run_cli(*argv) == (1, text.replace("galois: pass\n", "galois: fail\n" + notes))
     expected = json.loads(payload)

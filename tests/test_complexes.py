@@ -210,7 +210,6 @@ def test_wedge_boolean3():
 
 def test_wedge_rank_one_skips_proper_part():
     report = verify_wedge_prediction(WeightSystem(2, [(1, 0)]))
-    assert report.proper_skipped
     assert report.proper_betti is None
     assert report.ok
     assert report.top_h == 0

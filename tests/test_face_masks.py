@@ -373,7 +373,7 @@ def test_monotonicity_on_covers_agrees_with_all_pairs(g, seed, moves):
         projection[h] = rng.choice((report.faces.top(), rng.choice(report.faces.elements)))
     by_face = dict(zip(report._candidate_faces, report.candidates))
     with mock.patch.object(reconstruct_module, "_projection", lambda r, f: projection[by_face[f]]):
-        failures = verify_galois(g, report).failures
+        failures = verify_galois(report).failures
     flagged = "projection is not monotone on a nested pair of faces" in failures
     assert flagged == bool(non_monotone_pairs_oracle(report, projection))
     if not moves:

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import strategies as st
 
 from gkmfaces.errors import GkmFacesError, ParseError
 from gkmfaces.formats import (
+    dump_json,
     format_graph,
     format_matroid,
     format_poset,
-    parse_graph,
     parse_graph_with_connection,
     parse_matroid,
     parse_poset,
@@ -55,7 +56,7 @@ def test_parse_matroid_bad_arity():
 def test_parse_rank_zero():
     for parse, text in (
         (parse_matroid, "ambient_rank: 0\n"),
-        (parse_graph, "ambient_rank: 0\nvertex a\n"),
+        (parse_graph_with_connection, "ambient_rank: 0\nvertex a\n"),
     ):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -133,6 +134,18 @@ def test_poset_dot_layers():
     assert '"{1}" -> "{1,2}";' in dot
 
 
+def test_exports_do_not_depend_on_the_declared_cover_order():
+    rng = random.Random(3)
+    for p in (flats_lattice(UNIFORM23), parse_poset(corpus_text("glued.poset"))):
+        covers = list(p.covers)
+        rng.shuffle(covers)
+        assert covers != list(p.covers)
+        q = GradedPoset(p.elements, covers, rank=p.rank, drk=p.drk, labels=p.labels)
+        assert format_poset(q) == format_poset(p)
+        assert dump_json(poset_to_json(q)) == dump_json(poset_to_json(p))
+        assert poset_to_dot(q) == poset_to_dot(p)
+
+
 def test_format_poset_refuses_an_unlabelled_poset_without_a_grading():
     # the pentagon: chains of lengths 2 and 3 from bottom to top
     pentagon = GradedPoset(
@@ -196,7 +209,7 @@ def test_exports_of_tricky_names_stay_well_formed(p):
 
 
 def test_parse_graph_simple():
-    g = parse_graph(corpus_text("cp2.gkm"))
+    g, _ = parse_graph_with_connection(corpus_text("cp2.gkm"))
     assert validate_graph(g).ok
     assert g.alpha("bc") == (-1, 1)
 
@@ -204,20 +217,20 @@ def test_parse_graph_simple():
 def test_parse_graph_unknown_vertex():
     text = "ambient_rank: 1\nvertex a\nedge e a b weight (1)\n"
     with pytest.raises(ParseError) as err:
-        parse_graph(text)
+        parse_graph_with_connection(text)
     assert err.value.line == 3
 
 
 def test_parse_graph_zero_weight():
     text = "ambient_rank: 2\nvertex a\nvertex b\nedge e a b weight (0,0)\n"
     with pytest.raises(ParseError) as err:
-        parse_graph(text)
+        parse_graph_with_connection(text)
     assert "zero weight forbidden" in str(err.value)
 
 
 def test_parse_graph_signed_header():
     text = "ambient_rank: 1\nsigned\nvertex a\nvertex b\nedge e a b weight (1)\n"
-    g = parse_graph(text)
+    g, _ = parse_graph_with_connection(text)
     assert g.signed
     assert g.alpha_from("e", "a") == (1,)
     assert g.alpha_from("e", "b") == (-1,)
@@ -250,7 +263,7 @@ def test_graph_round_trip_with_connection():
 def test_graph_round_trip_plain():
     for name in ("s2.gkm", "cp2.gkm", "square.gkm"):
         g, _ = parse_graph_with_connection(corpus_text(name))
-        assert parse_graph(format_graph(g)) == g
+        assert parse_graph_with_connection(format_graph(g)) == (g, None)
 
 
 # ----------------------------------------------------------------------
@@ -275,48 +288,54 @@ PARSE_ERRORS = [
     (parse_matroid, "ambient_rank: 2\nw1 = ()\n", "empty vector", 2, 6),
     (parse_matroid, "ambient_rank: 2\nw1 = (1,x)\n", "bad integer 'x' in vector", 2, 6),
     (parse_matroid, "ambient_rank: 2\nw1 = (1,,2)\n", "bad integer '' in vector", 2, 6),
-    (parse_graph, EDGE_AB + "edge e a b weight 1,0\n",
+    (parse_graph_with_connection, EDGE_AB + "edge e a b weight 1,0\n",
      "expected a parenthesized vector, got '1,0'", 4, 1),
     # weight files
     (parse_matroid, "ambient_rank: 2\nambient_rank: 2\n", "ambient_rank given twice", 2, 1),
     (parse_matroid, "ambient_rank: two\n", "expected 'ambient_rank: <k>'", 1, 1),
     (parse_matroid, "ambient_rank: 2\nv1 = (1,0)\n", "expected 'w<i> = (…)', got 'v1 = (1,0)'", 2, 1),
-    (parse_graph, "ambient_rank 2\nvertex a\n", "expected 'ambient_rank: <k>'", 1, 1),
+    (parse_graph_with_connection, "ambient_rank 2\nvertex a\n",
+     "expected 'ambient_rank: <k>'", 1, 1),
     # poset files
     (parse_poset, "element a\n", "expected 'element <id> rank <r> [drk <d>]'", 1, 1),
     (parse_poset, "element a rank 0\nelement b rank 1\ncover a < b\ncover b < a\n",
      "covers contain a cycle", 1, 1),
     (parse_poset, "element a rank 0\ncover a < a\n", "cover ('a', 'a') is a self-loop", 1, 1),
     # graph files
-    (parse_graph, "ambient_rank: 2\nsigned yes\n", "'signed' takes no arguments", 2, 1),
-    (parse_graph, EDGE_AB + "vertex\n", "expected 'vertex <id>'", 4, 1),
-    (parse_graph, EDGE_AB + "vertex a\n", "vertex 'a' declared twice", 4, 1),
-    (parse_graph, EDGE_AB + "edge e a b (1,0)\n",
+    (parse_graph_with_connection, "ambient_rank: 2\nsigned yes\n",
+     "'signed' takes no arguments", 2, 1),
+    (parse_graph_with_connection, EDGE_AB + "vertex\n", "expected 'vertex <id>'", 4, 1),
+    (parse_graph_with_connection, EDGE_AB + "vertex a\n", "vertex 'a' declared twice", 4, 1),
+    (parse_graph_with_connection, EDGE_AB + "edge e a b (1,0)\n",
      "expected 'edge <id> <u> <v> weight (…)'", 4, 1),
-    (parse_graph, EDGE_AB + "edge e a b weight (1,0)\nedge e a b weight (0,1)\n",
+    (parse_graph_with_connection, EDGE_AB + "edge e a b weight (1,0)\nedge e a b weight (0,1)\n",
      "edge 'e' declared twice", 5, 1),
-    (parse_graph, "vertex a\nvertex b\nedge e a b weight (1,0)\nambient_rank: 2\n",
+    (parse_graph_with_connection, "vertex a\nvertex b\nedge e a b weight (1,0)\nambient_rank: 2\n",
      "ambient_rank must come before the edges", 3, 1),
-    (parse_graph, EDGE_AB + "edge e a b weight (1,0,1)\n",
+    (parse_graph_with_connection, EDGE_AB + "edge e a b weight (1,0,1)\n",
      "edge weight has 3 entries, expected 2", 4, 19),
-    (parse_graph, EDGE_AB + "edge e a b weight (0,0)\n", "zero weight forbidden", 4, 19),
-    (parse_graph, EDGE_AB + "edge e a a weight (1,0)\n", "edge 'e' is a loop", 1, 1),
+    (parse_graph_with_connection, EDGE_AB + "edge e a b weight (0,0)\n",
+     "zero weight forbidden", 4, 19),
+    (parse_graph_with_connection, EDGE_AB + "edge e a a weight (1,0)\n",
+     "edge 'e' is a loop", 1, 1),
     # connection rows
-    (parse_graph, SQUARE + "connection x at v00 -> r via b\n",
+    (parse_graph_with_connection, SQUARE + "connection x at v00 -> r via b\n",
      "unknown edge 'x' in connection", 10, 1),
-    (parse_graph, SQUARE + "connection l at zz -> r via b\n",
+    (parse_graph_with_connection, SQUARE + "connection l at zz -> r via b\n",
      "unknown vertex 'zz' in connection", 10, 1),
-    (parse_graph, SQUARE + "connection l at v01 -> r via b\n",
+    (parse_graph_with_connection, SQUARE + "connection l at v01 -> r via b\n",
      "vertex 'v01' is not an endpoint of 'b'", 10, 1),
-    (parse_graph, SQUARE + "connection t at v00 -> r via b\n",
+    (parse_graph_with_connection, SQUARE + "connection t at v00 -> r via b\n",
      "edge 't' is not at vertex 'v00'", 10, 1),
-    (parse_graph, SQUARE + "connection l at v00 -> t via b\n",
+    (parse_graph_with_connection, SQUARE + "connection l at v00 -> t via b\n",
      "edge 't' is not at vertex 'v10'", 10, 1),
-    (parse_graph, SQUARE + "connection l at v00 -> r via b\nconnection l at v00 -> b via b\n",
+    (parse_graph_with_connection,
+     SQUARE + "connection l at v00 -> r via b\nconnection l at v00 -> b via b\n",
      "conflicting images for 'l' across 'b'", 11, 1),
-    (parse_graph, _g6_without_its_last_connection_row(),
+    (parse_graph_with_connection, _g6_without_its_last_connection_row(),
      "connection along 'e312_321' out of '321' misses edge 'e231_321'", 1, 1),
-    (parse_graph, SQUARE + "connection l at v00 -> r via b\nconnection r at v10 -> l via b\n",
+    (parse_graph_with_connection,
+     SQUARE + "connection l at v00 -> r via b\nconnection r at v10 -> l via b\n",
      "no connection rows along 't' out of 'v01'", 1, 1),
 ]
 

@@ -76,8 +76,8 @@ def test_cube_tg_and_galois():
     g = hypercube_graph(3)
     theta = canonical_connection(g)
     assert len(enumerate_tg_faces(g, theta).elements) == 27
-    assert verify_galois(g, reconstruct_face_poset(g, "faces")).ok
-    assert verify_galois(g, reconstruct_face_poset(g, "tg")).ok
+    assert verify_galois(reconstruct_face_poset(g, "faces")).ok
+    assert verify_galois(reconstruct_face_poset(g, "tg")).ok
 
 
 def test_double_edge_is_valid_multigraph():
@@ -103,4 +103,4 @@ def test_double_edge_reconstruction_is_compactified_plane():
     assert not report.diagnostics
     b2 = flats_lattice(WeightSystem(2, [(1, 0), (0, 1)]))
     assert are_isomorphic(report.faces, compactify(b2))
-    assert verify_galois(g, report).ok
+    assert verify_galois(report).ok

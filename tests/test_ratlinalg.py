@@ -5,72 +5,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmfaces.errors import DimensionMismatch
-from gkmfaces.ratlinalg import (
-    Subspace,
-    _carry_residues,
-    _line_residue,
-    _primitive,
-    in_span,
-    rank_of,
-    span_equal,
-)
+from gkmfaces.ratlinalg import Subspace, _carry_residues, _line_residue, _primitive
 
 from oracles import in_span_oracle, rank_oracle, rref_oracle
 
 
 def test_rank_empty():
-    assert rank_of([]) == 0
+    assert Subspace.span([], 2).dim == 0
 
 
 def test_rank_plane():
-    assert rank_of([(1, 0), (0, 1), (1, 1)]) == 2
+    assert Subspace.span([(1, 0), (0, 1), (1, 1)], 2).dim == 2
 
 
 def test_rank_collinear_matches_oracle():
     vs = [(2, 4), (1, 2), (3, 6)]
     assert rank_oracle(vs) == 1
-    assert rank_of(vs) == 1
+    assert Subspace.span(vs, 2).dim == 1
 
 
 def test_rank_ignores_zero_vectors():
-    assert rank_of([(0, 0), (1, 2), (0, 0)]) == 1
+    assert Subspace.span([(0, 0), (1, 2), (0, 0)], 2).dim == 1
 
 
 def test_rank_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        rank_of([(1, 0), (1, 0, 0)])
+        Subspace.span([(1, 0), (1, 0, 0)], 2)
 
 
 def test_in_span_zero_of_empty():
-    assert in_span((0, 0), [])
+    assert Subspace.span([], 2).contains((0, 0))
 
 
 def test_in_span_negative():
-    assert not in_span((1, 1), [(1, 0)])
+    assert not Subspace.span([(1, 0)], 2).contains((1, 1))
 
 
 def test_in_span_rational_solution():
     # (3,3) = 3*(1,1); needs a rational combination of (1,0),(1,1)
-    assert in_span((3, 3), [(1, 0), (1, 1)])
+    assert Subspace.span([(1, 0), (1, 1)], 2).contains((3, 3))
     assert in_span_oracle((3, 3), [(1, 0), (1, 1)])
 
 
 def test_in_span_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        in_span((1, 0, 0), [(1, 0)])
+        Subspace.span([(1, 0)], 3)
 
 
 def test_span_equal_scalar_multiple():
-    assert span_equal([(1, 0)], [(2, 0)])
-    assert span_equal([(1, 0)], [(-3, 0)])
+    assert Subspace.span([(1, 0)], 2) == Subspace.span([(2, 0)], 2)
+    assert Subspace.span([(1, 0)], 2) == Subspace.span([(-3, 0)], 2)
 
 
 def test_span_equal_distinct_lines():
-    assert not span_equal([(1, 0)], [(0, 1)])
+    assert Subspace.span([(1, 0)], 2) != Subspace.span([(0, 1)], 2)
 
 
 def test_span_equal_full_plane():
-    assert span_equal([(1, 1), (1, -1)], [(1, 0), (0, 1)])
+    assert Subspace.span([(1, 1), (1, -1)], 2) == Subspace.span([(1, 0), (0, 1)], 2)
 
 
 def test_rank_invariance_under_permutation_duplication_scaling():
@@ -78,16 +70,16 @@ def test_rank_invariance_under_permutation_duplication_scaling():
     for _ in range(200):
         k = rng.randint(1, 4)
         vs = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(rng.randint(0, 6))]
-        r = rank_of(vs)
+        r = Subspace.span(vs, k).dim
         assert r == rank_oracle(vs)
         shuffled = vs[:]
         rng.shuffle(shuffled)
-        assert rank_of(shuffled) == r
+        assert Subspace.span(shuffled, k).dim == r
         if vs:
             dup = vs + [rng.choice(vs)]
-            assert rank_of(dup) == r
+            assert Subspace.span(dup, k).dim == r
             scaled = [tuple(3 * x for x in v) if i == 0 else v for i, v in enumerate(vs)]
-            assert rank_of(scaled) == r
+            assert Subspace.span(scaled, k).dim == r
 
 
 def test_in_span_additive():
@@ -99,8 +91,9 @@ def test_in_span_additive():
         v = tuple(sum(c * w[i] for c, w in zip(coeffs, base)) for i in range(k))
         coeffs2 = [rng.randint(-2, 2) for _ in base]
         w = tuple(sum(c * b[i] for c, b in zip(coeffs2, base)) for i in range(k))
-        assert in_span(v, base) and in_span(w, base)
-        assert in_span(tuple(a + b for a, b in zip(v, w)), base)
+        span = Subspace.span(base, k)
+        assert span.contains(v) and span.contains(w)
+        assert span.contains(tuple(a + b for a, b in zip(v, w)))
 
 
 def test_span_equal_is_equivalence():
@@ -109,13 +102,14 @@ def test_span_equal_is_equivalence():
     for _ in range(12):
         k = 3
         pool.append([tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(0, 3))])
-    for a in pool:
-        assert span_equal(a, a)
-        for b in pool:
-            assert span_equal(a, b) == span_equal(b, a)
-            for c in pool:
-                if span_equal(a, b) and span_equal(b, c):
-                    assert span_equal(a, c)
+    spans = [Subspace.span(vs, 3) for vs in pool]
+    for a in spans:
+        assert a == a
+        for b in spans:
+            assert (a == b) == (b == a)
+            for c in spans:
+                if a == b and b == c:
+                    assert a == c
 
 
 def test_subspace_canonical_form_is_span_invariant():
@@ -146,12 +140,11 @@ def test_echelon_basis_incremental_rank():
 
 def test_one_shot_iterables_are_read_once():
     vectors = [(1, 0, 2), (0, 1, 1), (1, 1, 3)]
-    assert rank_of(v for v in [(1, 0), (0, 1)]) == 2
-    assert rank_of(iter(vectors)) == 2
-    assert in_span((2, 3, 7), iter(vectors))
-    assert not in_span((0, 0, 1), iter(vectors))
-    assert span_equal(iter(vectors), (v for v in vectors[:2]))
-    assert not span_equal(iter(vectors), iter(vectors[:1]))
+    assert Subspace.span((v for v in [(1, 0), (0, 1)]), 2).dim == 2
+    assert Subspace.span(iter(vectors), 3).contains((2, 3, 7))
+    assert not Subspace.span(iter(vectors), 3).contains((0, 0, 1))
+    assert Subspace.span(iter(vectors), 3) == Subspace.span((v for v in vectors[:2]), 3)
+    assert Subspace.span(iter(vectors), 3) != Subspace.span(iter(vectors[:1]), 3)
     assert Subspace.span(iter(vectors), 3) == Subspace.span(vectors, 3)
     assert Subspace.span(iter(vectors), 3).dim == 2
 

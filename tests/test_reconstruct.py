@@ -156,15 +156,15 @@ def test_verify_galois_corpus_both_modes():
     for name in GKM_CORPUS:
         g, theta = corpus_graph(name)
         for mode in ("faces", "tg"):
-            result = verify_galois(g, reconstruct_face_poset(g, mode, connection=theta))
+            result = verify_galois(reconstruct_face_poset(g, mode, connection=theta))
             assert result.ok, (name, mode, result.failures)
 
 
 def test_verify_galois_face_counts():
     g, theta = corpus_graph("g6.gkm")
-    assert verify_galois(g, reconstruct_face_poset(g, "faces")).checked_faces == 31
+    assert verify_galois(reconstruct_face_poset(g, "faces")).checked_faces == 31
     tg = reconstruct_face_poset(g, "tg", connection=theta)
-    assert verify_galois(g, tg).checked_faces == 19
+    assert verify_galois(tg).checked_faces == 19
 
 
 def test_pi_map_requires_clean_reconstruction():
@@ -225,14 +225,14 @@ def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch):
     survivors, diagnostics = face_selection_oracle(g, candidates)
     assert survivors == [h1, h2, h3, h4]
     assert [(d.vertex, d.flat, d.maxima) for d in report.diagnostics] == diagnostics
-    galois = verify_galois(g, report)
+    galois = verify_galois(report)
     assert not galois.ok
     assert galois.failures == tuple(d.describe() for d in report.diagnostics)
 
 
 def _cp2_report():
     g, report = reconstruct("cp2.gkm", "faces")
-    result = verify_galois(g, report)
+    result = verify_galois(report)
     assert result.ok and bool(result) is True
     return g, report
 
@@ -252,7 +252,7 @@ def test_verify_galois_reports_a_projection_that_misses_its_face(monkeypatch):
     g, report = _cp2_report()
     vertex = next(e for e in report.faces.elements if report.faces.rank[e] == 0)
     monkeypatch.setattr(reconstruct_module, "_projection", lambda report, face: vertex)
-    failures = verify_galois(g, report).failures
+    failures = verify_galois(report).failures
     missed = [
         h for h in report.candidates if not report.subgraph(vertex).contains(h)
     ]
@@ -266,14 +266,14 @@ def test_verify_galois_reports_a_surviving_face_that_is_not_fixed():
     # reverse one cover between a vertex and an edge through it: the edge is
     # then the smallest survivor holding the vertex, which no longer projects
     # to itself
-    g, report = _cp2_report()
+    _, report = _cp2_report()
     faces = report.faces
     vertex, edge = next(
         (low, high) for low, high in faces.covers if faces.rank[low] == 0
     )
     covers = [(high, low) if (low, high) == (vertex, edge) else (low, high) for low, high in faces.covers]
     broken = _with_faces(report, faces.elements, covers, faces.payload)
-    result = verify_galois(g, broken)
+    result = verify_galois(broken)
     assert not result.ok and bool(result) is False
     assert f"projection does not fix surviving face {vertex}" in result.failures
 
@@ -290,7 +290,7 @@ def test_verify_galois_reports_a_projection_that_is_not_monotone(monkeypatch):
         "_projection",
         lambda r, face: vertex if face == whole else honest(r, face),
     )
-    result = verify_galois(g, report)
+    result = verify_galois(report)
     assert "projection is not monotone on a nested pair of faces" in result.failures
     assert "projection of a face on vertices ['A', 'B', 'C'] does not contain it" in result.failures
 
@@ -298,7 +298,7 @@ def test_verify_galois_reports_a_projection_that_is_not_monotone(monkeypatch):
 def test_verify_galois_reports_a_survivor_missing_from_the_face_list():
     # a survivor outside the candidate list: the projection is defined
     # (it is its own smallest container) but it was never enumerated
-    g, report = _cp2_report()
+    _, report = _cp2_report()
     faces = report.faces
     stray = _sub(["A"], ["ab"])  # not a face of CP2
     vertex = next(e for e in faces.elements if report.subgraph(e) == _sub(["A"]))
@@ -306,14 +306,14 @@ def test_verify_galois_reports_a_survivor_missing_from_the_face_list():
     covers = [*faces.covers, (vertex, "X"), ("X", faces.top())]
     payload = {**faces.payload, "X": stray}
     broken = _with_faces(report, elements, covers, payload)
-    result = verify_galois(g, broken)
+    result = verify_galois(broken)
     assert not result.ok
     assert result.failures == ("surviving face X is missing from the full face list",)
 
 
 def test_verify_galois_reports_a_face_that_no_survivor_contains():
     # drop the top survivor: the whole graph, a candidate, then projects nowhere
-    g, report = _cp2_report()
+    _, report = _cp2_report()
     faces = report.faces
     top = faces.top()
     elements = [e for e in faces.elements if e != top]
@@ -321,7 +321,7 @@ def test_verify_galois_reports_a_face_that_no_survivor_contains():
     broken = _with_faces(report, elements, covers, {e: faces.payload[e] for e in elements})
     with pytest.raises(ReconstructionAmbiguous):
         pi_map(broken, report.subgraph(top))
-    result = verify_galois(g, broken)
+    result = verify_galois(broken)
     assert result.failures == (
         "projection of a face on vertices ['A', 'B', 'C'] is undefined: "
         "no surviving face contains the given subgraph (internal inconsistency)",
@@ -342,7 +342,7 @@ def test_verify_galois_reports_a_face_with_two_minimal_survivors():
     with pytest.raises(ReconstructionAmbiguous):
         pi_map(broken, report.subgraph(edge))
     listed = [str(x) for x in sorted(report.subgraph(edge).vertices, key=g.vertex_key)]
-    result = verify_galois(g, broken)
+    result = verify_galois(broken)
     assert result.failures == (
         f"projection of a face on vertices {listed} is undefined: "
         "2 minimal surviving faces contain the subgraph",
@@ -360,7 +360,7 @@ def test_verify_galois_reads_the_containers_kept_on_the_report(monkeypatch, name
         "_containers",
         lambda g, faces: computed.append(faces) or containers(g, faces),
     )
-    verify_galois(g, report)
+    verify_galois(report)
     assert computed == []
     assert report._candidate_faces == tuple(_face_of(g, h) for h in report.candidates)
     assert list(report._candidate_containers) == containers(g, report._candidate_faces)
