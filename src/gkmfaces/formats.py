@@ -121,7 +121,7 @@ def format_matroid(ws: WeightSystem) -> str:
 
 
 def parse_poset(text: str) -> GradedPoset:
-    elements: list[str] = []
+    declared: dict[str, int] = {}  # element -> its line, in declaration order
     rank: dict[str, int] = {}
     drk: dict[str, int] = {}
     covers: list[tuple[str, str]] = []
@@ -131,11 +131,11 @@ def parse_poset(text: str) -> GradedPoset:
             if len(tokens) not in (4, 6) or tokens[2] != "rank":
                 raise ParseError("expected 'element <id> rank <r> [drk <d>]'", lineno, 1)
             name = tokens[1]
-            if name in rank:
+            if name in declared:
                 raise ParseError(f"element {name!r} declared twice", lineno, 1)
             if not _RANK.fullmatch(tokens[3]):
                 raise ParseError(f"bad rank {tokens[3]!r}", lineno, 1)
-            elements.append(name)
+            declared[name] = lineno
             rank[name] = int(tokens[3])
             if len(tokens) == 6:
                 if tokens[4] != "drk" or not _DRK.fullmatch(tokens[5]):
@@ -148,16 +148,18 @@ def parse_poset(text: str) -> GradedPoset:
             for name in (low, high):
                 if name not in rank:
                     raise ParseError(f"unknown element {name!r} in cover", lineno, 1)
+            if low == high:
+                raise ParseError(f"cover ({low!r}, {high!r}) is a self-loop", lineno, 1)
             covers.append((low, high))
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", lineno, 1)
-    if not elements:
+    if not declared:
         raise ParseError("poset file declares no elements", 1, 1)
-    if drk and set(drk) != set(elements):
-        missing = next(e for e in elements if e not in drk)
-        raise ParseError(f"drk given for some elements but not {missing!r}", 1, 1)
+    if drk and set(drk) != set(declared):
+        missing = next(e for e in declared if e not in drk)
+        raise ParseError(f"drk given for some elements but not {missing!r}", declared[missing], 1)
     try:
-        return GradedPoset(elements, covers, rank=rank, drk=drk or None)
+        return GradedPoset(list(declared), covers, rank=rank, drk=drk or None)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from exc
 
@@ -264,6 +266,7 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
                 raise ParseError(f"vertex {tokens[1]!r} declared twice", lineno, 1)
             vertices[tokens[1]] = None
         elif tokens[0] == "edge":
+            tokens = line.split(maxsplit=5)  # the vector is the rest of the line
             if len(tokens) != 6 or tokens[4] != "weight":
                 raise ParseError("expected 'edge <id> <u> <v> weight (…)'", lineno, 1)
             name, u, v = tokens[1], tokens[2], tokens[3]
@@ -272,6 +275,8 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
             for x in (u, v):
                 if x not in vertices:
                     raise ParseError(f"unknown vertex {x!r}", lineno, 1)
+            if u == v:
+                raise ParseError(f"edge {name!r} is a loop", lineno, 1)
             if ambient is None:
                 raise ParseError("ambient_rank must come before the edges", lineno, 1)
             column = line.index("(") + 1 if "(" in line else 1

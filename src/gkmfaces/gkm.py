@@ -42,9 +42,10 @@ edge masks, and the plane table stores each plane as one, so the
 closure test is one AND.  A face's rank is its span at its first vertex,
 its drk the bits of its mask in that vertex's star, and its containers
 the AND of one membership mask per vertex and per edge: the up-sets of
-the face poset, whose covers come from `poset._cover_pairs`.  Each face
-becomes a `GkmSubgraph`, by names, once, for the payload; no function
-asks a subgraph for its span or degree, which the labels carry.
+the face poset, whose covers come from `poset._cover_pairs`.  A face
+becomes a `GkmSubgraph`, by names, only for a face poset's payload and
+where `reconstruct` hands names out; no function asks a subgraph for its
+span or degree, which the labels carry.
 """
 
 from __future__ import annotations
@@ -657,10 +658,8 @@ def _containers(g: GkmGraph, faces: Sequence[Face]) -> list[int]:
     return [_held_by(membership, face) for face in faces]
 
 
-def _face_poset(
-    g: GkmGraph, faces: Sequence[Face], prefix: str = "H", subgraphs=None
-) -> GradedPoset:
-    """Inclusion poset of `faces`, ranked by span; `subgraphs`, the payload, built unless given."""
+def _face_poset(g: GkmGraph, faces: Sequence[Face], prefix: str = "H") -> GradedPoset:
+    """Inclusion poset of `faces`, ranked by span, with their subgraphs as the payload."""
     ids = [f"{prefix}{i}" for i in range(len(faces))]
     everything = (1 << len(faces)) - 1
     covers = sorted((ids[i], ids[j]) for i, j in _cover_pairs(_containers(g, faces), everything))
@@ -669,7 +668,7 @@ def _face_poset(
         covers,
         rank={i: _span_at(g, xs[0], edges).dim for i, (xs, edges) in zip(ids, faces)},
         drk={i: (edges & g._star_mask[xs[0]]).bit_count() for i, (xs, edges) in zip(ids, faces)},
-        payload=dict(zip(ids, subgraphs or [_subgraph(g, face) for face in faces])),
+        payload={i: _subgraph(g, face) for i, face in zip(ids, faces)},
         labels={
             i: "{" + ",".join(str(g.vertices[x]) for x in face[0]) + "}"
             for i, face in zip(ids, faces)

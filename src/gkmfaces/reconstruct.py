@@ -11,17 +11,19 @@ taken from `gkm._tg_faces` with the supplied connection or the canonical
 one.
 
 The selection runs on the faces as the search gives them, `gkm.Face`,
-and builds one `GkmSubgraph` per candidate.  Each candidate's span is
-computed once.  A candidate survives when no other candidate with its
-span contains it: one containing h holds every vertex of h, so h is then
-a maximum of each of its (vertex, span) groups, and the groups, built
-over the survivors for the diagnostics, hold exactly their maxima.  The
-candidates' positions and container masks are kept on the report.  The
-projection to surviving faces and the Galois check take containment
-from membership masks too: the projection is the one minimal container,
-`poset._minimal`, and monotonicity is checked on the covers of the
-inclusion order among the candidates, `poset._cover_pairs` on the kept
-masks, which implies it on every nested pair.
+and computes each candidate's span once.  A candidate survives when no
+other candidate with its span contains it: one containing h holds every
+vertex of h, so h is then a maximum of each of its (vertex, span)
+groups, and the groups, built over the survivors for the diagnostics,
+hold exactly their maxima.  The report keeps the candidates' positions
+and container masks; names, `GkmSubgraph`, are built for the survivors'
+payloads and the diagnostics' maxima, and for all candidates only when
+`FaceReport.candidates` is read.  The projection to surviving faces and
+the Galois check take containment from membership masks and match
+survivors to candidates by position: the projection is the one minimal
+container, `poset._minimal`, and monotonicity is checked on the covers
+of the inclusion order among the candidates, `poset._cover_pairs` on the
+kept masks, which implies it on every nested pair.
 """
 
 from __future__ import annotations
@@ -74,12 +76,16 @@ class FaceReport:
 
     mode: str
     faces: GradedPoset  # payload maps ids to GkmSubgraph witnesses
-    candidates: tuple[GkmSubgraph, ...]  # the full enumerated face list
     diagnostics: tuple[Diagnostic, ...]
     # the graph, and per candidate its positions and the mask of its containers
     _graph: GkmGraph = field(repr=False, compare=False)
-    _candidate_faces: tuple[Face, ...] = field(repr=False, compare=False)
+    _candidate_faces: tuple[Face, ...] = field(repr=False)
     _candidate_containers: tuple[int, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def candidates(self) -> tuple[GkmSubgraph, ...]:
+        """The full enumerated face list, by names."""
+        return tuple(_subgraph(self._graph, face) for face in self._candidate_faces)
 
     def subgraph(self, element) -> GkmSubgraph:
         return self.faces.payload[element]
@@ -88,11 +94,10 @@ class FaceReport:
         return self.faces.drk[element] - self.faces.rank[element]
 
     @cached_property
-    def _survivors(self) -> tuple[int, list[int], list[int]]:
-        """Membership masks of the surviving faces, in element order, by position."""
-        g, known = self._graph, dict(zip(self.candidates, self._candidate_faces))
-        faces = [known.get(h) or _face_of(g, h) for h in map(self.subgraph, self.faces.elements)]
-        return _membership(g, faces)
+    def _survivors(self) -> tuple[list[Face], tuple[int, list[int], list[int]]]:
+        """The surviving faces by position, in element order, and their membership masks."""
+        faces = [_face_of(self._graph, self.subgraph(e)) for e in self.faces.elements]
+        return faces, _membership(self._graph, faces)
 
 
 def reconstruct_face_poset(
@@ -118,27 +123,19 @@ def reconstruct_face_poset(
     containers = _containers(g, faces)
     survivors = [i for i, span in enumerate(spans) if containers[i] & same_span[span] == 1 << i]
     # (vertex, span) -> the survivors in that group, which are its maxima
-    groups: dict[tuple[int, Subspace], list[int]] = {}
+    groups: dict[tuple[int, Subspace], list[Face]] = {}
     for i in survivors:
         for x in faces[i][0]:
-            groups.setdefault((x, spans[i]), []).append(i)
-    candidates = [_subgraph(g, face) for face in faces]
+            groups.setdefault((x, spans[i]), []).append(faces[i])
     diagnostics = [
-        Diagnostic(
-            g.vertices[x],
-            span,
-            tuple(candidates[i] for i in sorted(members, key=lambda i: _face_key(faces[i]))),
-        )
-        for (x, span), members in groups.items()
-        if len(members) > 1
+        Diagnostic(g.vertices[x], span, tuple(_subgraph(g, f) for f in sorted(fs, key=_face_key)))
+        for (x, span), fs in groups.items()
+        if len(fs) > 1
     ]
     diagnostics.sort(key=lambda d: (g.vertex_key(d.vertex), d.flat.sort_key()))
     return FaceReport(
         mode=mode,
-        faces=_face_poset(
-            g, [faces[i] for i in survivors], "F", [candidates[i] for i in survivors]
-        ),
-        candidates=tuple(candidates),
+        faces=_face_poset(g, [faces[i] for i in survivors], "F"),
         diagnostics=tuple(diagnostics),
         _graph=g,
         _candidate_faces=tuple(faces),
@@ -159,7 +156,7 @@ def pi_map(report: FaceReport, h: GkmSubgraph):
 
 def _projection(report: FaceReport, face: Face | None):
     """`pi_map` on a face by position, None for one outside the graph; diagnostics unchecked."""
-    containers = 0 if face is None else _held_by(report._survivors, face)
+    containers = 0 if face is None else _held_by(report._survivors[1], face)
     if not containers:
         raise ReconstructionAmbiguous(
             "no surviving face contains the given subgraph (internal inconsistency)"
@@ -190,38 +187,37 @@ def verify_galois(report: FaceReport) -> GaloisReport:
     A face whose projection is undefined fails once and is left out of
     the later laws.
     """
+    count = len(report._candidate_faces)
     if report.diagnostics:
         return GaloisReport(
-            False,
-            report.mode,
-            len(report.candidates),
-            tuple(d.describe() for d in report.diagnostics),
+            False, report.mode, count, tuple(d.describe() for d in report.diagnostics)
         )
     failures: list[str] = []
-    g, candidates = report._graph, report.candidates
+    g, (survivors, membership) = report._graph, report._survivors
     projection = []  # None where the projection is undefined
-    for h, face in zip(candidates, report._candidate_faces):
+    for face in report._candidate_faces:
         try:
             image = _projection(report, face)
-            failure = "" if report.subgraph(image).contains(h) else "does not contain it"
+            held = _held_by(membership, face) >> report.faces._index[image] & 1
+            failure = "" if held else "does not contain it"
         except ReconstructionAmbiguous as exc:
             image, failure = None, f"is undefined: {exc}"
         if failure:
             listed = [str(g.vertices[x]) for x in face[0]]
             failures.append(f"projection of a face on vertices {listed} {failure}")
         projection.append(image)
-    position = {h: i for i, h in enumerate(candidates)}
-    for e in report.faces.elements:
-        i = position.get(report.subgraph(e))
+    position = {face: i for i, face in enumerate(report._candidate_faces)}
+    for e, face in zip(report.faces.elements, survivors):
+        i = position.get(face)
         if i is not None and projection[i] not in (e, None):
             failures.append(f"projection does not fix surviving face {e}")
     # monotone on the covers of the inclusion order, so on every nested pair
-    for i, j in _cover_pairs(report._candidate_containers, (1 << len(candidates)) - 1):
+    for i, j in _cover_pairs(report._candidate_containers, (1 << count) - 1):
         if None not in (projection[i], projection[j]) and not report.faces.leq(
             projection[i], projection[j]
         ):
             failures.append("projection is not monotone on a nested pair of faces")
-    for e in report.faces.elements:
-        if report.subgraph(e) not in position:
+    for e, face in zip(report.faces.elements, survivors):
+        if face not in position:
             failures.append(f"surviving face {e} is missing from the full face list")
-    return GaloisReport(not failures, report.mode, len(candidates), tuple(failures))
+    return GaloisReport(not failures, report.mode, count, tuple(failures))

@@ -313,6 +313,19 @@ def test_missing_file_is_an_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["matroid flats", "poset check", "gkm validate"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_unreadable_path_is_a_one_line_error(tmp_path, capsys, command, kind):
+    suffix = {"matroid": ".wt", "poset": ".poset", "gkm": ".gkm"}[command.split()[0]]
+    target = tmp_path / f"input{suffix}"
+    if kind == "directory":
+        target.mkdir()
+    with pytest.raises(OSError) as err:
+        target.read_bytes()
+    assert run_cli(*command.split(), str(target)) == (1, "")
+    assert capsys.readouterr().err == f"error: cannot read {target}: {err.value.strerror}\n"
+
+
 def test_corpus_listing_and_cat():
     code, out = run_cli("corpus")
     assert code == 0 and out.strip().endswith("data")

@@ -214,6 +214,13 @@ def test_parse_graph_simple():
     assert g.alpha("bc") == (-1, 1)
 
 
+def test_parse_graph_edge_vectors_may_hold_spaces():
+    text = corpus_text("cp2.gkm")
+    spaced = text.replace(",", " , ").replace("(", "( ").replace(")", " )")
+    assert "weight ( 1 , 0 )" in spaced
+    assert parse_graph_with_connection(spaced) == parse_graph_with_connection(text)
+
+
 def test_parse_graph_unknown_vertex():
     text = "ambient_rank: 1\nvertex a\nedge e a b weight (1)\n"
     with pytest.raises(ParseError) as err:
@@ -300,7 +307,9 @@ PARSE_ERRORS = [
     (parse_poset, "element a\n", "expected 'element <id> rank <r> [drk <d>]'", 1, 1),
     (parse_poset, "element a rank 0\nelement b rank 1\ncover a < b\ncover b < a\n",
      "covers contain a cycle", 1, 1),
-    (parse_poset, "element a rank 0\ncover a < a\n", "cover ('a', 'a') is a self-loop", 1, 1),
+    (parse_poset, "element a rank 0\ncover a < a\n", "cover ('a', 'a') is a self-loop", 2, 1),
+    (parse_poset, "element a rank 0 drk 0\nelement b rank 1\nelement c rank 2 drk 1\n",
+     "drk given for some elements but not 'b'", 2, 1),
     # graph files
     (parse_graph_with_connection, "ambient_rank: 2\nsigned yes\n",
      "'signed' takes no arguments", 2, 1),
@@ -314,10 +323,12 @@ PARSE_ERRORS = [
      "ambient_rank must come before the edges", 3, 1),
     (parse_graph_with_connection, EDGE_AB + "edge e a b weight (1,0,1)\n",
      "edge weight has 3 entries, expected 2", 4, 19),
+    (parse_graph_with_connection, EDGE_AB + "edge e a b weight ( 1 , 0 , 1 )\n",
+     "edge weight has 3 entries, expected 2", 4, 19),
     (parse_graph_with_connection, EDGE_AB + "edge e a b weight (0,0)\n",
      "zero weight forbidden", 4, 19),
     (parse_graph_with_connection, EDGE_AB + "edge e a a weight (1,0)\n",
-     "edge 'e' is a loop", 1, 1),
+     "edge 'e' is a loop", 4, 1),
     # connection rows
     (parse_graph_with_connection, SQUARE + "connection x at v00 -> r via b\n",
      "unknown edge 'x' in connection", 10, 1),

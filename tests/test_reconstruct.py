@@ -196,7 +196,7 @@ def _sub(vertices, edges=()):
     return GkmSubgraph(frozenset(vertices), frozenset(edges))
 
 
-def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch):
+def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch, subgraphs_built):
     # On the square, two pairs of incomparable candidates share a rank-1 span
     # through v00 each; a fifth one lies inside the first pair and is dropped.
     g = square_graph()
@@ -209,7 +209,9 @@ def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch):
     monkeypatch.setattr(
         reconstruct_module, "_face_positions", lambda g, cap: [_face_of(g, h) for h in candidates]
     )
+    subgraphs_built.clear()
     report = reconstruct_face_poset(g, "faces")
+    assert len(subgraphs_built) == 4 + 8  # the survivors, and the maxima of four groups
     assert report.candidates == tuple(candidates)
     assert [(d.vertex, d.flat.basis, d.maxima) for d in report.diagnostics] == [
         ("v00", ((0, 1),), (h3, h4)),
@@ -364,3 +366,43 @@ def test_verify_galois_reads_the_containers_kept_on_the_report(monkeypatch, name
     assert computed == []
     assert report._candidate_faces == tuple(_face_of(g, h) for h in report.candidates)
     assert list(report._candidate_containers) == containers(g, report._candidate_faces)
+
+
+@pytest.fixture
+def subgraphs_built(monkeypatch):
+    built = []
+    init = GkmSubgraph.__init__
+    monkeypatch.setattr(GkmSubgraph, "__init__", lambda *args: built.append(init(*args)))
+    return built
+
+
+@pytest.mark.parametrize("name", GKM_CORPUS)
+@pytest.mark.parametrize("mode", ["faces", "tg"])
+def test_subgraphs_are_built_for_the_survivors_and_the_diagnostic_maxima_only(
+    subgraphs_built, name, mode
+):
+    g, theta = corpus_graph(name)
+    subgraphs_built.clear()
+    report = reconstruct_face_poset(g, mode, connection=theta)
+    verify_galois(report)
+    maxima = sum(len(d.maxima) for d in report.diagnostics)
+    assert len(subgraphs_built) == len(report.faces.elements) + maxima
+    # the names of all candidates are built once, when they are first read
+    assert report.candidates is report.candidates
+    assert len(subgraphs_built) == len(report.faces.elements) + len(report._candidate_faces)
+
+
+def test_reports_on_different_candidate_lists_differ():
+    g, report = reconstruct("cp2.gkm", "faces")
+    assert report == reconstruct("cp2.gkm", "faces")[1]
+    fewer = replace(report, _candidate_faces=report._candidate_faces[:-1])
+    assert fewer != report
+    assert fewer.candidates == report.candidates[:-1]
+    # a report with other faces derives its survivors and candidates afresh
+    top = report.faces.top()
+    elements = [e for e in report.faces.elements if e != top]
+    covers = [pair for pair in report.faces.covers if top not in pair]
+    payload = {e: report.faces.payload[e] for e in elements}
+    smaller = _with_faces(report, elements, covers, payload)
+    assert len(smaller._survivors[0]) == len(report._survivors[0]) - 1
+    assert smaller.candidates == report.candidates
