@@ -303,6 +303,7 @@ def parse_graph_with_connection(text: str) -> tuple[GkmGraph, Connection | None]
 
 def _assemble_connection(graph: GkmGraph, rows) -> Connection:
     maps: dict[tuple[str, str], dict[str, str]] = {}
+    first_row: dict[tuple[str, str], int] = {}  # the line of each (via, vertex) pair's first row
     known = set(graph.vertices)
     for lineno, source, vertex, target, via in rows:
         for name in (source, via, target):
@@ -319,6 +320,7 @@ def _assemble_connection(graph: GkmGraph, rows) -> Connection:
         if target not in graph.star(head):
             raise ParseError(f"edge {target!r} is not at vertex {head!r}", lineno, 1)
         entry = maps.setdefault((via, vertex), {via: via})
+        first_row.setdefault((via, vertex), lineno)
         if source in entry and entry[source] != target:
             raise ParseError(f"conflicting images for {source!r} across {via!r}", lineno, 1)
         entry[source] = target
@@ -326,7 +328,9 @@ def _assemble_connection(graph: GkmGraph, rows) -> Connection:
         missing = [f for f in graph.star(vertex) if f not in mapping]
         if missing:
             raise ParseError(
-                f"connection along {via!r} out of {vertex!r} misses edge {missing[0]!r}", 1, 1
+                f"connection along {via!r} out of {vertex!r} misses edge {missing[0]!r}",
+                first_row[via, vertex],
+                1,
             )
     for edge in graph.edges:
         for tail in (edge.u, edge.v):

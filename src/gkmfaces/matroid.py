@@ -15,8 +15,11 @@ sort.  The cost is governed by the number of flats and classes, not by
 2^n subsets (the subset scans and the pairwise cover scan are kept as
 test oracles).  It is the one search over a weight system, which keeps
 its result: the independence complex and the independence degree are
-read off the flats lattice.  A simplicial complex lists its faces once,
-as bitmasks each with the mask of the vertices that can join it, for its
+read off the flats lattice, and so are the wedge check's face counts and
+Betti number (`complexes.verify_wedge_prediction`), which list no face.
+Only `independence_complex` lists independent sets, so only it is bound
+by INDEPENDENT_SET_CAP.  A simplicial complex lists its faces once, as
+bitmasks each with the mask of the vertices that can join it, for its
 f- and h-vectors and its homology alike.
 """
 

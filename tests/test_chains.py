@@ -9,8 +9,7 @@ chain, on random posets: redundant declared covers, non-graded shapes, several m
 maxima, single elements, and element orders that are not linear
 extensions.  The Betti numbers are compared with the boundary-matrix
 oracle on the complex of those chains.  Homology of an order complex
-and the wedge check never walk the maximal chains; the wedge's top
-h-number is the independence complex's.
+and the wedge check never walk the maximal chains.
 
 The reduction builds a coboundary column only where two columns meet
 at one pivot: never on shuffled flats lattices or on independence
@@ -22,7 +21,13 @@ and for its facets alike, and so is an
 independence complex with more than `matroid.INDEPENDENT_SET_CAP`
 nonempty faces.  The proper parts of flats lattices list no chain at
 all (`proper_betti`), so A7 passes `poset homology --proper` and
-every A_n passes it with the cap at 0.
+every A_n passes it with the cap at 0.  The wedge check lists no
+independent set either: its f-vector is counted off the flats lattice
+and matches the subset scan and the listed complex, its Betti numbers
+(by deletion and contraction) match those of the listed complex on
+weights with repeats and parallels, its top h-number is the listed
+complex's, and it passes on disguised A3-A6 with the independent-set
+cap at 0 and on 1 500 weights in the plane, past that cap.
 """
 
 import random
@@ -61,7 +66,12 @@ from helpers import (
     type_a_roots,
     weight_corpus,
 )
-from oracles import chains_oracle, reduced_betti_oracle, sympy_betti
+from oracles import (
+    chains_oracle,
+    independent_sets_by_size_oracle,
+    reduced_betti_oracle,
+    sympy_betti,
+)
 
 
 @st.composite
@@ -281,20 +291,78 @@ def test_lattice_homology_lists_no_chain(n, monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.endswith(f"b~{n - 2} = {factorial(n)}\n")
 
 
-def test_independent_set_cap_counts_every_nonempty_independent_set(monkeypatch, tmp_path, capsys):
+def test_independent_set_cap_counts_every_nonempty_independent_set(monkeypatch):
     """A3 has 6 + 15 + 16 = 37 nonempty independent sets, counted size by size."""
-    path = tmp_path / "a3.wt"
-    path.write_text(format_matroid(WeightSystem(3, type_a_roots(3))))
+    ws = WeightSystem(3, type_a_roots(3))
     monkeypatch.setattr(matroid, "INDEPENDENT_SET_CAP", 37)
-    assert cli.main(["matroid", "wedge", str(path)]) == 0
+    assert len(independence_complex(ws).facets) == 16
     monkeypatch.setattr(matroid, "INDEPENDENT_SET_CAP", 36)
-    capsys.readouterr()
-    assert cli.main(["matroid", "wedge", str(path)]) == 1
-    assert capsys.readouterr() == (
-        "",
+    with pytest.raises(EnumerationCapExceeded) as err:
+        independence_complex(ws)
+    assert f"error: {err.value}\n" == (
         "error: enumeration cap of 36 independent sets exceeded: the 6 weights have 37 "
-        "nonempty independent sets of at most 3 weights, counted before listing them\n",
+        "nonempty independent sets of at most 3 weights, counted before listing them\n"
     )
+
+
+@pytest.mark.parametrize("n, betti", [(3, 6), (4, 51), (5, 560), (6, 7575)])
+def test_wedge_lists_no_independent_set(n, betti, monkeypatch, tmp_path, capsys):
+    """With no independent set allowed, `matroid wedge` still passes on disguised A_n."""
+    path = tmp_path / "a.wt"
+    path.write_text(format_matroid(disguised(random.Random(n), WeightSystem(n, type_a_roots(n)))))
+    monkeypatch.setattr(matroid, "INDEPENDENT_SET_CAP", 0)
+    assert cli.main(["matroid", "wedge", str(path)]) == 0
+    out = capsys.readouterr().out
+    zeros = "".join(f"b~{d}=0 " for d in range(-1, n - 1))
+    assert f"top h-number: {betti}\nindependence complex: pass ({zeros}b~{n - 1}={betti})\n" in out
+
+
+@st.composite
+def parallel_weight_systems(draw):
+    """Weights drawn from a few lines in Z^k, k <= 4, with repeats and scaled (parallel) copies."""
+    k = draw(st.integers(1, 4))
+    lines = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k).filter(any), min_size=1, max_size=5))
+    picks = st.tuples(st.sampled_from(lines), st.sampled_from([1, 1, -1, 2, -3]))
+    weights = draw(st.lists(picks, min_size=1, max_size=8))
+    return WeightSystem(k, [tuple(c * x for x in line) for line, c in weights])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(parallel_weight_systems())
+def test_wedge_independence_betti_is_that_of_the_listed_complex(ws):
+    report = verify_wedge_prediction(ws)
+    assert report.complex_betti == reduced_betti(independence_complex(ws))
+    assert report.complex_ok
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(parallel_weight_systems())
+def test_counted_f_vector_is_the_subset_scan(ws):
+    f, _ = complexes._independence_numbers(*ws._lattice)
+    assert f == independent_sets_by_size_oracle(list(ws.weights))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_counted_f_vector_of_a_n_is_the_listed_one(n):
+    ws = disguised(random.Random(n), WeightSystem(n, type_a_roots(n)))
+    f, _ = complexes._independence_numbers(*ws._lattice)
+    assert f == independence_complex(ws).f_vector()
+
+
+def test_wedge_on_generic_plane_weights_past_the_independent_set_cap(tmp_path, capsys):
+    """1 500 weights (1, i): 1 125 750 nonempty independent sets, more than the cap.
+
+    Every pair is a basis, so the complex is the complete graph on 1 500
+    vertices, b~1 = C(1499, 2).  A recursion per weight would pass
+    Python's default limit of 1 000 frames; this one is two deep.
+    """
+    n = 1500
+    path = tmp_path / "plane.wt"
+    path.write_text(format_matroid(WeightSystem(2, [(1, i) for i in range(n)])))
+    assert cli.main(["matroid", "wedge", str(path)]) == 0
+    out = capsys.readouterr().out
+    betti = (n - 1) * (n - 2) // 2
+    assert f"independence complex: pass (b~-1=0 b~0=0 b~1={betti})\n" in out
 
 
 @pytest.mark.parametrize("command", ["flats", "check", "wedge"])

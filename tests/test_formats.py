@@ -344,7 +344,7 @@ PARSE_ERRORS = [
      SQUARE + "connection l at v00 -> r via b\nconnection l at v00 -> b via b\n",
      "conflicting images for 'l' across 'b'", 11, 1),
     (parse_graph_with_connection, _g6_without_its_last_connection_row(),
-     "connection along 'e312_321' out of '321' misses edge 'e231_321'", 1, 1),
+     "connection along 'e312_321' out of '321' misses edge 'e231_321'", 62, 1),
     (parse_graph_with_connection,
      SQUARE + "connection l at v00 -> r via b\nconnection r at v10 -> l via b\n",
      "no connection rows along 't' out of 'v01'", 1, 1),
