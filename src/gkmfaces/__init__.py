@@ -6,7 +6,6 @@ from .matroid import (
     Flat,
     SimplicialComplex,
     WeightSystem,
-    all_flats,
     closure,
     flats_lattice,
     h_vector,
@@ -51,7 +50,6 @@ __all__ = [
     "SimplicialComplex",
     "Subspace",
     "WeightSystem",
-    "all_flats",
     "are_isomorphic",
     "canonical_connection",
     "check_coherent",

@@ -27,6 +27,7 @@ def _read(path: str) -> str:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise GkmFacesError(f"cannot read {path}: {exc.strerror}") from exc
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark, as some editors save
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

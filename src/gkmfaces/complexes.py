@@ -55,15 +55,9 @@ homotopy equivalent to the wedge of the suspensions of (0, b) * (b, 1)
 ordered sets, European J. Combin. 4, 1983): b~_k sums b~_i(0, b)
 b~_j(b, 1) over b and i + j = k - 2, b~_-1 = 1 on an empty interval.
 In a geometric lattice the complements of an atom are the coatoms not
-above it.  Every other poset goes to the chains.
-
-The wedge check's independence complex is not listed either
-(`_independence_numbers`; A8's has 10 026 504 nonempty faces).  Its
-f-vector counts the bases of each flat from those of the flats it
-covers, and its one Betti number comes from deletion and contraction
-over states (weight bound, flat) of the flats lattice, since matroid
-complexes are wedges of spheres (Bjorner, The homology and shellability
-of matroids and geometric lattices, 1992).
+above it.  Every other poset goes to the chains.  The wedge check's
+independence complex is not listed either: its numbers are counted on
+the flats lattice (`matroid._independence_numbers`).
 """
 
 from __future__ import annotations
@@ -73,7 +67,7 @@ from functools import cache
 from math import gcd
 
 from .errors import EmptyComplex, EnumerationCapExceeded, PreconditionFailed
-from .matroid import Flat, WeightSystem, flats_lattice
+from .matroid import WeightSystem, _independence_numbers, flats_lattice
 from .poset import GradedPoset, _bits, _minimal, mobius
 
 # more chains than this are not listed; the A6 proper part has 262 759, A7's 10 270 695
@@ -272,86 +266,8 @@ def proper_betti(p: GradedPoset) -> dict[int, int]:
         return total
 
     total = betti(bottom, top)
+    del betti  # it names itself, a cycle holding its memo that only the cyclic collector frees
     return {d: total.get(d, 0) for d in range(-1, level[top] - 1)}
-
-
-def _independence_numbers(
-    flats: list[Flat], covers: list[tuple[int, int]]
-) -> tuple[tuple[int, ...], int]:
-    """The f-vector and top reduced Betti number of the independence complex, listing no face.
-
-    `flats` and `covers` are a weight system's flats lattice as kept by
-    `WeightSystem._lattice`: flats sorted by rank, covers as position
-    pairs.  The two numbers come from separate calculations on it.
-
-    The f-vector counts.  An independent set with closure F is a basis of
-    F; let b(F) count them.  The pairs (basis B of F, e in B) match the
-    triples (G, basis B - e of G, e in F - G) with G = cl(B - e) covered
-    by F: back, B - e plus e is independent with closure G v e = F.  So
-    r(F) b(F) = sum over G covered by F of b(G) |F - G|, from b(bottom) =
-    1, and the sets of size j number the sum of b(F) over the flats of
-    rank j: (f_-1, ..., f_r-1) as `SimplicialComplex.f_vector` gives it.
-
-    The Betti number is by deletion and contraction.  If weight e of a
-    matroid M of rank r is neither a loop nor a coloop, IN(M) = IN(M - e)
-    u e * IN(M / e), and IN(M / e), the link of e, lies in IN(M - e); so
-    IN(M) is IN(M - e) with a cone on IN(M / e) attached, and its
-    homology is that of the pair.  When IN(M - e) (rank r) has reduced
-    homology only in degree r - 1 and IN(M / e) (rank r - 1) only in
-    degree r - 2, the pair's exact sequence leaves IN(M) homology only in
-    degree r - 1, of rank b(M - e) + b(M / e).  A coloop makes IN(M) a
-    cone, b = 0; a loop lies in no face and changes nothing; rank 0 gives
-    the complex of the empty face alone, b~_-1 = 1.  Every matroid is one
-    of these four cases, so by induction on its weights every matroid
-    complex is concentrated in degree r - 1 and the lemma always applies:
-    there is no other case to fall back on.
-
-    A state (k, G), G a flat, is the minor of the weights below k outside
-    G, contracted by G.  K(G), one past the last weight of the index-order
-    greedy basis of M / G, is the least k with G v (weights below k) the
-    top: K(G) = K(G v j) for the lowest weight j outside G, or j + 1 when
-    G v j is the top.  Every state reached has k >= K(G), so it has the
-    rank of M / G, and its highest weight k - 1 is a coloop exactly when
-    k = K(G).  Deleting weights down to that coloop, and contracting each
-    weight v on the way, which moves to the cover G v v, gives b(k, G) =
-    sum of b(v, G v v) over the weights v outside G with K(G) <= v < k.
-    Below a coatom every term is b(., top) = 1, so the sum is a count.
-    Each nested call rises one rank, so the recursion is at most r deep,
-    and the memo holds at most one entry per weight bound and flat.
-    """
-    r, top = flats[-1].rank, len(flats) - 1
-    upper: list[list[int]] = [[] for _ in flats]
-    for low, high in covers:
-        upper[low].append(high)
-    masks = [sum(1 << i for i in flat.members) for flat in flats]  # bit i: weight i
-    outside = [masks[top] ^ mask for mask in masks]
-
-    # r(F) b(F), gathered from below: F's lower covers come first, so it is whole when F is reached
-    counted, f = [1] + [0] * top, [0] * (r + 1)
-    for at, flat in enumerate(flats):
-        bases = counted[at] // (flat.rank or 1)
-        f[flat.rank] += bases
-        for h in upper[at]:
-            counted[h] += bases * (masks[h] ^ masks[at]).bit_count()
-
-    starts: dict[int, int] = {}  # K(G)
-
-    def start(g: int) -> int:
-        if g not in starts:
-            low = outside[g] & -outside[g]
-            h = next(h for h in upper[g] if masks[h] & low)
-            starts[g] = low.bit_length() if h == top else start(h)
-        return starts[g]
-
-    @cache
-    def betti(k: int, g: int) -> int:
-        window = outside[g] & (1 << k) - (1 << start(g))
-        if flats[g].rank == r - 1:
-            return window.bit_count()
-        # each weight outside g lies in exactly one cover of g
-        return sum(betti(v, h) for h in upper[g] for v in _bits(masks[h] & window))
-
-    return tuple(f), betti(masks[top].bit_length(), 0)
 
 
 def _concentrated(betti: dict[int, int], degree: int, value: int) -> bool:
@@ -383,18 +299,18 @@ def verify_wedge_prediction(ws: WeightSystem) -> WedgeReport:
     (b) the independence complex is concentrated in degree rank-1 with
     total the top h-number.  Part (a) is skipped for rank below 2.
     Part (b) lists no independent set: deletion and contraction give the
-    Betti numbers, concentrated by the lemma of `_independence_numbers`,
-    and the check compares the top one with the h-number counted apart.
+    Betti numbers, concentrated by the lemma of
+    `matroid._independence_numbers`, and the check compares the top one
+    with the h-number counted apart.
     """
     lattice = flats_lattice(ws)  # searches the flats once; `ws._lattice` keeps them
-    flats, covers = ws._lattice
-    rank = flats[-1].rank
+    rank = lattice.rank[lattice.top()]
     if rank < 1:
         raise PreconditionFailed("wedge predictions need a weight system of rank at least 1")
     mu = abs(mobius(lattice, lattice.bottom(), lattice.top()))
     interval = None if rank < 2 else proper_betti(lattice)
     proper_ok = interval is not None and _concentrated(interval, rank - 2, mu)
-    f, top_betti = _independence_numbers(flats, covers)
+    f, top_betti = _independence_numbers(ws)
     top_h = sum((-1) ** (rank - j) * count for j, count in enumerate(f))  # h_r of `h_vector`
     complex_betti = {d: top_betti if d == rank - 1 else 0 for d in range(-1, rank)}
     complex_ok = top_betti == top_h

@@ -124,7 +124,7 @@ def parse_poset(text: str) -> GradedPoset:
     declared: dict[str, int] = {}  # element -> its line, in declaration order
     rank: dict[str, int] = {}
     drk: dict[str, int] = {}
-    covers: list[tuple[str, str]] = []
+    covers: dict[tuple[str, str], None] = {}  # in declaration order
     for lineno, line in _lines(text):
         tokens = line.split()
         if tokens[0] == "element":
@@ -150,7 +150,9 @@ def parse_poset(text: str) -> GradedPoset:
                     raise ParseError(f"unknown element {name!r} in cover", lineno, 1)
             if low == high:
                 raise ParseError(f"cover ({low!r}, {high!r}) is a self-loop", lineno, 1)
-            covers.append((low, high))
+            if (low, high) in covers:
+                raise ParseError(f"cover {low!r} < {high!r} declared twice", lineno, 1)
+            covers[low, high] = None
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", lineno, 1)
     if not declared:
@@ -159,7 +161,7 @@ def parse_poset(text: str) -> GradedPoset:
         missing = next(e for e in declared if e not in drk)
         raise ParseError(f"drk given for some elements but not {missing!r}", declared[missing], 1)
     try:
-        return GradedPoset(list(declared), covers, rank=rank, drk=drk or None)
+        return GradedPoset(list(declared), list(covers), rank=rank, drk=drk or None)
     except ValueError as exc:
         raise ParseError(str(exc), 1, 1) from exc
 

@@ -10,22 +10,31 @@ classes outside F whose residues modulo span(F) are equal.  That search
 carries the residues down: a child's residues are its parent's reduced
 by the one new row, one row operation each instead of an elimination
 against a whole basis.  It stops at the coatoms, whose only cover is the
-top, and runs on member bitmasks and numbered flats until its final
-sort.  The cost is governed by the number of flats and classes, not by
-2^n subsets (the subset scans and the pairwise cover scan are kept as
-test oracles).  It is the one search over a weight system, which keeps
-its result: the independence complex and the independence degree are
-read off the flats lattice, and so are the wedge check's face counts and
-Betti number (`complexes.verify_wedge_prediction`), which list no face.
-Only `independence_complex` lists independent sets, so only it is bound
-by INDEPENDENT_SET_CAP.  A simplicial complex lists its faces once, as
-bitmasks each with the mask of the vertices that can join it, for its
-f- and h-vectors and its homology alike.
+top, and runs on member bitmasks and numbered flats.  The cost is
+governed by the number of flats and classes, not by 2^n subsets (the
+subset scans and the pairwise cover scan are kept as test oracles).  It
+is the one search over a weight system, which keeps its result as it
+found it: each flat is its member mask (bit i for weight i) and rank,
+and `flats_lattice` names the lattice's elements by those members.  The
+independence complex and the independence degree are read off the
+flats lattice.  A simplicial complex lists its faces once, as bitmasks
+each with the mask of the vertices that can join it, for its f- and
+h-vectors and its homology alike.
+
+The wedge check's independence complex is not listed
+(`_independence_numbers`; A8's has 10 026 504 nonempty faces), so only
+`independence_complex` lists independent sets and only it is bound by
+INDEPENDENT_SET_CAP.  Its f-vector counts the bases of each flat from
+those of the flats it covers, and its one Betti number comes from
+deletion and contraction over states (weight bound, flat) of the flats
+lattice, since matroid complexes are wedges of spheres (Bjorner, The
+homology and shellability of matroids and geometric lattices, 1992).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -82,8 +91,8 @@ class WeightSystem:
         return self.span_of(self.indices).dim
 
     @property
-    def _lattice(self) -> tuple[list[Flat], list[tuple[int, int]]]:
-        """The flats and covers of `_flats_with_covers`, searched on first read and kept."""
+    def _lattice(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+        """The member masks, ranks and covers of `_flats_with_covers`, searched once and kept."""
         if self._flats is None:
             object.__setattr__(self, "_flats", _flats_with_covers(self))
         return self._flats
@@ -152,8 +161,11 @@ def closure(ws: WeightSystem, subset: Iterable[int]) -> Flat:
     return Flat(members, span.dim)
 
 
-def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, int]]]:
-    """Every flat sorted by (rank, members), and the covers as sorted pairs of positions there.
+def _flats_with_covers(ws: WeightSystem) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """Every flat's member mask and rank, sorted by (rank, members), and the covers between them.
+
+    Bit i of a member mask stands for weight i; a cover is a sorted pair
+    of positions in the sorted lists.
 
     The flats covering F are the closures of F plus one parallel class
     outside F, and two such classes give the same cover exactly when
@@ -163,9 +175,8 @@ def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, in
     residues vanish are the ones it absorbed.  With r the rank of the
     system, a flat of rank r - 1 has the top as its only cover, so it
     joins no frontier and carries nothing.  Until the final sort a flat
-    is a number, its members a bitmask (bit i for weight i) and a cover
-    a pair of numbers; one `Flat` per flat is built after it.  The flats
-    are counted as they are found, and more than FLATS_CAP of them raise
+    is a number and a cover a pair of numbers.  The flats are counted as
+    they are found, and more than FLATS_CAP of them raise
     EnumerationCapExceeded.
     """
     r = ws.rank()
@@ -206,39 +217,27 @@ def _flats_with_covers(ws: WeightSystem) -> tuple[list[Flat], list[tuple[int, in
                 else:
                     covers.append((high, 1))
             covers.append((low, high))
-    ids = [tuple(_bits(m)) for m in masks]
-    order = sorted(range(len(masks)), key=lambda f: (ranks[f], ids[f]))
-    position = [0] * len(order)
-    for at, f in enumerate(order):
-        position[f] = at
-    flats = [Flat(frozenset(ids[f]), ranks[f]) for f in order]
-    return flats, sorted((position[low], position[high]) for low, high in covers)
-
-
-def all_flats(ws: WeightSystem) -> list[Flat]:
-    """Every flat exactly once, sorted by (rank, members)."""
-    return list(ws._lattice[0])
-
-
-def flat_id(flat: Flat) -> tuple[int, ...]:
-    return tuple(sorted(flat.members))
+    order = sorted(range(len(masks)), key=lambda f: (ranks[f], _bits(masks[f])))
+    position = {f: at for at, f in enumerate(order)}
+    covers = sorted((position[low], position[high]) for low, high in covers)
+    return [masks[f] for f in order], [ranks[f] for f in order], covers
 
 
 def flats_lattice(ws: WeightSystem) -> GradedPoset:
     """Lattice of flats ordered by inclusion.
 
-    Element ids are sorted member tuples; rank labels are flat ranks and
-    drk labels count the weights in the flat with multiplicity.  Covers
-    are listed by the position of the lower flat, then of the upper one.
+    A flat is its element, named by its sorted member tuple, with no
+    payload; rank labels are flat ranks and drk labels count the weights
+    in the flat with multiplicity.  Covers are listed by the position of
+    the lower flat, then of the upper one.
     """
-    flats, covers = ws._lattice
-    ids = [flat_id(f) for f in flats]
+    masks, ranks, covers = ws._lattice
+    ids = [tuple(_bits(m)) for m in masks]
     return GradedPoset(
         ids,
         [(ids[low], ids[high]) for low, high in covers],
-        rank={e: f.rank for e, f in zip(ids, flats)},
-        drk={e: f.multiplicity for e, f in zip(ids, flats)},
-        payload=dict(zip(ids, flats)),
+        rank=dict(zip(ids, ranks)),
+        drk={e: len(e) for e in ids},
         labels={e: "{" + ",".join(map(str, e)) + "}" for e in ids},
     )
 
@@ -256,10 +255,10 @@ def independence_complex(ws: WeightSystem) -> SimplicialComplex:
     size.  Each size is counted before it is listed, and more than
     INDEPENDENT_SET_CAP nonempty faces raise EnumerationCapExceeded.
     """
-    flats, covers = ws._lattice
+    masks, _, covers = ws._lattice
     full = (1 << ws.size) - 1
-    outside = [full ^ sum(1 << i - 1 for i in f.members) for f in flats]  # bit i - 1: weight i
-    up: list[dict[int, int]] = [{} for _ in flats]  # up[F][v]: the flat covering F that holds v
+    outside = [full ^ mask >> 1 for mask in masks]  # bit i - 1: weight i
+    up: list[dict[int, int]] = [{} for _ in masks]  # up[F][v]: the flat covering F that holds v
     for low, high in covers:
         for v in _bits(outside[low] ^ outside[high]):
             up[low][v] = high
@@ -285,6 +284,82 @@ def independence_complex(ws: WeightSystem) -> SimplicialComplex:
     faces = [sorted((face, outside[f]) for face, f in level) for level in levels]
     object.__setattr__(complex_, "_levels", faces)
     return complex_
+
+
+def _independence_numbers(ws: WeightSystem) -> tuple[tuple[int, ...], int]:
+    """The f-vector and top reduced Betti number of the independence complex, listing no face.
+
+    Both come from the flats lattice as `WeightSystem._lattice` keeps it,
+    by separate calculations; the weight system must have rank at least 1.
+
+    The f-vector counts.  An independent set with closure F is a basis of
+    F; let b(F) count them.  The pairs (basis B of F, e in B) match the
+    triples (G, basis B - e of G, e in F - G) with G = cl(B - e) covered
+    by F: back, B - e plus e is independent with closure G v e = F.  So
+    r(F) b(F) = sum over G covered by F of b(G) |F - G|, from b(bottom) =
+    1, and the sets of size j number the sum of b(F) over the flats of
+    rank j: (f_-1, ..., f_r-1) as `SimplicialComplex.f_vector` gives it.
+
+    The Betti number is by deletion and contraction.  If weight e of a
+    matroid M of rank r is neither a loop nor a coloop, IN(M) = IN(M - e)
+    u e * IN(M / e), and IN(M / e), the link of e, lies in IN(M - e); so
+    IN(M) is IN(M - e) with a cone on IN(M / e) attached, and its
+    homology is that of the pair.  When IN(M - e) (rank r) has reduced
+    homology only in degree r - 1 and IN(M / e) (rank r - 1) only in
+    degree r - 2, the pair's exact sequence leaves IN(M) homology only in
+    degree r - 1, of rank b(M - e) + b(M / e).  A coloop makes IN(M) a
+    cone, b = 0; a loop lies in no face and changes nothing; rank 0 gives
+    the complex of the empty face alone, b~_-1 = 1.  Every matroid is one
+    of these four cases, so by induction on its weights every matroid
+    complex is concentrated in degree r - 1 and the lemma always applies:
+    there is no other case to fall back on.
+
+    A state (k, G), G a flat, is the minor of the weights below k outside
+    G, contracted by G.  K(G), one past the last weight of the index-order
+    greedy basis of M / G, is the least k with G v (weights below k) the
+    top: K(G) = K(G v j) for the lowest weight j outside G, or j + 1 when
+    G v j is the top.  Every state reached has k >= K(G), so it has the
+    rank of M / G, and its highest weight k - 1 is a coloop exactly when
+    k = K(G).  Deleting weights down to that coloop, and contracting each
+    weight v on the way, which moves to the cover G v v, gives b(k, G) =
+    sum of b(v, G v v) over the weights v outside G with K(G) <= v < k.
+    Below a coatom every term is b(., top) = 1, so the sum is a count.
+    Each nested call rises one rank, so the recursion is at most r deep,
+    and the memo holds at most one entry per weight bound and flat.
+    """
+    masks, ranks, covers = ws._lattice
+    r, top = ranks[-1], len(masks) - 1
+    upper: list[list[int]] = [[] for _ in masks]
+    for low, high in covers:
+        upper[low].append(high)
+    outside = [masks[top] ^ mask for mask in masks]
+
+    # r(F) b(F), gathered from below: F's lower covers come first, so it is whole when F is reached
+    counted, f = [1] + [0] * top, [0] * (r + 1)
+    for at, (mask, rank) in enumerate(zip(masks, ranks)):
+        bases = counted[at] // (rank or 1)
+        f[rank] += bases
+        for h in upper[at]:
+            counted[h] += bases * (masks[h] ^ mask).bit_count()
+
+    @cache
+    def start(g: int) -> int:  # K(G)
+        low = outside[g] & -outside[g]
+        h = next(h for h in upper[g] if masks[h] & low)
+        return low.bit_length() if h == top else start(h)
+
+    @cache
+    def betti(k: int, g: int) -> int:
+        window = outside[g] & (1 << k) - (1 << start(g))
+        if ranks[g] == r - 1:
+            return window.bit_count()
+        # each weight outside g lies in exactly one cover of g
+        return sum(betti(v, h) for h in upper[g] for v in _bits(masks[h] & window))
+
+    total = betti(masks[top].bit_length(), 0)
+    # each recursion names itself, a cycle holding its memo that only the cyclic collector frees
+    del betti, start
+    return tuple(f), total
 
 
 def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:

@@ -103,13 +103,14 @@ def flats_lattice_oracle(weights):
 
 
 def flats_with_covers_oracle(ws):
-    """(flats, covers) as `matroid._flats_with_covers` gives them, from full eliminations.
+    """(masks, ranks, covers) as `matroid._flats_with_covers` gives them, from full eliminations.
 
-    Covers are pairs of positions in the sorted flat list.  Each frontier
-    flat keeps the weights that span it and builds their `Subspace`; every
-    class outside it is reduced by `Subspace.residue` against that span.
+    Flats are member sets until the end, then masks with bit i for weight
+    i; covers are pairs of positions in the sorted flat list.  Each
+    frontier flat keeps the weights that span it and builds their
+    `Subspace`; every class outside it is reduced by `Subspace.residue`
+    against that span.
     """
-    from gkmfaces.matroid import Flat
     from gkmfaces.ratlinalg import Subspace
 
     nothing = Subspace.span([], ws.ambient_rank)
@@ -117,10 +118,9 @@ def flats_with_covers_oracle(ws):
     for i in ws.indices:
         parallel.setdefault(nothing.residue(ws.weight(i)), []).append(i)
     classes = [(ws.weight(members[0]), frozenset(members)) for members in parallel.values()]
-    bottom = Flat(frozenset(), 0)
-    found = {bottom.members: bottom}
+    found = {frozenset(): 0}  # members -> rank
     covers = []
-    frontier = [(bottom, [], range(len(classes)))]
+    frontier = [(frozenset(), [], range(len(classes)))]
     while frontier:
         flat, spanning, outside = frontier.pop()
         span = Subspace.span(spanning, ws.ambient_rank)
@@ -128,16 +128,19 @@ def flats_with_covers_oracle(ws):
         for c in outside:
             by_residue.setdefault(span.residue(classes[c][0]), []).append(c)
         for group in by_residue.values():
-            members = flat.members.union(*(classes[c][1] for c in group))
-            bigger = found.get(members)
-            if bigger is None:
-                bigger = found[members] = Flat(members, flat.rank + 1)
+            members = flat.union(*(classes[c][1] for c in group))
+            if members not in found:
+                found[members] = found[flat] + 1
                 rest = [c for c in outside if c not in group]
-                frontier.append((bigger, spanning + [classes[group[0]][0]], rest))
-            covers.append((flat, bigger))
-    flats = sorted(found.values(), key=lambda f: (f.rank, sorted(f.members)))
+                frontier.append((members, spanning + [classes[group[0]][0]], rest))
+            covers.append((flat, members))
+    flats = sorted(found, key=lambda members: (found[members], sorted(members)))
     position = {flat: i for i, flat in enumerate(flats)}
-    return flats, sorted((position[low], position[high]) for low, high in covers)
+    return (
+        [sum(1 << i for i in flat) for flat in flats],
+        [found[flat] for flat in flats],
+        sorted((position[low], position[high]) for low, high in covers),
+    )
 
 
 def independence_complex_oracle(weights):

@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 from gkmfaces.cli import main as cli_main
 from gkmfaces.complexes import verify_wedge_prediction
 from gkmfaces.gkm import local_face_poset
-from gkmfaces.matroid import WeightSystem, all_flats, flats_lattice
+from gkmfaces.matroid import WeightSystem, flats_lattice
 from gkmfaces.poset import (
     are_isomorphic,
     check_coherent,
@@ -56,10 +56,11 @@ def criterion(number, description):
     return wrap
 
 
-@criterion(1, "all_flats matches the 2^n closure oracle on 200 random systems")
+@criterion(1, "the flats lattice's elements match the 2^n closure oracle on 200 random systems")
 def test_flats_oracle_equivalence():
     for ws in SYSTEMS:
-        got = [(f.members, f.rank) for f in all_flats(ws)]
+        lattice = flats_lattice(ws)
+        got = [(frozenset(e), lattice.rank[e]) for e in lattice.elements]
         assert got == flats_oracle(ws.weights)
 
 

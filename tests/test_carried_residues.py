@@ -131,8 +131,8 @@ def test_residues_are_carried_once_per_flat_below_the_coatoms(monkeypatch, ws):
     monkeypatch.setattr(
         matroid, "_carry_residues", lambda row, entries: calls.append(row) or carry(row, entries)
     )
-    flats, _ = _flats_with_covers(ws)
-    assert len(calls) == sum(1 <= f.rank <= ws.rank() - 2 for f in flats)
+    _, ranks, _ = _flats_with_covers(ws)
+    assert len(calls) == sum(1 <= rank <= ws.rank() - 2 for rank in ranks)
 
 
 def test_searches_match_the_oracles_on_type_a():

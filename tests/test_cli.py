@@ -15,12 +15,13 @@ import pytest
 import gkmfaces
 from gkmfaces import formats, reconstruct
 from gkmfaces.cli import build_parser, main
-from gkmfaces.formats import format_graph
+from gkmfaces.formats import format_graph, format_matroid
 from gkmfaces.gkm import GkmSubgraph
+from gkmfaces.matroid import Flat, WeightSystem, closure
 from gkmfaces.ratlinalg import Subspace
 from gkmfaces.reconstruct import Diagnostic, GaloisReport
 
-from helpers import corpus_path, graded_posets, hypercube_graph
+from helpers import corpus_path, graded_posets, hypercube_graph, type_a_roots
 
 
 def run_cli(*argv):
@@ -351,10 +352,11 @@ def test_corpus_serves_only_bundled_names(name):
     "command, text",
     [
         ("matroid flats", b"ambient_rank: 2\nw1 = (1,0)\nw2 = (0,1) # \xff\n"),
+        ("matroid flats", b"\xef\xbb\xbfambient_rank: 2\nw1 = (1,0)\nw2 = (0,1) # \xff\n"),
         ("poset check", b"element 0 rank 0\r\ncover 0 < \xfe\r\n"),
         ("gkm validate", b"ambient_rank: 1\rvertex A\r\xc3(\r"),
     ],
-    ids=["wt", "poset", "gkm"],
+    ids=["wt", "wt-bom", "poset", "gkm"],
 )
 def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, command, text):
     """Inputs are decoded as UTF-8 whatever the locale; the bad byte's line is named."""
@@ -364,6 +366,33 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, command, text):
     code, out, err = run_cli_with_stderr(*command.split(), str(target))
     line = 3 if command != "poset check" else 2
     assert (code, out, err) == (2, "", f"error: line {line}, column 1: input is not UTF-8 text\n")
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("matroid flats", "coll.wt"), ("poset check", "glued.poset"), ("gkm faces", "cp2.gkm")],
+    ids=["wt", "poset", "gkm"],
+)
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, command, name):
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + corpus_path(name).read_bytes())
+    expected = run_cli(*command.split(), path(name))
+    assert expected[0] == 0
+    assert run_cli(*command.split(), str(marked)) == expected
+
+
+def test_matroid_commands_build_no_flat(tmp_path, monkeypatch):
+    """A flat is its lattice element: flats, check and wedge on A4 construct no `Flat`."""
+    built = []
+    init = Flat.__init__
+    monkeypatch.setattr(Flat, "__init__", lambda *args: built.append(init(*args)))
+    weights = tmp_path / "a4.wt"
+    weights.write_text(format_matroid(WeightSystem(4, type_a_roots(4))))
+    for command in ("flats", "check", "wedge"):
+        assert run_cli("matroid", command, str(weights))[0] == 0
+    assert built == []
+    closure(WeightSystem(1, [(1,)]), {1})
+    assert len(built) == 1  # the count sees a `Flat` where one is built
 
 
 ALL_COMMANDS = [

@@ -1,11 +1,16 @@
+import gc
+import io
+from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmfaces.complexes import order_complex, reduced_betti, verify_wedge_prediction
+from gkmfaces.cli import main
+from gkmfaces.complexes import order_complex, proper_betti, reduced_betti, verify_wedge_prediction
 from gkmfaces.errors import EmptyComplex, GkmFacesError, PreconditionFailed
+from gkmfaces.formats import format_matroid
 from gkmfaces.matroid import (
     SimplicialComplex,
     WeightSystem,
@@ -15,7 +20,7 @@ from gkmfaces.matroid import (
 )
 from gkmfaces.poset import GradedPoset, grading_of
 
-from helpers import BASIS2, COLLINEAR, UNIFORM23, weight_corpus
+from helpers import BASIS2, COLLINEAR, UNIFORM23, type_a_roots, weight_corpus
 from oracles import euler_characteristic, reduced_betti_oracle, sympy_betti
 
 # the 6-vertex real projective plane: H_1 = Z/2, so every rational reduced Betti number is 0
@@ -268,3 +273,25 @@ def test_faces_of_a_simplicial_complex_are_listed_once(monkeypatch):
     assert verify_wedge_prediction(ws).ok
     assert len(flats_lattice(ws).elements) == 15 and len(independence_complex(ws).facets) == 16
     assert searched == [WeightSystem(2, UNIFORM23.weights), ws] and len(listed) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("path", ["wedge", "proper", "cli"])
+def test_homology_leaves_no_reference_cycle(tmp_path, path, n):
+    """With the cyclic collector off, nothing is left for it: each memo is freed on return."""
+    weights = tmp_path / "a.wt"
+    weights.write_text(format_matroid(WeightSystem(n, type_a_roots(n))))
+    calls = {
+        "wedge": lambda: verify_wedge_prediction(WeightSystem(n, type_a_roots(n))),
+        "proper": lambda: proper_betti(flats_lattice(WeightSystem(n, type_a_roots(n)))),
+        "cli": lambda: main(["matroid", "wedge", str(weights)]),
+    }
+    with redirect_stdout(io.StringIO()):
+        calls[path]()  # warm-up
+        gc.collect()
+        gc.disable()
+        try:
+            calls[path]()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -308,6 +308,8 @@ PARSE_ERRORS = [
     (parse_poset, "element a rank 0\nelement b rank 1\ncover a < b\ncover b < a\n",
      "covers contain a cycle", 1, 1),
     (parse_poset, "element a rank 0\ncover a < a\n", "cover ('a', 'a') is a self-loop", 2, 1),
+    (parse_poset, "element a rank 0\nelement b rank 1\ncover a < b\ncover a < b\n",
+     "cover 'a' < 'b' declared twice", 4, 1),
     (parse_poset, "element a rank 0 drk 0\nelement b rank 1\nelement c rank 2 drk 1\n",
      "drk given for some elements but not 'b'", 2, 1),
     # graph files

@@ -8,9 +8,7 @@ from gkmfaces.errors import DimensionMismatch, PreconditionFailed, ZeroWeight
 from gkmfaces.matroid import (
     Flat,
     WeightSystem,
-    all_flats,
     closure,
-    flat_id,
     flats_lattice,
     h_vector,
     independence_complex,
@@ -74,25 +72,31 @@ def test_closure_index_out_of_range():
         closure(UNIFORM23, {9})
 
 
-def test_all_flats_boolean2():
-    members = [sorted(f.members) for f in all_flats(BASIS2)]
-    assert members == [[], [1], [2], [1, 2]]
+def flat_ranks(ws):
+    """Each flat of ws as its member set, with its rank, in the flats lattice's order."""
+    p = flats_lattice(ws)
+    return {frozenset(e): p.rank[e] for e in p.elements}
 
 
-def test_all_flats_u23():
-    members = [sorted(f.members) for f in all_flats(UNIFORM23)]
-    assert members == [[], [1], [2], [3], [1, 2, 3]]
+def test_flats_boolean2():
+    assert flats_lattice(BASIS2).elements == ((), (1,), (2,), (1, 2))
 
 
-def test_all_flats_collinear():
-    members = [sorted(f.members) for f in all_flats(COLLINEAR)]
-    assert members == [[], [1, 2], [3], [1, 2, 3]]
+def test_flats_u23():
+    assert flats_lattice(UNIFORM23).elements == ((), (1,), (2,), (3,), (1, 2, 3))
 
 
-def test_all_flats_matches_subset_oracle():
+def test_flats_collinear():
+    assert flats_lattice(COLLINEAR).elements == ((), (1, 2), (3,), (1, 2, 3))
+
+
+def test_flats_match_subset_oracle():
     for ws in weight_corpus(seed=101, count=60, max_n=6):
-        got = [(f.members, f.rank) for f in all_flats(ws)]
-        assert got == flats_oracle(ws.weights)
+        assert list(flat_ranks(ws).items()) == flats_oracle(ws.weights)
+
+
+def test_flats_lattice_has_no_payload():
+    assert flats_lattice(COLLINEAR).payload == {}
 
 
 def with_parallel_copies(rng, ws):
@@ -185,45 +189,38 @@ def test_flats_lattice_u23_atoms():
 
 def test_lattice_laws_exhaustive():
     for ws in weight_corpus(seed=109, count=25, max_n=7):
-        flats = all_flats(ws)
-        by_members = {f.members: f for f in flats}
         p = flats_lattice(ws)
-        for f in flats:
-            for g in flats:
-                assert f.members & g.members in by_members  # meets are intersections
-                join = p.join(flat_id(f), flat_id(g))
+        for f in p.elements:
+            for g in p.elements:
+                assert tuple(sorted(set(f) & set(g))) in p.rank  # meets are intersections
+                join = p.join(f, g)
                 assert join is not None
-                assert join == flat_id(closure(ws, f.members | g.members))
+                assert join == tuple(sorted(closure(ws, set(f) | set(g)).members))
 
 
 def test_semimodularity():
     for ws in weight_corpus(seed=113, count=25, max_n=6):
-        flats = all_flats(ws)
-        by_members = {f.members: f for f in flats}
-        for f in flats:
-            for g in flats:
-                meet = by_members[f.members & g.members]
-                join = by_members[closure(ws, f.members | g.members).members]
-                assert join.rank + meet.rank <= f.rank + g.rank
+        rank = flat_ranks(ws)
+        for f in rank:
+            for g in rank:
+                join = closure(ws, f | g).members
+                assert rank[join] + rank[f & g] <= rank[f] + rank[g]
 
 
 def test_atomisticity():
     for ws in weight_corpus(seed=127, count=25, max_n=6):
-        flats = all_flats(ws)
-        atoms = [f for f in flats if f.rank == 1]
-        for f in flats:
-            below = [a for a in atoms if a.members <= f.members]
-            union = frozenset().union(*[a.members for a in below]) if below else frozenset()
-            assert closure(ws, union).members == f.members
+        rank = flat_ranks(ws)
+        atoms = [f for f, r in rank.items() if r == 1]
+        for f in rank:
+            assert closure(ws, frozenset().union(*(a for a in atoms if a <= f))).members == f
 
 
 def test_drk_additivity_over_atoms():
     for ws in weight_corpus(seed=131, count=25, max_n=6):
-        flats = all_flats(ws)
-        atoms = [f for f in flats if f.rank == 1]
-        for f in flats:
-            total = sum(a.multiplicity for a in atoms if a.members <= f.members)
-            assert total == f.multiplicity
+        p = flats_lattice(ws)
+        atoms = [e for e in p.elements if p.rank[e] == 1]
+        for e in p.elements:
+            assert sum(p.drk[a] for a in atoms if set(a) <= set(e)) == p.drk[e] == len(e)
 
 
 def test_independence_complex_examples():

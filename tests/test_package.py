@@ -22,6 +22,12 @@ def test_all_names_exactly_the_public_bindings():
     assert set(exported) == bound
 
 
+def test_flats_are_read_off_the_lattice_only():
+    """`flats_lattice` is the one way to the flats: its elements and rank labels."""
+    assert "all_flats" not in gkmfaces.__all__
+    assert not hasattr(gkmfaces.matroid, "all_flats") and not hasattr(gkmfaces.matroid, "flat_id")
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 PARSERS = {".wt": parse_matroid, ".poset": parse_poset, ".gkm": parse_graph_with_connection}
 
