@@ -28,7 +28,7 @@ import re
 from .errors import GkmFacesError, ParseError
 from .gkm import Connection, GkmGraph
 from .matroid import WeightSystem
-from .poset import GradedPoset, _fresh_id
+from .poset import GradedPoset, _CoverCycle, _fresh_id
 from .ratlinalg import IntVector
 
 # the grammars' patterns; a rank or a drk is what int() reads, where str.isdigit() also passes "²"
@@ -121,21 +121,23 @@ def format_matroid(ws: WeightSystem) -> str:
 
 
 def parse_poset(text: str) -> GradedPoset:
-    declared: dict[str, int] = {}  # element -> its line, in declaration order
+    position: dict[str, int] = {}  # element -> its position, in declaration order
+    lines: list[int] = []  # by position, the line declaring the element
     rank: dict[str, int] = {}
     drk: dict[str, int] = {}
-    covers: dict[tuple[str, str], None] = {}  # in declaration order
+    covers: dict[tuple[int, int], int] = {}  # (low, high) positions -> line, in declaration order
     for lineno, line in _lines(text):
         tokens = line.split()
         if tokens[0] == "element":
             if len(tokens) not in (4, 6) or tokens[2] != "rank":
                 raise ParseError("expected 'element <id> rank <r> [drk <d>]'", lineno, 1)
             name = tokens[1]
-            if name in declared:
+            if name in position:
                 raise ParseError(f"element {name!r} declared twice", lineno, 1)
             if not _RANK.fullmatch(tokens[3]):
                 raise ParseError(f"bad rank {tokens[3]!r}", lineno, 1)
-            declared[name] = lineno
+            position[name] = len(lines)
+            lines.append(lineno)
             rank[name] = int(tokens[3])
             if len(tokens) == 6:
                 if tokens[4] != "drk" or not _DRK.fullmatch(tokens[5]):
@@ -146,24 +148,28 @@ def parse_poset(text: str) -> GradedPoset:
                 raise ParseError("expected 'cover <id> < <id>'", lineno, 1)
             low, high = tokens[1], tokens[3]
             for name in (low, high):
-                if name not in rank:
+                if name not in position:
                     raise ParseError(f"unknown element {name!r} in cover", lineno, 1)
             if low == high:
                 raise ParseError(f"cover ({low!r}, {high!r}) is a self-loop", lineno, 1)
-            if (low, high) in covers:
+            pair = position[low], position[high]
+            if pair in covers:
                 raise ParseError(f"cover {low!r} < {high!r} declared twice", lineno, 1)
-            covers[low, high] = None
+            covers[pair] = lineno
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", lineno, 1)
-    if not declared:
+    if not position:
         raise ParseError("poset file declares no elements", 1, 1)
-    if drk and set(drk) != set(declared):
-        missing = next(e for e in declared if e not in drk)
-        raise ParseError(f"drk given for some elements but not {missing!r}", declared[missing], 1)
+    if drk and len(drk) != len(position):
+        missing = next(e for e in position if e not in drk)
+        raise ParseError(
+            f"drk given for some elements but not {missing!r}", lines[position[missing]], 1
+        )
+    pairs = list(covers)
     try:
-        return GradedPoset(list(declared), list(covers), rank=rank, drk=drk or None)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from exc
+        return GradedPoset._from_positions(position, pairs, rank=rank, drk=drk or None)
+    except _CoverCycle as exc:  # at the line of a cover on the cycle
+        raise ParseError(str(exc), covers[pairs[exc.at]], 1) from exc
 
 
 _TOKEN = re.compile(r"[A-Za-z0-9_.:\-{},']+")
@@ -191,8 +197,8 @@ def _export_view(p: GradedPoset) -> tuple[dict, dict | None, str, list[tuple[str
     if ranks is None:
         level, _, reason = p._grading
         ranks = None if level is None else dict(zip(p.elements, level))
-    ordered = sorted(p.covers, key=lambda c: (p._index[c[0]], p._index[c[1]]))
-    return names, ranks, reason, [(names[low], names[high]) for low, high in ordered]
+    ids = [names[e] for e in p.elements]
+    return names, ranks, reason, [(ids[low], ids[high]) for low, high in sorted(p._pairs)]
 
 
 def format_poset(p: GradedPoset) -> str:

@@ -662,10 +662,11 @@ def _face_poset(g: GkmGraph, faces: Sequence[Face], prefix: str = "H") -> Graded
     """Inclusion poset of `faces`, ranked by span, with their subgraphs as the payload."""
     ids = [f"{prefix}{i}" for i in range(len(faces))]
     everything = (1 << len(faces)) - 1
-    covers = sorted((ids[i], ids[j]) for i, j in _cover_pairs(_containers(g, faces), everything))
-    return GradedPoset(
+    pairs = _cover_pairs(_containers(g, faces), everything)
+    pairs.sort(key=lambda c: (ids[c[0]], ids[c[1]]))  # as their ids sort
+    return GradedPoset._from_positions(
         ids,
-        covers,
+        pairs,
         rank={i: _span_at(g, xs[0], edges).dim for i, (xs, edges) in zip(ids, faces)},
         drk={i: (edges & g._star_mask[xs[0]]).bit_count() for i, (xs, edges) in zip(ids, faces)},
         payload={i: _subgraph(g, face) for i, face in zip(ids, faces)},

@@ -91,8 +91,8 @@ class WeightSystem:
         return self.span_of(self.indices).dim
 
     @property
-    def _lattice(self) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-        """The member masks, ranks and covers of `_flats_with_covers`, searched once and kept."""
+    def _lattice(self) -> tuple[list[int], list[int], list[tuple[int, int]], list[tuple]]:
+        """The masks, ranks, covers and member tuples of `_flats_with_covers`, searched once."""
         if self._flats is None:
             object.__setattr__(self, "_flats", _flats_with_covers(self))
         return self._flats
@@ -161,11 +161,12 @@ def closure(ws: WeightSystem, subset: Iterable[int]) -> Flat:
     return Flat(members, span.dim)
 
 
-def _flats_with_covers(ws: WeightSystem) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """Every flat's member mask and rank, sorted by (rank, members), and the covers between them.
+def _flats_with_covers(ws: WeightSystem) -> tuple[list[int], list[int], list, list[tuple]]:
+    """Every flat's member mask and rank, sorted by (rank, members), the covers, the member tuples.
 
     Bit i of a member mask stands for weight i; a cover is a sorted pair
-    of positions in the sorted lists.
+    of positions in the sorted lists, and a flat's member tuple lists its
+    weights in ascending order.
 
     The flats covering F are the closures of F plus one parallel class
     outside F, and two such classes give the same cover exactly when
@@ -217,10 +218,11 @@ def _flats_with_covers(ws: WeightSystem) -> tuple[list[int], list[int], list[tup
                 else:
                     covers.append((high, 1))
             covers.append((low, high))
-    order = sorted(range(len(masks)), key=lambda f: (ranks[f], _bits(masks[f])))
+    members = [tuple(_bits(mask)) for mask in masks]
+    order = sorted(range(len(masks)), key=lambda f: (ranks[f], members[f]))
     position = {f: at for at, f in enumerate(order)}
     covers = sorted((position[low], position[high]) for low, high in covers)
-    return [masks[f] for f in order], [ranks[f] for f in order], covers
+    return [masks[f] for f in order], [ranks[f] for f in order], covers, [members[f] for f in order]
 
 
 def flats_lattice(ws: WeightSystem) -> GradedPoset:
@@ -231,11 +233,10 @@ def flats_lattice(ws: WeightSystem) -> GradedPoset:
     in the flat with multiplicity.  Covers are listed by the position of
     the lower flat, then of the upper one.
     """
-    masks, ranks, covers = ws._lattice
-    ids = [tuple(_bits(m)) for m in masks]
-    return GradedPoset(
+    _, ranks, covers, ids = ws._lattice
+    return GradedPoset._from_positions(
         ids,
-        [(ids[low], ids[high]) for low, high in covers],
+        covers,
         rank=dict(zip(ids, ranks)),
         drk={e: len(e) for e in ids},
         labels={e: "{" + ",".join(map(str, e)) + "}" for e in ids},
@@ -255,7 +256,7 @@ def independence_complex(ws: WeightSystem) -> SimplicialComplex:
     size.  Each size is counted before it is listed, and more than
     INDEPENDENT_SET_CAP nonempty faces raise EnumerationCapExceeded.
     """
-    masks, _, covers = ws._lattice
+    masks, _, covers, _ = ws._lattice
     full = (1 << ws.size) - 1
     outside = [full ^ mask >> 1 for mask in masks]  # bit i - 1: weight i
     up: list[dict[int, int]] = [{} for _ in masks]  # up[F][v]: the flat covering F that holds v
@@ -327,7 +328,7 @@ def _independence_numbers(ws: WeightSystem) -> tuple[tuple[int, ...], int]:
     Each nested call rises one rank, so the recursion is at most r deep,
     and the memo holds at most one entry per weight bound and flat.
     """
-    masks, ranks, covers = ws._lattice
+    masks, ranks, covers, _ = ws._lattice
     r, top = ranks[-1], len(masks) - 1
     upper: list[list[int]] = [[] for _ in masks]
     for low, high in covers:

@@ -1,13 +1,17 @@
 """Finite graded posets stored by their cover relation.
 
 Elements are opaque hashable identifiers; the full order is the
-reflexive-transitive closure of the declared covers, precomputed at
-construction as up- and down-set bitmasks so every predicate afterwards
-is pure reads.  The order core is three module functions on those
-masks, shared with the face posets and the reconstruction: `_bits`
-walks the set bits of a mask, `_minimal` keeps the elements of a mask
-with nothing of it strictly below them, and `_cover_pairs` takes the
-covers within a mask as the minimal elements of each strict up-set.
+reflexive-transitive closure of the declared covers.  A poset keeps its
+covers as pairs of element indices, which producers that hold positions
+hand over directly (`GradedPoset._from_positions`).  The first order
+question builds the closure as up- and down-set bitmasks and keeps
+them, so every predicate afterwards is pure reads, and a poset that is
+only printed never builds them.  The order core is three module
+functions on those masks, shared with the face posets and the
+reconstruction: `_bits` walks the set bits of a mask, `_minimal` keeps
+the elements of a mask with nothing of it strictly below them, and
+`_cover_pairs` takes the covers within a mask as the minimal elements
+of each strict up-set.
 The join of a and b is the only minimal element of their common upper
 bounds, their meet that of their common lower bounds by the down-sets.
 Rank and drk labellings are optional data.  A poset keeps its minimal
@@ -99,6 +103,59 @@ class CoherenceResult:
         return self.ok
 
 
+class _CoverCycle(ValueError):
+    """Covers that contain a cycle; `at` is the position in the cover list of one on the cycle."""
+
+    def __init__(self, at: int):
+        super().__init__("covers contain a cycle")
+        self.at = at
+
+
+def _topological(n: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices 0..n-1, each after every index below it by the cover `pairs` (Kahn's sort).
+
+    Covers that contain a cycle raise `_CoverCycle` at the first-listed
+    cover of one cycle.  The elements the sort leaves each have a cover
+    from another one left, so walking down those covers must come back
+    to an element it has met: the walk from there on is a cycle.
+    """
+    above: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in pairs:
+        above[i].append(j)
+        indeg[j] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:  # grows as it is read
+        for j in above[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) == n:
+        return order
+    into: dict[int, int] = {}  # each element left -> the first-listed cover into it from one left
+    for at, (i, j) in enumerate(pairs):
+        if indeg[i] and indeg[j]:
+            into.setdefault(j, at)
+    walk: dict[int, int] = {}  # element -> the cover walked down from it, in walking order
+    j = next(iter(into))
+    while j not in walk:
+        walk[j] = into[j]
+        j = pairs[into[j]][0]
+    steps = list(walk)
+    raise _CoverCycle(min(walk[k] for k in steps[steps.index(j) :]))
+
+
+def _indexed(elements: Iterable[Element]) -> tuple[tuple, dict]:
+    """The elements and each one's index; they must be distinct, and at least one."""
+    elements = tuple(elements)
+    if not elements:
+        raise EmptyPoset("poset must have at least one element")
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate element identifiers")
+    return elements, index
+
+
 class GradedPoset:
     """Immutable finite poset with optional rank/drk/payload labellings.
 
@@ -116,66 +173,106 @@ class GradedPoset:
         payload: Mapping[Element, object] | None = None,
         labels: Mapping[Element, str] | None = None,
     ):
-        self.elements: tuple[Element, ...] = tuple(elements)
-        if not self.elements:
-            raise EmptyPoset("poset must have at least one element")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate element identifiers")
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self.covers: tuple[tuple[Element, Element], ...] = tuple(covers)
-        for low, high in self.covers:
-            if low not in self._index or high not in self._index:
+        elements, index = _indexed(elements)
+        covers = tuple(covers)
+        pairs = []
+        for low, high in covers:
+            i, j = index.get(low), index.get(high)
+            if i is None or j is None:
                 raise ValueError(f"cover ({low!r}, {high!r}) uses unknown elements")
-            if low == high:
+            if i == j:
                 raise ValueError(f"cover ({low!r}, {high!r}) is a self-loop")
-        self.rank = dict(rank) if rank is not None else None
-        if self.rank is not None and set(self.rank) != set(self.elements):
-            raise ValueError("rank labelling must cover exactly the elements")
-        self.drk = dict(drk) if drk is not None else None
-        if self.drk is not None and set(self.drk) != set(self.elements):
-            raise ValueError("drk labelling must cover exactly the elements")
-        self.payload = dict(payload) if payload is not None else {}
-        self.labels = dict(labels) if labels is not None else {}
-        self._up, self._down, self._minima, self._maxima = self._closure()
-        self._all = (1 << len(self.elements)) - 1  # the mask of every element
+            pairs.append((i, j))
+        self._build(
+            elements,
+            index,
+            pairs,
+            covers,
+            None if rank is None else dict(rank),
+            None if drk is None else dict(drk),
+            {} if payload is None else dict(payload),
+            {} if labels is None else dict(labels),
+        )
+
+    @classmethod
+    def _from_positions(
+        cls,
+        elements: Iterable[Element],
+        pairs: list[tuple[int, int]],
+        rank: dict | None = None,
+        drk: dict | None = None,
+        payload: dict | None = None,
+        labels: dict | None = None,
+    ) -> "GradedPoset":
+        """The poset on `elements` whose covers are the index pairs `pairs`, for producers.
+
+        It checks what `__init__` checks but the covers' names; a pair of
+        equal positions is a cycle.  The labellings are kept, not copied.
+        """
+        p = cls.__new__(cls)
+        elements, index = _indexed(elements)
+        covers = tuple([(elements[i], elements[j]) for i, j in pairs])
+        p._build(elements, index, pairs, covers, rank, drk, payload or {}, labels or {})
+        return p
+
+    def _build(self, elements, index, pairs, covers, rank, drk, payload, labels) -> None:
+        """Check the labellings, and the covers (also the index `pairs`) for a cycle; store them.
+
+        When every pair ascends, the element order is already an order in
+        which each element follows those below it, and no sort is needed.
+        """
+        for labelling, what in ((rank, "rank"), (drk, "drk")):
+            if labelling is not None and set(labelling) != index.keys():
+                raise ValueError(f"{what} labelling must cover exactly the elements")
+        n = len(elements)
+        # each element index after those below it: what the masks are built in
+        self._order = range(n) if all(i < j for i, j in pairs) else _topological(n, pairs)
+        self.elements: tuple[Element, ...] = elements
+        self._index = index
+        self._pairs = pairs
+        self.covers: tuple[tuple[Element, Element], ...] = covers
+        self.rank, self.drk, self.payload, self.labels = rank, drk, payload, labels
+        has_lower, has_upper = bytearray(n), bytearray(n)
+        for i, j in pairs:
+            has_upper[i] = has_lower[j] = 1
+        self._minima = [i for i in range(n) if not has_lower[i]]
+        self._maxima = [i for i in range(n) if not has_upper[i]]
+        self._all = (1 << n) - 1  # the mask of every element
         # kept on first use as plain attributes: cached_property reads `__dict__`, which slows reads
-        self._graded = self._geometric = None
+        self._masks = self._graded = self._geometric = None
 
     # ------------------------------------------------------------------
     # order core
 
-    def _closure(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Up- and down-set masks, then the minimal and the maximal element indices, ascending."""
+    @property
+    def _up(self) -> list[int]:
+        """The up-set mask of each element index, from `_order_masks`."""
+        return (self._masks or self._order_masks())[0]
+
+    @property
+    def _down(self) -> list[int]:
+        """The down-set mask of each element index, from `_order_masks`."""
+        return (self._masks or self._order_masks())[1]
+
+    def _order_masks(self) -> tuple[list[int], list[int]]:
+        """Up- and down-set masks, built by the first order question and kept."""
         n = len(self.elements)
-        above = [[] for _ in range(n)]
-        indeg = [0] * n
-        for low, high in self.covers:
-            above[self._index[low]].append(self._index[high])
-            indeg[self._index[high]] += 1
-        # Kahn topological order doubles as the acyclicity check
-        order = [i for i in range(n) if indeg[i] == 0]
-        minima = list(order)
-        seen = 0
-        queue = list(order)
-        while queue:
-            i = queue.pop()
-            seen += 1
-            for j in above[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-                    order.append(j)
-        if seen != n:
-            raise ValueError("covers contain a cycle")
+        above: list[list[int]] = [[] for _ in range(n)]
+        for i, j in self._pairs:
+            above[i].append(j)
         up = [1 << i for i in range(n)]
-        for i in reversed(order):
+        for i in reversed(self._order):
+            mask = up[i]
             for j in above[i]:
-                up[i] |= up[j]
+                mask |= up[j]
+            up[i] = mask
         down = [1 << i for i in range(n)]
-        for i in order:
+        for i in self._order:
+            mask = down[i]
             for j in above[i]:
-                down[j] |= down[i]
-        return up, down, minima, [i for i in range(n) if not above[i]]
+                down[j] |= mask
+        self._masks = up, down
+        return self._masks
 
     def leq(self, a: Element, b: Element) -> bool:
         return bool(self._up[self._index[a]] & (1 << self._index[b]))
@@ -227,11 +324,11 @@ class GradedPoset:
         computed ranks.  Row r masks the elements of rank r; an empty row
         above the top lets every element read the row above its own.
         """
-        name, index = self.elements, self._index
+        name = self.elements
         level: list = [None] * len(name)
         for i in self._minima:
             level[i] = 0
-        pending = [(index[low], index[high]) for low, high in self.covers]
+        pending = self._pairs
         while pending:
             rest = []
             for low, high in pending:
@@ -281,15 +378,24 @@ class GradedPoset:
         """Subposet on `keep`, covers recomputed from the induced order."""
         keep_set = set(keep)
         kept = [e for e in self.elements if e in keep_set]
-        mask = sum(1 << self._index[e] for e in kept)
-        name = self.elements
-        return GradedPoset(
-            kept,
-            [(name[i], name[j]) for i, j in _cover_pairs(self._up, mask)],
-            rank=rank,
+        return self._restricted(
+            sum(1 << self._index[e] for e in kept),
+            rank=None if rank is None else dict(rank),
             drk={e: self.drk[e] for e in kept} if self.drk is not None else None,
-            payload={e: self.payload[e] for e in kept if e in self.payload},
-            labels={e: self.labels[e] for e in kept if e in self.labels},
+        )
+
+    def _restricted(self, mask: int, rank: dict | None, drk: dict | None) -> "GradedPoset":
+        """The induced subposet on the element indices in `mask`, with these labellings."""
+        kept = _bits(mask)
+        at = {i: k for k, i in enumerate(kept)}
+        name = [self.elements[i] for i in kept]
+        return GradedPoset._from_positions(
+            name,
+            [(at[i], at[j]) for i, j in _cover_pairs(self._up, mask)],
+            rank=rank,
+            drk=drk,
+            payload={e: self.payload[e] for e in name if e in self.payload},
+            labels={e: self.labels[e] for e in name if e in self.labels},
         )
 
     def upper_ideal(self, s: Element) -> "GradedPoset":
@@ -585,13 +691,8 @@ def projectivize(p: GradedPoset) -> GradedPoset:
     if max(ranks.values()) < 1:
         raise PreconditionFailed("cannot projectivize a rank-0 lattice")
     keep = [e for e in p.elements if e != bottom]
-    name = p.elements
-    return GradedPoset(
-        keep,
-        [(name[i], name[j]) for i, j in _cover_pairs(p._up, p._all & ~(1 << p._index[bottom]))],
-        rank={e: ranks[e] - 1 for e in keep},
-        payload={e: p.payload[e] for e in keep if e in p.payload},
-        labels={e: p.labels[e] for e in keep if e in p.labels},
+    return p._restricted(
+        p._all & ~(1 << p._index[bottom]), rank={e: ranks[e] - 1 for e in keep}, drk=None
     )
 
 

@@ -103,10 +103,11 @@ def flats_lattice_oracle(weights):
 
 
 def flats_with_covers_oracle(ws):
-    """(masks, ranks, covers) as `matroid._flats_with_covers` gives them, from full eliminations.
+    """(masks, ranks, covers, members) as `matroid._flats_with_covers` gives them, by eliminations.
 
     Flats are member sets until the end, then masks with bit i for weight
-    i; covers are pairs of positions in the sorted flat list.  Each
+    i and sorted member tuples; covers are pairs of positions in the
+    sorted flat list.  Each
     frontier flat keeps the weights that span it and builds their
     `Subspace`; every class outside it is reduced by `Subspace.residue`
     against that span.
@@ -140,6 +141,7 @@ def flats_with_covers_oracle(ws):
         [sum(1 << i for i in flat) for flat in flats],
         [found[flat] for flat in flats],
         sorted((position[low], position[high]) for low, high in covers),
+        [tuple(sorted(flat)) for flat in flats],
     )
 
 

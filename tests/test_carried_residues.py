@@ -131,7 +131,7 @@ def test_residues_are_carried_once_per_flat_below_the_coatoms(monkeypatch, ws):
     monkeypatch.setattr(
         matroid, "_carry_residues", lambda row, entries: calls.append(row) or carry(row, entries)
     )
-    _, ranks, _ = _flats_with_covers(ws)
+    _, ranks, _, _ = _flats_with_covers(ws)
     assert len(calls) == sum(1 <= rank <= ws.rank() - 2 for rank in ranks)
 
 

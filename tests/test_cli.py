@@ -18,6 +18,7 @@ from gkmfaces.cli import build_parser, main
 from gkmfaces.formats import format_graph, format_matroid
 from gkmfaces.gkm import GkmSubgraph
 from gkmfaces.matroid import Flat, WeightSystem, closure
+from gkmfaces.poset import GradedPoset
 from gkmfaces.ratlinalg import Subspace
 from gkmfaces.reconstruct import Diagnostic, GaloisReport
 
@@ -291,7 +292,7 @@ def test_rank_zero_weight_file_is_a_parse_error(tmp_path):
             ("poset", "check"),
             "cyclic.poset",
             "element a rank 0\nelement b rank 1\ncover a < b\ncover b < a\n",
-            "line 1, column 1: covers contain a cycle",
+            "line 3, column 1: covers contain a cycle",
         ),
         (
             ("gkm", "validate"),
@@ -393,6 +394,33 @@ def test_matroid_commands_build_no_flat(tmp_path, monkeypatch):
     assert built == []
     closure(WeightSystem(1, [(1,)]), {1})
     assert len(built) == 1  # the count sees a `Flat` where one is built
+
+
+def test_order_masks_are_built_only_for_order_questions(tmp_path, monkeypatch):
+    """Printing a lattice or a face table builds no order mask; `matroid check` builds one set."""
+    built = []
+    order_masks = GradedPoset._order_masks
+    monkeypatch.setattr(GradedPoset, "_order_masks", lambda p: built.append(p) or order_masks(p))
+    weights = tmp_path / "a4.wt"
+    weights.write_text(format_matroid(WeightSystem(4, type_a_roots(4))))
+    for argv in (
+        ("matroid", "flats", str(weights)),
+        ("gkm", "faces", path("g6.gkm")),
+        ("gkm", "tg-faces", path("g6.gkm")),
+        ("gkm", "faces", path("cp2.gkm")),
+    ):
+        assert run_cli(*argv)[0] == 0
+    assert built == []
+    assert run_cli("matroid", "check", str(weights)) == (0, CHECKED_A4)
+    assert len(built) == 1  # the one lattice, once
+
+
+CHECKED_A4 = (
+    "flats: 52\n"
+    "geometric lattice: pass\n"
+    "coherent with multiplicity weights: pass\n"
+    "independence degree: 2\n"
+)
 
 
 ALL_COMMANDS = [

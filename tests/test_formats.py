@@ -305,8 +305,13 @@ PARSE_ERRORS = [
      "expected 'ambient_rank: <k>'", 1, 1),
     # poset files
     (parse_poset, "element a\n", "expected 'element <id> rank <r> [drk <d>]'", 1, 1),
+    (parse_poset, "element a rank 0\nvertex a\n", "unknown directive 'vertex'", 2, 1),
     (parse_poset, "element a rank 0\nelement b rank 1\ncover a < b\ncover b < a\n",
-     "covers contain a cycle", 1, 1),
+     "covers contain a cycle", 3, 1),
+    # the cycle b < c < d < b, first listed on line 8; d < e (line 6) only leaves it
+    (parse_poset, "".join(f"element {x} rank {r}\n" for r, x in enumerate("abcde"))
+     + "cover d < e\ncover a < b\ncover c < d\ncover b < c\ncover d < b\n",
+     "covers contain a cycle", 8, 1),
     (parse_poset, "element a rank 0\ncover a < a\n", "cover ('a', 'a') is a self-loop", 2, 1),
     (parse_poset, "element a rank 0\nelement b rank 1\ncover a < b\ncover a < b\n",
      "cover 'a' < 'b' declared twice", 4, 1),
@@ -316,6 +321,7 @@ PARSE_ERRORS = [
     (parse_graph_with_connection, "ambient_rank: 2\nsigned yes\n",
      "'signed' takes no arguments", 2, 1),
     (parse_graph_with_connection, EDGE_AB + "vertex\n", "expected 'vertex <id>'", 4, 1),
+    (parse_graph_with_connection, EDGE_AB + "cover a < b\n", "unknown directive 'cover'", 4, 1),
     (parse_graph_with_connection, EDGE_AB + "vertex a\n", "vertex 'a' declared twice", 4, 1),
     (parse_graph_with_connection, EDGE_AB + "edge e a b (1,0)\n",
      "expected 'edge <id> <u> <v> weight (…)'", 4, 1),

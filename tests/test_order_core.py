@@ -8,17 +8,45 @@ compared, pair for pair and in order, with the scan for an element
 strictly between and the scan for an element strictly below, on posets
 from random acyclic covers (transitively redundant ones among them) and
 on random masks.
+
+A poset built from covers as index pairs (`GradedPoset._from_positions`,
+as the flats lattices, the face posets and the poset parser build them)
+is the poset `GradedPoset` builds from the same covers by name: the same
+covers in the same order, order masks (also checked against networkx
+reachability), extremal elements, grading, verdicts and exports.  A
+cycle raises on both paths, at a cover that lies on it.
 """
 
 from functools import cache
 
+import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmfaces.gkm import DEFAULT_CAP, _containers, _face_poset, _face_positions
-from gkmfaces.poset import GradedPoset, _cover_pairs, _minimal
+from gkmfaces.errors import GkmFacesError
+from gkmfaces.formats import dump_json, format_poset, poset_to_json
+from gkmfaces.gkm import DEFAULT_CAP, _containers, _face_poset, _face_positions, enumerate_faces
+from gkmfaces.matroid import flats_lattice
+from gkmfaces.poset import (
+    GradedPoset,
+    _cover_pairs,
+    _CoverCycle,
+    _minimal,
+    is_geometric_lattice,
+    is_graded,
+    is_locally_geometric,
+)
 
-from helpers import cp2_graph, corpus_graph, graph_product, hypercube_graph, sphere_graph
+from helpers import (
+    GKM_CORPUS,
+    corpus_graph,
+    cp2_graph,
+    graph_product,
+    hypercube_graph,
+    sphere_graph,
+    weight_corpus,
+)
 from oracles import cover_pairs_oracle, minimal_oracle
 
 
@@ -83,3 +111,117 @@ def test_face_poset_covers_match_the_between_scan(data):
     p = _face_poset(g, chosen)
     pairs = cover_pairs_oracle(_containers(g, chosen), (1 << len(chosen)) - 1)
     assert list(p.covers) == sorted((p.elements[i], p.elements[j]) for i, j in pairs)
+
+
+# ----------------------------------------------------------------------
+# building from positions
+
+
+def _exported(p):
+    """The .poset text, or why there is none, and the JSON export."""
+    try:
+        text = format_poset(p)
+    except GkmFacesError as exc:
+        text = str(exc)
+    return text, dump_json(poset_to_json(p))
+
+
+def assert_same_poset(q, p):
+    """q, built from positions, is p, built from names; their masks are networkx reachability."""
+    assert (q.elements, q.covers, q._pairs) == (p.elements, p.covers, p._pairs)
+    assert (q.rank, q.drk, q.labels, q.payload) == (p.rank, p.drk, p.labels, p.payload)
+    assert (q._minima, q._maxima) == (p._minima, p._maxima)
+    assert q._grading == p._grading
+    for predicate in (is_graded, is_geometric_lattice, is_locally_geometric):
+        assert predicate(q) == predicate(p)
+    assert _exported(q) == _exported(p)
+    reach = nx.DiGraph(q._pairs)
+    reach.add_nodes_from(range(len(q.elements)))
+    up = [sum(1 << j for j in nx.descendants(reach, i) | {i}) for i in range(len(q.elements))]
+    down = [sum(1 << j for j in nx.ancestors(reach, i) | {i}) for i in range(len(q.elements))]
+    assert (q._up, q._down) == (p._up, p._down) == (up, down)
+
+
+def by_names(q):
+    """The poset `GradedPoset` builds from q's elements, covers and labellings."""
+    return GradedPoset(
+        q.elements, q.covers, rank=q.rank, drk=q.drk, payload=q.payload, labels=q.labels
+    )
+
+
+@st.composite
+def graded_cover_lists(draw):
+    """(names, pairs, rank, drk): up to four levels, each element above 0 covering some below it.
+
+    The elements are declared level by level, so every pair ascends, or
+    in shuffled order; the covers are listed in shuffled order; stored
+    ranks (the levels, or one of them moved) and drk labels are optional.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    level = [r for r, size in enumerate(sizes) for _ in range(size)]
+    n = len(level)
+    covers = []
+    for j in range(n):
+        below = [i for i in range(n) if level[i] == level[j] - 1]
+        if below:
+            lower = draw(st.lists(st.sampled_from(below), min_size=1, unique=True))
+            covers += [(i, j) for i in lower]
+    order = range(n) if draw(st.booleans()) else draw(st.permutations(range(n)))
+    at = {e: k for k, e in enumerate(order)}
+    pairs = [(at[i], at[j]) for i, j in draw(st.permutations(covers))]
+    names = [f"v{e}" for e in order]
+    rank = drk = None
+    if draw(st.booleans()):
+        rank = {f"v{e}": level[e] for e in order}
+        if draw(st.booleans()):
+            rank[draw(st.sampled_from(names))] += 1
+    if draw(st.booleans()):
+        drk = {name: draw(st.integers(0, 4)) for name in names}
+    return names, pairs, rank, drk
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(graded_cover_lists())
+def test_positions_build_the_poset_names_build(case):
+    names, pairs, rank, drk = case
+    q = GradedPoset._from_positions(names, pairs, rank=rank, drk=drk)
+    assert_same_poset(q, by_names(q))
+    assert q.covers == tuple((names[i], names[j]) for i, j in pairs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flats_lattices_from_positions_are_those_from_names(seed):
+    for ws in weight_corpus(seed=seed, count=15, max_n=6):
+        q = flats_lattice(ws)
+        assert_same_poset(q, by_names(q))
+
+
+@pytest.mark.parametrize("name", GKM_CORPUS)
+def test_face_posets_from_positions_are_those_from_names(name):
+    q = enumerate_faces(corpus_graph(name)[0])
+    assert_same_poset(q, by_names(q))
+
+
+@st.composite
+def cyclic_cover_lists(draw):
+    """(n, pairs): random upward pairs of a hidden order and some closing cycles, shuffled."""
+    n = draw(st.integers(2, 8))
+    hidden = draw(st.permutations(range(n)))
+    up = [(hidden[a], hidden[b]) for a in range(n) for b in range(a + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(up), min_size=1, unique=True, max_size=12))
+    reach = nx.transitive_closure_dag(nx.DiGraph(pairs))
+    back = st.sampled_from(sorted((j, i) for i, j in reach.edges))
+    return n, draw(st.permutations(pairs + draw(st.lists(back, min_size=1, unique=True))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cyclic_cover_lists())
+def test_a_cycle_raises_on_both_paths_at_a_cover_on_it(case):
+    n, pairs = case
+    names = [f"v{i}" for i in range(n)]
+    with pytest.raises(ValueError, match="covers contain a cycle"):
+        GradedPoset(names, [(names[i], names[j]) for i, j in pairs])
+    with pytest.raises(_CoverCycle) as raised:
+        GradedPoset._from_positions(names, pairs)
+    low, high = pairs[raised.value.at]
+    assert nx.has_path(nx.DiGraph(pairs), high, low)
