@@ -41,11 +41,13 @@ positions, ascending, and an edge mask.  The search places stars as
 edge masks, and the plane table stores each plane as one, so the
 closure test is one AND.  A face's rank is its span at its first vertex,
 its drk the bits of its mask in that vertex's star, and its containers
-the AND of one membership mask per vertex and per edge: the up-sets of
-the face poset, whose covers come from `poset._cover_pairs`.  A face
-becomes a `GkmSubgraph`, by names, only for a face poset's payload and
-where `reconstruct` hands names out; no function asks a subgraph for its
-span or degree, which the labels carry.
+the AND of one membership mask per vertex and per edge.  The containers
+are the face poset's up-sets, handed to it whole
+(`GradedPoset._from_up_sets`), so its covers are derived only when
+something reads them, as the JSON and DOT exports do.  A face becomes a
+`GkmSubgraph`, by names, only for a face poset's payload and where
+`reconstruct` hands names out; no function asks a subgraph for its span
+or degree, which the labels carry.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .errors import (
     ZeroWeight,
 )
 from .matroid import WeightSystem, flats_lattice
-from .poset import GradedPoset, _bits, _cover_pairs
+from .poset import GradedPoset, _bits
 from .ratlinalg import IntVector, Subspace, _line_residue, _primitive, as_vector
 
 DEFAULT_CAP = 10**6
@@ -658,16 +660,21 @@ def _containers(g: GkmGraph, faces: Sequence[Face]) -> list[int]:
     return [_held_by(membership, face) for face in faces]
 
 
-def _face_poset(g: GkmGraph, faces: Sequence[Face], prefix: str = "H") -> GradedPoset:
-    """Inclusion poset of `faces`, ranked by span, with their subgraphs as the payload."""
+def _face_poset(
+    g: GkmGraph, faces: Sequence[Face], prefix: str = "H", ranks: Sequence[int] | None = None
+) -> GradedPoset:
+    """Inclusion poset of `faces`, ranked by span, with their subgraphs as the payload.
+
+    Its up-sets are the faces' containers; `ranks`, the faces' span ranks,
+    are computed when not given.
+    """
     ids = [f"{prefix}{i}" for i in range(len(faces))]
-    everything = (1 << len(faces)) - 1
-    pairs = _cover_pairs(_containers(g, faces), everything)
-    pairs.sort(key=lambda c: (ids[c[0]], ids[c[1]]))  # as their ids sort
-    return GradedPoset._from_positions(
+    if ranks is None:
+        ranks = [_span_at(g, xs[0], edges).dim for xs, edges in faces]
+    return GradedPoset._from_up_sets(
         ids,
-        pairs,
-        rank={i: _span_at(g, xs[0], edges).dim for i, (xs, edges) in zip(ids, faces)},
+        _containers(g, faces),
+        rank=dict(zip(ids, ranks)),
         drk={i: (edges & g._star_mask[xs[0]]).bit_count() for i, (xs, edges) in zip(ids, faces)},
         payload={i: _subgraph(g, face) for i, face in zip(ids, faces)},
         labels={

@@ -6,12 +6,16 @@ covers as pairs of element indices, which producers that hold positions
 hand over directly (`GradedPoset._from_positions`).  The first order
 question builds the closure as up- and down-set bitmasks and keeps
 them, so every predicate afterwards is pure reads, and a poset that is
-only printed never builds them.  The order core is three module
-functions on those masks, shared with the face posets and the
-reconstruction: `_bits` walks the set bits of a mask, `_minimal` keeps
-the elements of a mask with nothing of it strictly below them, and
-`_cover_pairs` takes the covers within a mask as the minimal elements
-of each strict up-set.
+only printed never builds them.  A producer that holds the whole order
+hands over the up-set masks instead (`GradedPoset._from_up_sets`, as
+the face posets are built): the down-sets are then their transpose, and
+the covers are derived from them only when something reads them, so a
+face table that is only printed derives neither.  The order core is
+three module functions on those masks, shared with the face posets and
+the reconstruction: `_bits` walks the set bits of a mask, `_minimal`
+keeps the elements of a mask with nothing of it strictly below them,
+and `_cover_pairs` takes the covers within a mask as the minimal
+elements of each strict up-set.
 The join of a and b is the only minimal element of their common upper
 bounds, their meet that of their common lower bounds by the down-sets.
 Rank and drk labellings are optional data.  A poset keeps its minimal
@@ -63,6 +67,16 @@ def _minimal(up: Sequence[int], mask: int) -> list[int]:
     for i in _bits(mask):
         higher |= up[i] ^ (1 << i)  # up[i] holds i
     return _bits(mask & ~higher)
+
+
+def _transposed(up: Sequence[int]) -> list[int]:
+    """The down-set masks of the order whose up-set masks are `up`."""
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        bit = 1 << i
+        for j in _bits(mask):
+            down[j] |= bit
+    return down
 
 
 def _cover_pairs(up: Sequence[int], mask: int) -> list[tuple[int, int]]:
@@ -206,59 +220,118 @@ class GradedPoset:
     ) -> "GradedPoset":
         """The poset on `elements` whose covers are the index pairs `pairs`, for producers.
 
-        It checks what `__init__` checks but the covers' names; a pair of
-        equal positions is a cycle.  The labellings are kept, not copied.
+        It checks what `__init__` checks but the covers' names, which are
+        built on first read; a pair of equal positions is a cycle.  The
+        labellings are kept, not copied.
         """
         p = cls.__new__(cls)
         elements, index = _indexed(elements)
-        covers = tuple([(elements[i], elements[j]) for i, j in pairs])
-        p._build(elements, index, pairs, covers, rank, drk, payload or {}, labels or {})
+        p._build(elements, index, pairs, None, rank, drk, payload or {}, labels or {})
+        return p
+
+    @classmethod
+    def _from_up_sets(
+        cls,
+        elements: Iterable[Element],
+        up: list[int],
+        rank: dict | None = None,
+        drk: dict | None = None,
+        payload: dict | None = None,
+        labels: dict | None = None,
+    ) -> "GradedPoset":
+        """The poset on `elements` in which up[i] masks the elements at or above element i.
+
+        For producers that hold the whole order, as containment of
+        distinct faces is a partial order.  The masks become `_up`; the
+        down-sets are their transpose, built on first read, and the covers
+        are derived from them by `_cover_pairs` on first read and listed
+        as their names sort, so the elements must be orderable.  It checks
+        the labellings and that each up[i] holds i, not that the masks are
+        transitive and antisymmetric.  The labellings are kept, not copied.
+        """
+        p = cls.__new__(cls)
+        elements, index = _indexed(elements)
+        n = len(elements)
+        if len(up) != n or any(not mask >> i & 1 for i, mask in enumerate(up)):
+            raise ValueError("each element's up-set must hold it")
+        p._keep(elements, index, rank, drk, payload or {}, labels or {})
+        p._up_masks = up
+        p._minima = _minimal(up, p._all)
+        p._maxima = [i for i, mask in enumerate(up) if mask == 1 << i]
         return p
 
     def _build(self, elements, index, pairs, covers, rank, drk, payload, labels) -> None:
         """Check the labellings, and the covers (also the index `pairs`) for a cycle; store them.
 
+        `covers` are the pairs by name, or None to name them on first read.
         When every pair ascends, the element order is already an order in
         which each element follows those below it, and no sort is needed.
         """
-        for labelling, what in ((rank, "rank"), (drk, "drk")):
-            if labelling is not None and set(labelling) != index.keys():
-                raise ValueError(f"{what} labelling must cover exactly the elements")
+        self._keep(elements, index, rank, drk, payload, labels)
         n = len(elements)
         # each element index after those below it: what the masks are built in
         self._order = range(n) if all(i < j for i, j in pairs) else _topological(n, pairs)
-        self.elements: tuple[Element, ...] = elements
-        self._index = index
-        self._pairs = pairs
-        self.covers: tuple[tuple[Element, Element], ...] = covers
-        self.rank, self.drk, self.payload, self.labels = rank, drk, payload, labels
+        self._pair_list, self._cover_names = pairs, covers
         has_lower, has_upper = bytearray(n), bytearray(n)
         for i, j in pairs:
             has_upper[i] = has_lower[j] = 1
         self._minima = [i for i in range(n) if not has_lower[i]]
         self._maxima = [i for i in range(n) if not has_upper[i]]
-        self._all = (1 << n) - 1  # the mask of every element
+
+    def _keep(self, elements, index, rank, drk, payload, labels) -> None:
+        """Check that the labellings cover exactly the elements; store them, nothing derived yet."""
+        for labelling, what in ((rank, "rank"), (drk, "drk")):
+            if labelling is not None and set(labelling) != index.keys():
+                raise ValueError(f"{what} labelling must cover exactly the elements")
+        self.elements: tuple[Element, ...] = elements
+        self._index = index
+        self.rank, self.drk, self.payload, self.labels = rank, drk, payload, labels
+        self._all = (1 << len(elements)) - 1  # the mask of every element
         # kept on first use as plain attributes: cached_property reads `__dict__`, which slows reads
-        self._masks = self._graded = self._geometric = None
+        self._pair_list = self._cover_names = self._up_masks = self._down_masks = None
+        self._graded = self._geometric = None
 
     # ------------------------------------------------------------------
     # order core
 
     @property
+    def covers(self) -> tuple[tuple[Element, Element], ...]:
+        """The covers by name, in the order of `_pairs`."""
+        if self._cover_names is None:
+            name = self.elements
+            self._cover_names = tuple([(name[i], name[j]) for i, j in self._pairs])
+        return self._cover_names
+
+    @property
+    def _pairs(self) -> list[tuple[int, int]]:
+        """The covers as index pairs: as given, or derived from the up-sets on first read."""
+        if self._pair_list is None:
+            name = self.elements
+            pairs = _cover_pairs(self._up_masks, self._all)
+            pairs.sort(key=lambda c: (name[c[0]], name[c[1]]))
+            self._pair_list = pairs
+        return self._pair_list
+
+    @property
     def _up(self) -> list[int]:
-        """The up-set mask of each element index, from `_order_masks`."""
-        return (self._masks or self._order_masks())[0]
+        """The up-set mask of each element index: as given, else from `_order_masks`."""
+        return self._up_masks or self._order_masks()[0]
 
     @property
     def _down(self) -> list[int]:
-        """The down-set mask of each element index, from `_order_masks`."""
-        return (self._masks or self._order_masks())[1]
+        """Each element index's down-set mask: the given up-sets transposed, else `_order_masks`."""
+        if self._down_masks is None:
+            if self._up_masks is None:
+                self._order_masks()
+            else:
+                self._down_masks = _transposed(self._up_masks)
+        return self._down_masks
 
     def _order_masks(self) -> tuple[list[int], list[int]]:
-        """Up- and down-set masks, built by the first order question and kept."""
+        """Up- and down-set masks from the covers, built by the first order question and kept."""
         n = len(self.elements)
         above: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self._pairs:
+        for i, j in self._pair_list:
             above[i].append(j)
         up = [1 << i for i in range(n)]
         for i in reversed(self._order):
@@ -271,8 +344,8 @@ class GradedPoset:
             mask = down[i]
             for j in above[i]:
                 down[j] |= mask
-        self._masks = up, down
-        return self._masks
+        self._up_masks, self._down_masks = up, down
+        return up, down
 
     def leq(self, a: Element, b: Element) -> bool:
         return bool(self._up[self._index[a]] & (1 << self._index[b]))

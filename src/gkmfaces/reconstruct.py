@@ -18,12 +18,19 @@ groups, and the groups, built over the survivors for the diagnostics,
 hold exactly their maxima.  The report keeps the candidates' positions
 and container masks; names, `GkmSubgraph`, are built for the survivors'
 payloads and the diagnostics' maxima, and for all candidates only when
-`FaceReport.candidates` is read.  The projection to surviving faces and
-the Galois check take containment from membership masks and match
-survivors to candidates by position: the projection is the one minimal
-container, `poset._minimal`, and monotonicity is checked on the covers
-of the inclusion order among the candidates, `poset._cover_pairs` on the
-kept masks, which implies it on every nested pair.
+`FaceReport.candidates` is read.  The survivors' poset gets their
+container masks as its up-sets and the ranks of the candidates' spans.
+The projection to surviving faces and the Galois check take containment
+from membership masks and match survivors to candidates by position:
+the projection is the one minimal container, `poset._minimal`.
+Monotonicity is decided on masks: with the candidates projected to each
+survivor as one preimage mask, the candidates projected anywhere above
+survivor s are the OR of the preimages over the up-set of s, and every
+container of each candidate must lie among those of its projection.
+A candidate without a projection lies in no preimage, so a container
+of it fails the test.  Only when the test fails are the covers of the
+inclusion order among the candidates listed (`poset._cover_pairs` on
+the kept masks), to name each failing cover in order.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .gkm import (
     _subgraph,
     _tg_faces,
 )
-from .poset import GradedPoset, _cover_pairs, _minimal
+from .poset import GradedPoset, _bits, _cover_pairs, _minimal
 from .ratlinalg import Subspace
 
 MODES = ("faces", "tg")
@@ -135,7 +142,7 @@ def reconstruct_face_poset(
     diagnostics.sort(key=lambda d: (g.vertex_key(d.vertex), d.flat.sort_key()))
     return FaceReport(
         mode=mode,
-        faces=_face_poset(g, [faces[i] for i in survivors], "F"),
+        faces=_face_poset(g, [faces[i] for i in survivors], "F", [spans[i].dim for i in survivors]),
         diagnostics=tuple(diagnostics),
         _graph=g,
         _candidate_faces=tuple(faces),
@@ -194,12 +201,15 @@ def verify_galois(report: FaceReport) -> GaloisReport:
         )
     failures: list[str] = []
     g, (survivors, membership) = report._graph, report._survivors
+    index = report.faces._index
     projection = []  # None where the projection is undefined
-    for face in report._candidate_faces:
+    preimage = [0] * len(index)  # per survivor, the mask of the candidates projected to it
+    for i, face in enumerate(report._candidate_faces):
         try:
             image = _projection(report, face)
-            held = _held_by(membership, face) >> report.faces._index[image] & 1
-            failure = "" if held else "does not contain it"
+            at = index[image]
+            preimage[at] |= 1 << i
+            failure = "" if _held_by(membership, face) >> at & 1 else "does not contain it"
         except ReconstructionAmbiguous as exc:
             image, failure = None, f"is undefined: {exc}"
         if failure:
@@ -211,13 +221,37 @@ def verify_galois(report: FaceReport) -> GaloisReport:
         i = position.get(face)
         if i is not None and projection[i] not in (e, None):
             failures.append(f"projection does not fix surviving face {e}")
-    # monotone on the covers of the inclusion order, so on every nested pair
-    for i, j in _cover_pairs(report._candidate_containers, (1 << count) - 1):
-        if None not in (projection[i], projection[j]) and not report.faces.leq(
-            projection[i], projection[j]
-        ):
-            failures.append("projection is not monotone on a nested pair of faces")
+    if not _monotone(report, projection, preimage):
+        # name each failure on a cover of the inclusion order, in the order of the covers
+        for i, j in _cover_pairs(report._candidate_containers, (1 << count) - 1):
+            if None not in (projection[i], projection[j]) and not report.faces.leq(
+                projection[i], projection[j]
+            ):
+                failures.append("projection is not monotone on a nested pair of faces")
     for e, face in zip(report.faces.elements, survivors):
         if face not in position:
             failures.append(f"surviving face {e} is missing from the full face list")
     return GaloisReport(not failures, report.mode, count, tuple(failures))
+
+
+def _monotone(report: FaceReport, projection: list, preimage: list[int]) -> bool:
+    """Whether every container of each projected candidate projects above its projection.
+
+    A container with no projection (None) lies above nothing.  above[s],
+    the candidates projected into the up-set of survivor s, is the OR of
+    the preimages over that up-set.  When this holds, no cover of the
+    inclusion order between two projected candidates fails.
+    """
+    up, index = report.faces._up, report.faces._index
+    above = []
+    for mask in up:
+        union = 0
+        for t in _bits(mask):
+            union |= preimage[t]
+        above.append(union)
+    containers = report._candidate_containers
+    return not any(
+        containers[i] & ~above[index[image]]
+        for i, image in enumerate(projection)
+        if image is not None
+    )

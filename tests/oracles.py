@@ -25,7 +25,9 @@ pairwise scan for an element strictly between, and minimal elements
 from a scan for an element strictly below.  The chains of a poset are
 the subsets it orders totally, found among all subsets.  The face
 reconstruction's selection groups the candidates by (vertex, span) and
-keeps the members of each group that no other member contains.
+keeps the members of each group that no other member contains, and the
+Galois check names a monotonicity failure on each cover of the
+inclusion order whose projections are not ordered.
 """
 
 from fractions import Fraction
@@ -706,6 +708,49 @@ def non_monotone_pairs_oracle(report, projection):
         for h2 in report.candidates
         if h2.contains(h1) and not report.faces.leq(projection[h1], projection[h2])
     ]
+
+
+def galois_failures_oracle(report):
+    """`verify_galois`'s failures with monotonicity checked cover by cover, as it names them.
+
+    The projection is `reconstruct._projection`, looked up at each call, so
+    a replaced one is used; containment is `GkmSubgraph.contains` and the
+    covers of the inclusion order among the candidates come from
+    `cover_pairs_oracle`.  Monotone on every cover means monotone on every
+    nested pair, since the surviving order is transitive.
+    """
+    import gkmfaces.reconstruct as reconstruct
+    from gkmfaces.errors import ReconstructionAmbiguous
+
+    if report.diagnostics:
+        return tuple(d.describe() for d in report.diagnostics)
+    graph, candidates, faces = report._graph, list(report.candidates), report.faces
+    failures, projection = [], []
+    for face, h in zip(report._candidate_faces, candidates):
+        try:
+            image = reconstruct._projection(report, face)
+            failure = "" if report.subgraph(image).contains(h) else "does not contain it"
+        except ReconstructionAmbiguous as exc:
+            image, failure = None, f"is undefined: {exc}"
+        if failure:
+            listed = [str(x) for x in sorted(h.vertices, key=graph.vertex_key)]
+            failures.append(f"projection of a face on vertices {listed} {failure}")
+        projection.append(image)
+    survivors = [report.subgraph(e) for e in faces.elements]
+    for e, h in zip(faces.elements, survivors):
+        if h in candidates and projection[candidates.index(h)] not in (e, None):
+            failures.append(f"projection does not fix surviving face {e}")
+    up = [
+        sum(1 << j for j, high in enumerate(candidates) if high.contains(low)) for low in candidates
+    ]
+    for i, j in cover_pairs_oracle(up, (1 << len(candidates)) - 1):
+        low, high = projection[i], projection[j]
+        if None not in (low, high) and not faces.leq(low, high):
+            failures.append("projection is not monotone on a nested pair of faces")
+    for e, h in zip(faces.elements, survivors):
+        if h not in candidates:
+            failures.append(f"surviving face {e} is missing from the full face list")
+    return tuple(failures)
 
 
 def face_selection_oracle(graph, candidates):

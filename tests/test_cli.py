@@ -14,6 +14,7 @@ import pytest
 
 import gkmfaces
 from gkmfaces import formats, reconstruct
+from gkmfaces import poset as poset_module
 from gkmfaces.cli import build_parser, main
 from gkmfaces.formats import format_graph, format_matroid
 from gkmfaces.gkm import GkmSubgraph
@@ -22,7 +23,7 @@ from gkmfaces.poset import GradedPoset
 from gkmfaces.ratlinalg import Subspace
 from gkmfaces.reconstruct import Diagnostic, GaloisReport
 
-from helpers import corpus_path, graded_posets, hypercube_graph, type_a_roots
+from helpers import GKM_CORPUS, corpus_path, graded_posets, hypercube_graph, type_a_roots
 
 
 def run_cli(*argv):
@@ -408,11 +409,45 @@ def test_order_masks_are_built_only_for_order_questions(tmp_path, monkeypatch):
         ("gkm", "faces", path("g6.gkm")),
         ("gkm", "tg-faces", path("g6.gkm")),
         ("gkm", "faces", path("cp2.gkm")),
+        ("gkm", "reconstruct", path("g6.gkm"), "--verify-galois"),
     ):
         assert run_cli(*argv)[0] == 0
     assert built == []
     assert run_cli("matroid", "check", str(weights)) == (0, CHECKED_A4)
     assert len(built) == 1  # the one lattice, once
+
+
+@pytest.fixture
+def covers_derived(monkeypatch):
+    """The masks of the `_cover_pairs` calls made by `poset` and by `reconstruct`."""
+    calls = []
+    derive = poset_module._cover_pairs
+    for module in (poset_module, reconstruct):
+        monkeypatch.setattr(
+            module, "_cover_pairs", lambda up, mask: calls.append(mask) or derive(up, mask)
+        )
+    return calls
+
+
+GKM_COMMANDS = [
+    ("faces",),
+    ("tg-faces",),
+    ("reconstruct", "--verify-galois"),
+    ("reconstruct", "--mode", "tg", "--verify-galois"),
+]
+
+
+@pytest.mark.parametrize("name", GKM_CORPUS)
+@pytest.mark.parametrize("command", GKM_COMMANDS, ids=" ".join)
+def test_face_covers_are_derived_only_for_the_exports(covers_derived, command, name):
+    """A face table and the Galois check derive no cover; `--json` and `--dot` one set each."""
+    argv = ("gkm", command[0], path(name), *command[1:])
+    text = run_cli(*argv)
+    assert covers_derived == []
+    for export in ("--json", "--dot"):
+        assert run_cli(*argv, export)[0] == text[0]
+        assert len(covers_derived) == 1  # the one printed poset, once
+        covers_derived.clear()
 
 
 CHECKED_A4 = (

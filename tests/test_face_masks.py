@@ -8,7 +8,9 @@ Gr(2,4) and a product with two parallel edges, and the plane table and
 the whole `validate_graph` report also on graphs made invalid by a
 collinear star or an extra parallel edge.  Face spans are compared with
 spans of the raw axial vectors, and `validate_connection`'s report with
-the raw-vector rule on damaged canonical connections.  On graphs without
+the raw-vector rule on damaged canonical connections, and the Galois
+check's failures with those of checking every cover, under projections
+moved at random or left undefined.  On graphs without
 a connection of their own, the faces closed under the canonical
 connection are all the faces, no face is tested against that connection,
 and its existence check raises what building it raises; under a file
@@ -30,7 +32,11 @@ from hypothesis import strategies as st
 import gkmfaces.gkm as gkm_module
 import gkmfaces.reconstruct as reconstruct_module
 from gkmfaces import cli
-from gkmfaces.errors import ConnectionNotCanonical, EnumerationCapExceeded
+from gkmfaces.errors import (
+    ConnectionNotCanonical,
+    EnumerationCapExceeded,
+    ReconstructionAmbiguous,
+)
 from gkmfaces.gkm import (
     Connection,
     GkmGraph,
@@ -61,6 +67,7 @@ from oracles import (
     connection_violations_oracle,
     face_poset_oracle,
     face_selection_oracle,
+    galois_failures_oracle,
     graph_report_oracle,
     non_monotone_pairs_oracle,
     plane_table_oracle,
@@ -378,6 +385,33 @@ def test_monotonicity_on_covers_agrees_with_all_pairs(g, seed, moves):
     assert flagged == bool(non_monotone_pairs_oracle(report, projection))
     if not moves:
         assert failures == ()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(graphs, st.integers(0, 10**6), st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([0.0, 0.1]))
+def test_galois_failures_match_the_cover_by_cover_oracle(g, seed, moved, undefined):
+    # each candidate projected honestly, to a random survivor (rate `moved`)
+    # or nowhere (rate `undefined`); the same answer each time it is asked
+    report = reconstruct_face_poset(g, "faces")
+    rng = random.Random(seed)
+    honest = reconstruct_module._projection
+    projection = {}
+    for face in report._candidate_faces:
+        draw = rng.random()
+        if draw < undefined:
+            projection[face] = None
+        elif draw < undefined + moved:
+            projection[face] = rng.choice(report.faces.elements)
+        else:
+            projection[face] = honest(report, face)
+
+    def patched(r, face):
+        if projection[face] is None:
+            raise ReconstructionAmbiguous("no projection drawn")
+        return projection[face]
+
+    with mock.patch.object(reconstruct_module, "_projection", patched):
+        assert verify_galois(report).failures == galois_failures_oracle(report)
 
 
 Q3_CAPS = {

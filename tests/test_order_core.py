@@ -14,19 +14,30 @@ as the flats lattices, the face posets and the poset parser build them)
 is the poset `GradedPoset` builds from the same covers by name: the same
 covers in the same order, order masks (also checked against networkx
 reachability), extremal elements, grading, verdicts and exports.  A
-cycle raises on both paths, at a cover that lies on it.
+cycle raises on both paths, at a cover that lies on it.  So is a face
+poset built from its containment masks (`GradedPoset._from_up_sets`, for
+`enumerate_faces`, `enumerate_tg_faces` and the reconstruction's
+survivors in both modes), whose covers are derived from the masks in
+the order their ids sort, on scrambled graphs and the corpus.
 """
 
 from functools import cache
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkmfaces.errors import GkmFacesError
+from gkmfaces.errors import ConnectionNotCanonical, GkmFacesError
 from gkmfaces.formats import dump_json, format_poset, poset_to_json
-from gkmfaces.gkm import DEFAULT_CAP, _containers, _face_poset, _face_positions, enumerate_faces
+from gkmfaces.gkm import (
+    DEFAULT_CAP,
+    _containers,
+    _face_poset,
+    _face_positions,
+    enumerate_faces,
+    enumerate_tg_faces,
+)
 from gkmfaces.matroid import flats_lattice
 from gkmfaces.poset import (
     GradedPoset,
@@ -37,6 +48,7 @@ from gkmfaces.poset import (
     is_graded,
     is_locally_geometric,
 )
+from gkmfaces.reconstruct import reconstruct_face_poset
 
 from helpers import (
     GKM_CORPUS,
@@ -48,6 +60,7 @@ from helpers import (
     weight_corpus,
 )
 from oracles import cover_pairs_oracle, minimal_oracle
+from test_face_masks import graphs as scrambled_face_graphs
 
 
 @st.composite
@@ -196,10 +209,44 @@ def test_flats_lattices_from_positions_are_those_from_names(seed):
         assert_same_poset(q, by_names(q))
 
 
-@pytest.mark.parametrize("name", GKM_CORPUS)
-def test_face_posets_from_positions_are_those_from_names(name):
-    q = enumerate_faces(corpus_graph(name)[0])
+# the face posets built from containment masks, on a graph and its connection
+UP_SET_POSETS = {
+    "faces": lambda g, theta: enumerate_faces(g),
+    "tg-faces": lambda g, theta: enumerate_tg_faces(g, theta),
+    "survivors": lambda g, theta: reconstruct_face_poset(g, "faces").faces,
+    "tg-survivors": lambda g, theta: reconstruct_face_poset(g, "tg", connection=theta).faces,
+}
+
+
+def assert_up_sets_build_the_poset_names_build(q):
+    assert q._pair_list is None and q._down_masks is None  # nothing derived at construction
     assert_same_poset(q, by_names(q))
+    assert list(q.covers) == sorted(q.covers)  # as the ids sort
+
+
+@pytest.mark.parametrize("kind", sorted(UP_SET_POSETS))
+@pytest.mark.parametrize("name", GKM_CORPUS)
+def test_face_posets_from_up_sets_are_those_from_names(name, kind):
+    assert_up_sets_build_the_poset_names_build(UP_SET_POSETS[kind](*corpus_graph(name)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(scrambled_face_graphs, st.sampled_from(sorted(UP_SET_POSETS)))
+def test_face_posets_from_up_sets_on_scrambled_graphs(g, kind):
+    try:
+        q = UP_SET_POSETS[kind](g, None)
+    except ConnectionNotCanonical:  # Fl(3) and Gr(2,4) without their file connections
+        assume(False)
+    assert_up_sets_build_the_poset_names_build(q)
+
+
+def test_up_sets_must_hold_their_element():
+    with pytest.raises(ValueError, match="each element's up-set must hold it"):
+        GradedPoset._from_up_sets(["a", "b"], [0b11, 0b01])
+    with pytest.raises(ValueError, match="each element's up-set must hold it"):
+        GradedPoset._from_up_sets(["a", "b"], [0b11])
+    with pytest.raises(ValueError, match="rank labelling must cover exactly the elements"):
+        GradedPoset._from_up_sets(["a", "b"], [0b11, 0b10], rank={"a": 0})
 
 
 @st.composite
