@@ -12,10 +12,10 @@ no traceback.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from importlib import resources
-from pathlib import Path
 
 from . import complexes, formats, gkm, poset, reconstruct
 from .errors import GkmFacesError, ParseError
@@ -24,7 +24,8 @@ from .matroid import flats_lattice, independence_degree
 
 def _read(path: str) -> str:
     try:
-        data = Path(path).read_bytes()
+        with io.FileIO(path) as f:  # raw bytes: no buffer, no decoding
+            data = f.readall()
     except OSError as exc:
         raise GkmFacesError(f"cannot read {path}: {exc.strerror}") from exc
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark, as some editors save

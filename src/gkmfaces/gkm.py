@@ -28,13 +28,14 @@ vectors are the tangent weights at the fixed points, so few lines carry
 many edges (d lines for the d 2^(d-1) edges of Q_d).  Each edge is
 indexed by its line, the primitive vector with positive lead, and its
 integer scale, alpha = scale * line; one line modulo another, as a
-residue and a factor, and the span of a set of lines are memoised, so
-each elimination is done once per pair or set of lines.  Two axial
-vectors are dependent exactly when they share a line; e3 lies in the
-plane of e1 and e2 exactly when its residue modulo e2's line is None or
-equals e1's; and a connection's image differs from its source by a
-multiple of the edge exactly when their residues agree and so do
-scale * factor, signed by orientation on signed graphs.
+residue and a factor, and the span of a set of lines, keyed by the mask
+of their positions, are memoised, so each elimination is done once per
+pair or set of lines.  Two axial vectors are dependent exactly when they
+share a line; e3 lies in the plane of e1 and e2 exactly when its residue
+modulo e2's line is None or equals e1's; and a connection's image
+differs from its source by a multiple of the edge exactly when their
+residues agree and so do scale * factor, signed by orientation on
+signed graphs.
 
 Faces keep one form from the search to the face poset, a `Face`: vertex
 positions, ascending, and an edge mask.  The search places stars as
@@ -44,17 +45,18 @@ its drk the bits of its mask in that vertex's star, and its containers
 the AND of one membership mask per vertex and per edge.  The containers
 are the face poset's up-sets, handed to it whole
 (`GradedPoset._from_up_sets`), so its covers are derived only when
-something reads them, as the JSON and DOT exports do.  A face becomes a
-`GkmSubgraph`, by names, only for a face poset's payload and where
-`reconstruct` hands names out; no function asks a subgraph for its span
-or degree, which the labels carry.
+something reads them, as the JSON and DOT exports do.  A face poset's
+payload, `_Subgraphs`, keeps the faces by position and makes a face a
+`GkmSubgraph`, by names, when its entry is first read; so does
+`reconstruct` where it hands names out.  No function asks a subgraph
+for its span or degree, which the labels carry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ConnectionNotCanonical,
@@ -157,9 +159,9 @@ class GkmGraph:
             self._line.append(lines.setdefault(line, len(lines)))
             self._scale.append(next(a // b for a, b in zip(w, line) if b))
         self._lines = list(lines)
-        # memos by line: one line modulo another, and the span of a set of lines
+        # memos by line: one line modulo another, and the span of a set of lines as a mask
         self._residues: dict[tuple[int, int], tuple[IntVector | None, int]] = {}
-        self._spans: dict[frozenset[int], Subspace] = {}
+        self._spans: dict[int, Subspace] = {}
         # kept on first use as plain attributes: cached_property reads `__dict__`, which slows reads
         self._planes = self._report = None
 
@@ -170,12 +172,12 @@ class GkmGraph:
             found = self._residues[(a, b)] = _line_residue(self._lines[a], self._lines[b])
         return found
 
-    def _span(self, lines: frozenset[int]) -> Subspace:
-        """The span of a set of lines, computed once per set."""
+    def _span(self, lines: int) -> Subspace:
+        """The span of the lines whose positions are the bits of `lines`, computed once per set."""
         found = self._spans.get(lines)
         if found is None:
             found = self._spans[lines] = Subspace.span(
-                [self._lines[i] for i in lines], self.ambient_rank
+                [self._lines[i] for i in _bits(lines)], self.ambient_rank
             )
         return found
 
@@ -312,7 +314,7 @@ def validate_graph(g: GkmGraph) -> GraphReport:
                 if not plane
             )
 
-    spans = [g._span(frozenset(line[i] for i, _ in at)) for at in g._adjacent]
+    spans = [_span_at(g, x, star) for x, star in enumerate(g._star_mask)]
     rank = spans[0].dim
     for x, span in zip(g.vertices, spans):
         if span != spans[0]:
@@ -502,9 +504,44 @@ def _subgraph(g: GkmGraph, face: Face) -> GkmSubgraph:
     return GkmSubgraph(frozenset(g.vertices[x] for x in face[0]), names)
 
 
+class _Subgraphs(Mapping):
+    """A face poset's payload: each face's `GkmSubgraph`, built when first read and kept.
+
+    Its keys are the poset's elements, in order, through the poset's
+    index, and `faces` holds their faces by position, in the same order.
+    """
+
+    __slots__ = ("_graph", "_index", "faces", "_built")
+
+    def __init__(self, g: GkmGraph, index: dict, faces: Sequence[Face]):
+        self._graph, self._index, self.faces = g, index, faces
+        self._built: dict = {}
+
+    def __getitem__(self, key) -> GkmSubgraph:
+        found = self._built.get(key)
+        if found is None:
+            found = self._built[key] = _subgraph(self._graph, self.faces[self._index[key]])
+        return found
+
+    def __iter__(self) -> Iterator:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, key) -> bool:
+        return key in self._index
+
+
 def _span_at(g: GkmGraph, x: int, edges: int) -> Subspace:
     """The span of the axial vectors of the edges in the mask at vertex x."""
-    return g._span(frozenset(g._line[i] for i, _ in g._adjacent[x] if edges >> i & 1))
+    edges &= g._star_mask[x]
+    line, lines = g._line, 0  # the mask of their lines
+    while edges:
+        low = edges & -edges
+        lines |= 1 << line[low.bit_length() - 1]
+        edges ^= low
+    return g._span(lines)
 
 
 def _grown_stars(g: GkmGraph, d: int, x: int, stars: list[int], z: int) -> list[int]:
@@ -666,22 +703,24 @@ def _face_poset(
     """Inclusion poset of `faces`, ranked by span, with their subgraphs as the payload.
 
     Its up-sets are the faces' containers; `ranks`, the faces' span ranks,
-    are computed when not given.
+    are computed when not given.  The payload is `_Subgraphs`, which names
+    a face only when its entry is read.
     """
     ids = [f"{prefix}{i}" for i in range(len(faces))]
     if ranks is None:
         ranks = [_span_at(g, xs[0], edges).dim for xs, edges in faces]
-    return GradedPoset._from_up_sets(
+    p = GradedPoset._from_up_sets(
         ids,
         _containers(g, faces),
         rank=dict(zip(ids, ranks)),
         drk={i: (edges & g._star_mask[xs[0]]).bit_count() for i, (xs, edges) in zip(ids, faces)},
-        payload={i: _subgraph(g, face) for i, face in zip(ids, faces)},
         labels={
             i: "{" + ",".join(str(g.vertices[x]) for x in face[0]) + "}"
             for i, face in zip(ids, faces)
         },
     )
+    p.payload = _Subgraphs(g, p._index, faces)
+    return p
 
 
 def enumerate_faces(g: GkmGraph, cap: int = DEFAULT_CAP) -> GradedPoset:

@@ -16,13 +16,15 @@ other candidate with its span contains it: one containing h holds every
 vertex of h, so h is then a maximum of each of its (vertex, span)
 groups, and the groups, built over the survivors for the diagnostics,
 hold exactly their maxima.  The report keeps the candidates' positions
-and container masks; names, `GkmSubgraph`, are built for the survivors'
-payloads and the diagnostics' maxima, and for all candidates only when
+and container masks, and the survivors' payload keeps theirs; names,
+`GkmSubgraph`, are built for the diagnostics' maxima, for a survivor
+when its payload entry is first read, and for all candidates only when
 `FaceReport.candidates` is read.  The survivors' poset gets their
 container masks as its up-sets and the ranks of the candidates' spans.
 The projection to surviving faces and the Galois check take containment
 from membership masks and match survivors to candidates by position:
-the projection is the one minimal container, `poset._minimal`.
+the projection is the one minimal container, `poset._minimal`, and the
+Galois check takes each candidate's containers once, for both.
 Monotonicity is decided on masks: with the candidates projected to each
 survivor as one preimage mask, the candidates projected anywhere above
 survivor s are the OR of the preimages over the up-set of s, and every
@@ -35,6 +37,7 @@ the kept masks), to name each failing cover in order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,6 +48,7 @@ from .gkm import (
     Face,
     GkmGraph,
     GkmSubgraph,
+    _Subgraphs,
     _containers,
     _face_key,
     _face_of,
@@ -101,9 +105,16 @@ class FaceReport:
         return self.faces.drk[element] - self.faces.rank[element]
 
     @cached_property
-    def _survivors(self) -> tuple[list[Face], tuple[int, list[int], list[int]]]:
-        """The surviving faces by position, in element order, and their membership masks."""
-        faces = [_face_of(self._graph, self.subgraph(e)) for e in self.faces.elements]
+    def _survivors(self) -> tuple[Sequence[Face], tuple[int, list[int], list[int]]]:
+        """The surviving faces by position, in element order, and their membership masks.
+
+        A payload from `_face_poset` holds the positions; any other is named back.
+        """
+        payload = self.faces.payload
+        if isinstance(payload, _Subgraphs):
+            faces = payload.faces
+        else:
+            faces = [_face_of(self._graph, payload[e]) for e in self.faces.elements]
         return faces, _membership(self._graph, faces)
 
 
@@ -163,7 +174,14 @@ def pi_map(report: FaceReport, h: GkmSubgraph):
 
 def _projection(report: FaceReport, face: Face | None):
     """`pi_map` on a face by position, None for one outside the graph; diagnostics unchecked."""
-    containers = 0 if face is None else _held_by(report._survivors[1], face)
+    return _least(report, 0 if face is None else _held_by(report._survivors[1], face))
+
+
+_PROJECTION = _projection  # `verify_galois` reuses its container masks unless this is replaced
+
+
+def _least(report: FaceReport, containers: int):
+    """The one minimal survivor in the mask `containers`, the projection of what they contain."""
     if not containers:
         raise ReconstructionAmbiguous(
             "no surviving face contains the given subgraph (internal inconsistency)"
@@ -202,14 +220,16 @@ def verify_galois(report: FaceReport) -> GaloisReport:
     failures: list[str] = []
     g, (survivors, membership) = report._graph, report._survivors
     index = report.faces._index
+    project = None if _projection is _PROJECTION else _projection
     projection = []  # None where the projection is undefined
     preimage = [0] * len(index)  # per survivor, the mask of the candidates projected to it
     for i, face in enumerate(report._candidate_faces):
+        containers = _held_by(membership, face)  # the survivors containing the candidate
         try:
-            image = _projection(report, face)
+            image = _least(report, containers) if project is None else project(report, face)
             at = index[image]
             preimage[at] |= 1 << i
-            failure = "" if _held_by(membership, face) >> at & 1 else "does not contain it"
+            failure = "" if containers >> at & 1 else "does not contain it"
         except ReconstructionAmbiguous as exc:
             image, failure = None, f"is undefined: {exc}"
         if failure:

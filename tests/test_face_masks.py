@@ -16,13 +16,17 @@ connection are all the faces, no face is tested against that connection,
 and its existence check raises what building it raises; under a file
 connection the closed faces are the ones the by-name test keeps.  The
 reconstruction's span rule keeps what the per-(vertex, span) maxima
-selection of `tests/oracles.py` keeps.  The search's state totals and
-cap messages are pinned.
+selection of `tests/oracles.py` keeps.  The face posets' payloads, read
+lazily, name what the eager `{id: _subgraph}` dicts named, and a report
+that keeps its survivors by position projects as one that names them
+back.  The search's state totals and cap messages are pinned, and so is
+the number of spans each graph computes, one per set of lines.
 """
 
 import io
 import random
 from contextlib import redirect_stdout
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -47,10 +51,12 @@ from gkmfaces.gkm import (
     validate_graph,
 )
 from gkmfaces.formats import format_graph
+from gkmfaces.poset import GradedPoset
 from gkmfaces.ratlinalg import Subspace
-from gkmfaces.reconstruct import reconstruct_face_poset, verify_galois
+from gkmfaces.reconstruct import pi_map, reconstruct_face_poset, verify_galois
 
 from helpers import (
+    GKM_CORPUS,
     corpus_graph,
     cp2_graph,
     face_payloads,
@@ -173,6 +179,23 @@ def test_face_spans_are_the_spans_of_the_raw_axial_vectors(g):
             assert (poset.rank[e], poset.drk[e]) == (span.dim, len(raw))
 
 
+# Subspace.span calls after validate_graph, enumerate_faces and reconstruct_face_poset
+SPAN_CALLS = {"q3": (1, 8, 8), "fl3": (1, 8, 8), "cp2xs2": (3, 12, 12)}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_CALLS))
+def test_each_line_set_is_spanned_once_per_graph(name):
+    g = BASES[name]()
+    span, calls, counts = Subspace.span.__func__, [], []
+    spanned = classmethod(lambda cls, vectors, ambient: calls.append(1) or span(cls, vectors, ambient))
+    with mock.patch.object(Subspace, "span", spanned):
+        for step in (validate_graph, enumerate_faces, reconstruct_face_poset):
+            step(g)
+            counts.append(len(calls))
+    assert tuple(counts) == SPAN_CALLS[name]
+    assert len(g._spans) == counts[-1]  # one span per distinct set of lines
+
+
 def same_poset(got, expected) -> None:
     assert got.elements == expected.elements
     assert got.covers == expected.covers
@@ -198,6 +221,55 @@ def test_span_rule_keeps_the_maxima_of_every_vertex_span_group(g):
     survivors, diagnostics = face_selection_oracle(g, list(report.candidates))
     assert [report.subgraph(e) for e in report.faces.elements] == survivors
     assert [(d.vertex, d.flat, d.maxima) for d in report.diagnostics] == diagnostics
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ReconstructionAmbiguous as exc:
+        return str(exc)
+
+
+def check_payload(g, poset, faces, prefix="H") -> None:
+    """The payload is the mapping of ids to the faces' subgraphs, each built once."""
+    eager = {f"{prefix}{i}": gkm_module._subgraph(g, face) for i, face in enumerate(faces)}
+    assert list(poset.payload) == list(poset.elements) == list(eager)
+    assert len(poset.payload) == len(eager) and "nope" not in poset.payload
+    assert poset.payload.get("nope") is None
+    assert dict(poset.payload) == eager and poset.payload == eager
+    assert all(poset.payload[e] is poset.payload[e] for e in poset.elements)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.one_of(graphs.map(lambda g: (g, None)), st.sampled_from(GKM_CORPUS).map(corpus_graph)))
+def test_lazy_payloads_name_what_eager_ones_named(case):
+    g, theta = case
+    every = gkm_module._face_positions(g, gkm_module.DEFAULT_CAP)
+    check_payload(g, enumerate_faces(g), every)
+    try:
+        closed = gkm_module._tg_faces(g, theta, gkm_module.DEFAULT_CAP)
+    except ConnectionNotCanonical:  # Fl(3) without its file connection has no canonical one
+        modes = {"faces": every}
+    else:
+        check_payload(g, enumerate_tg_faces(g, theta), closed)
+        modes = {"faces": every, "tg": closed}
+    for mode, faces in modes.items():
+        report = reconstruct_face_poset(g, mode, connection=theta)
+        candidates = tuple(gkm_module._subgraph(g, f) for f in faces)
+        assert report.candidates == candidates
+        survivors, _ = face_selection_oracle(g, list(candidates))
+        assert list(report._survivors[0]) == [gkm_module._face_of(g, h) for h in survivors]
+        check_payload(g, report.faces, report._survivors[0], prefix="F")
+        # a report whose payload is a plain dict names its survivors back
+        p = report.faces
+        eager = replace(
+            report, faces=GradedPoset(p.elements, p.covers, p.rank, p.drk, dict(p.payload))
+        )
+        assert eager._survivors == report._survivors
+        assert [outcome(pi_map, report, h) for h in candidates] == [
+            outcome(pi_map, eager, h) for h in candidates
+        ]
+        assert verify_galois(report) == verify_galois(eager)
 
 
 # graphs with a connection of their own; scrambling keeps the edge names it maps

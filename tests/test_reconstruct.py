@@ -1,8 +1,11 @@
+import io
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import pytest
 
 import gkmfaces.reconstruct as reconstruct_module
+from gkmfaces import cli
 from gkmfaces.errors import ReconstructionAmbiguous
 from gkmfaces.gkm import GkmSubgraph, _face_of, local_face_poset
 from gkmfaces.matroid import WeightSystem, flats_lattice
@@ -18,7 +21,7 @@ from gkmfaces.poset import (
 from gkmfaces.complexes import order_complex, reduced_betti
 from gkmfaces.reconstruct import pi_map, reconstruct_face_poset, verify_galois
 
-from helpers import GKM_CORPUS, corpus_graph, square_graph
+from helpers import GKM_CORPUS, corpus_graph, corpus_path, square_graph
 from oracles import face_selection_oracle
 
 
@@ -211,8 +214,9 @@ def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch, subgr
     )
     subgraphs_built.clear()
     report = reconstruct_face_poset(g, "faces")
-    assert len(subgraphs_built) == 4 + 8  # the survivors, and the maxima of four groups
+    assert len(subgraphs_built) == 8  # the maxima of four groups; nothing else is named yet
     assert report.candidates == tuple(candidates)
+    assert len(subgraphs_built) == 8 + 5
     assert [(d.vertex, d.flat.basis, d.maxima) for d in report.diagnostics] == [
         ("v00", ((0, 1),), (h3, h4)),
         ("v00", ((1, 0),), (h2, h1)),
@@ -224,6 +228,7 @@ def test_selection_reports_incomparable_maxima_in_group_order(monkeypatch, subgr
         for x in ("v00", "v00", "v10", "v01")
     ]
     assert list(report.faces.payload.values()) == [h1, h2, h3, h4]
+    assert len(subgraphs_built) == 8 + 5 + 4
     survivors, diagnostics = face_selection_oracle(g, candidates)
     assert survivors == [h1, h2, h3, h4]
     assert [(d.vertex, d.flat, d.maxima) for d in report.diagnostics] == diagnostics
@@ -381,15 +386,41 @@ def subgraphs_built(monkeypatch):
 def test_subgraphs_are_built_for_the_survivors_and_the_diagnostic_maxima_only(
     subgraphs_built, name, mode
 ):
+    """The diagnostics' maxima are named at once, a survivor or candidate when it is read."""
     g, theta = corpus_graph(name)
     subgraphs_built.clear()
     report = reconstruct_face_poset(g, mode, connection=theta)
     verify_galois(report)
     maxima = sum(len(d.maxima) for d in report.diagnostics)
-    assert len(subgraphs_built) == len(report.faces.elements) + maxima
+    assert len(subgraphs_built) == maxima
     # the names of all candidates are built once, when they are first read
     assert report.candidates is report.candidates
-    assert len(subgraphs_built) == len(report.faces.elements) + len(report._candidate_faces)
+    candidates = len(report._candidate_faces)
+    assert len(subgraphs_built) == maxima + candidates
+    # and a survivor's once, when its payload entry is first read
+    top = report.faces.elements[-1]
+    assert report.subgraph(top) is report.faces.payload[top]
+    assert len(subgraphs_built) == maxima + candidates + 1
+
+
+FACE_COMMANDS = [  # the commands that build a face poset
+    ("faces",),
+    ("tg-faces",),
+    ("reconstruct", "--verify-galois"),
+    ("reconstruct", "--mode", "tg", "--verify-galois"),
+]
+
+
+@pytest.mark.parametrize("name", GKM_CORPUS)
+@pytest.mark.parametrize("command", FACE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("export", [(), ("--json",), ("--dot",)], ids=["text", "json", "dot"])
+def test_face_commands_name_no_face(subgraphs_built, command, name, export):
+    """A face poset printed as a table, JSON or DOT, and the Galois check, read no payload."""
+    argv = ["gkm", command[0], str(corpus_path(name)), *command[1:], *export]
+    subgraphs_built.clear()
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert subgraphs_built == []
 
 
 def test_reports_on_different_candidate_lists_differ():
